@@ -23,6 +23,10 @@ from .errors import ResourceLimitError
 # Hard cap on sieve size: a uint32 entry per integer, 4 GiB of table.
 TABLE_LIMIT_MAX = 1 << 30
 
+# Cap on the divisor-count sieve: the default oracle bound plus room for
+# the shift of the shifted correlation sum.
+DIVISOR_SIEVE_MAX = 10 ** 8 + 10 ** 6
+
 
 # ---------------------------------------------------------------------------
 # factor table
@@ -92,12 +96,12 @@ def primes_up_to(limit: int) -> list[int]:
     """Simple prime list; independent of the factor table."""
     if limit < 2:
         return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
+    mark = np.ones(limit + 1, dtype=bool)
+    mark[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
-            mark[p * p:: p] = bytearray(len(mark[p * p:: p]))
-    return [i for i in range(2, limit + 1) if mark[i]]
+            mark[p * p:: p] = False
+    return np.flatnonzero(mark).tolist()
 
 
 def _factorize_trial(n: int) -> tuple[tuple[int, int], ...]:
@@ -422,8 +426,9 @@ class GrowthReport:
 
 def divisor_count_sieve(n_max: int) -> np.ndarray:
     """d(n) for 0 <= n <= n_max as int32; d[0] = 0."""
-    if n_max > 10 ** 8:
-        raise ResourceLimitError("divisor table beyond 1e8 not supported")
+    if n_max > DIVISOR_SIEVE_MAX:
+        raise ResourceLimitError(
+            f"divisor table limit {n_max} exceeds {DIVISOR_SIEVE_MAX}")
     d = np.zeros(n_max + 1, dtype=np.int32)
     for k in range(1, math.isqrt(n_max) + 1):
         d[k * k:: k] += 2

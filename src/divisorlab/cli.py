@@ -31,6 +31,7 @@ import os
 import random
 import sys
 import tempfile
+from decimal import Decimal
 
 from .arith import (FnSpec, build_factor_table, dirichlet_coefficients,
                     divisor_count, divisor_count_k, divisor_count_sieve,
@@ -143,6 +144,30 @@ def _seed_config(parsers, config: dict[str, str]) -> None:
 # parser construction
 # ---------------------------------------------------------------------------
 
+def _real(text: str) -> float:
+    """float(text), refused when that float has another floor than the text.
+
+    Counting sums depend on floor(x) only, so a float that rounds across an
+    integer (past 2^53, or 0.99999999999999999) would answer for another x.
+    The exact floor comes from Decimal, which stays cheap for any exponent.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if math.isfinite(value) and math.floor(value) != math.floor(Decimal(text)):
+        raise argparse.ArgumentTypeError(
+            f"{text} would be read as {value!r}, which has another floor")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -151,7 +176,7 @@ def _build_parser():
                         help="report destination, - for stdout (default -)")
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="report format (default csv; explicit and fit default json)")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=_worker_count, default=1,
                         help="worker processes for brute-force scans (default 1)")
     common.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND_DEFAULT,
                         dest="oracle_bound",
@@ -175,7 +200,7 @@ def _build_parser():
     p = subs.add_parser("sum", parents=[common],
                         help="one summatory value sum_{n<=x} f(n)")
     p.add_argument("--fn", default="d", help="function label as for sieve")
-    p.add_argument("--x", type=float, required=True, help="upper limit x >= 1")
+    p.add_argument("--x", type=_real, required=True, help="upper limit x >= 1")
     p.add_argument("--algorithm", default="auto",
                    choices=("auto", "brute", "hyperbola", "moebius_kernel",
                             "convolution_kernel"),
@@ -187,7 +212,7 @@ def _build_parser():
     p.add_argument("--target", default="d",
                    help="divisor_sum (d), two_omega_sum (two_omega), or "
                         "two_omega_over_n_sum (two_omega_over_n)")
-    p.add_argument("--x", type=float, required=True, help="evaluation point x > 1")
+    p.add_argument("--x", type=_real, required=True, help="evaluation point x > 1")
     p.add_argument("--zeros", metavar="PATH",
                    help="zero-ordinate file; default is ZD_ZEROS or the packaged table")
     p.add_argument("--pairs", type=int, default=100,
@@ -205,7 +230,7 @@ def _build_parser():
 
     p = subs.add_parser("voronoi", parents=[common],
                         help="Bessel/cosine summation formulas vs exact references")
-    p.add_argument("--x", type=float, required=True, help="non-integer x > 1")
+    p.add_argument("--x", type=_real, required=True, help="non-integer x > 1")
     p.add_argument("--kind", default="full",
                    choices=("full", "truncated", "sierpinski"),
                    help="full divisor series, truncated cosine series, or the "
@@ -217,11 +242,11 @@ def _build_parser():
     p = subs.add_parser("delta", parents=[common],
                         help="error-term samples delta(x) = exact - main term")
     p.add_argument("--target", default="d", help="target as for explicit")
-    p.add_argument("--x", type=float, default=None,
+    p.add_argument("--x", type=_real, default=None,
                    help="single sample point (alternative to a grid)")
-    p.add_argument("--grid-lo", type=float, default=None, dest="grid_lo",
+    p.add_argument("--grid-lo", type=_real, default=None, dest="grid_lo",
                    help="grid start (with --grid-hi)")
-    p.add_argument("--grid-hi", type=float, default=None, dest="grid_hi",
+    p.add_argument("--grid-hi", type=_real, default=None, dest="grid_hi",
                    help="grid end (with --grid-lo)")
     p.add_argument("--ratio", type=float, default=1.2,
                    help="geometric grid ratio (default 1.2)")
@@ -229,7 +254,7 @@ def _build_parser():
 
     p = subs.add_parser("ap", parents=[common],
                         help="divisor, harmonic, or fractional-part sums on a progression")
-    p.add_argument("--x", type=float, required=True, help="upper limit x >= 1")
+    p.add_argument("--x", type=_real, required=True, help="upper limit x >= 1")
     p.add_argument("--kind", default="divisor",
                    choices=("divisor", "harmonic", "fractional"),
                    help="which progression sum to evaluate (default divisor)")
@@ -251,9 +276,9 @@ def _build_parser():
     p = subs.add_parser("fit", parents=[common],
                         help="log-log exponent fit of |delta| over a geometric grid")
     p.add_argument("--target", default="d", help="target as for explicit")
-    p.add_argument("--grid-lo", type=float, required=True, dest="grid_lo",
+    p.add_argument("--grid-lo", type=_real, required=True, dest="grid_lo",
                    help="grid start, >= 1")
-    p.add_argument("--grid-hi", type=float, required=True, dest="grid_hi",
+    p.add_argument("--grid-hi", type=_real, required=True, dest="grid_hi",
                    help="grid end, needs >= 3 decades above --grid-lo")
     p.add_argument("--ratio", type=float, default=1.2,
                    help="geometric grid ratio (default 1.2)")

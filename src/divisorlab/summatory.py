@@ -23,15 +23,17 @@ The result is independent of how work was split across processes.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .arith import FnSpec, build_factor_table, eval_arithmetic, primes_up_to
+from .arith import (FnSpec, build_factor_table, divisor_count_sieve,
+                    eval_arithmetic, primes_up_to)
 from .errors import ResourceLimitError
 
 # Default ceiling for the linear oracle; a full scan at this size takes on
@@ -142,111 +144,76 @@ def _as_spec(f) -> FnSpec:
 # ---------------------------------------------------------------------------
 # segmented brute-force engine
 #
-# For each segment [lo, hi) the engine walks every prime p <= sqrt(hi),
-# extracts the exponent of p from the residual value of each position in the
-# segment, and lets a per-function kernel fold that exponent into the value
-# array.  Whatever residual exceeds 1 at the end is a prime factor larger
-# than sqrt(hi) with exponent 1.
+# For each segment [lo, hi) one walk visits every prime p <= sqrt(hi),
+# extracts the exponent e of p from the residual value of each position by
+# repeated division, and folds rule(p, e) into the value array: multiplied
+# in for multiplicative functions, added for omega and Omega.  Whatever
+# residual exceeds 1 afterwards is a prime above sqrt(hi); the same rule
+# folds it in with e = 1.  A function is one row of _RULES (d_k and sigma
+# build theirs from their parameter in _rule): a start value, the fold, and
+# the local factor at a prime power.  Rules take p as an int inside the
+# walk; the leftover fold passes the whole residual array with e = 1 and
+# masks out the entries equal to 1.
 # ---------------------------------------------------------------------------
 
-class _WalkKernel:
-    """Per-function fold rules for the segmented prime-exponent walk."""
-
-    def __init__(self, spec: FnSpec):
-        self.spec = spec
-        tag = spec.tag
-        if tag == "d_k":
-            k = spec.k
-            self.comb = np.array([math.comb(e + k - 1, k - 1)
-                                  for e in range(64)], dtype=np.int64)
-        elif tag == "sigma":
-            self.a = spec.a
-
-    def start(self, n0: int, count: int):
-        tag = self.spec.tag
-        if tag in ("mu", "mu_squared"):
-            self.sq = np.ones(count, dtype=bool)
-            self.parity = np.zeros(count, dtype=np.int8)
-        elif tag in ("omega", "big_omega", "two_omega", "two_big_omega"):
-            self.cnt = np.zeros(count, dtype=np.int64)
-        else:
-            self.val = np.ones(count, dtype=np.int64)
-
-    def fold(self, start: int, p: int, e: np.ndarray):
-        """Fold prime p with exponent array e at positions start::p."""
-        tag = self.spec.tag
-        if tag == "d":
-            self.val[start::p] *= e + 1
-        elif tag == "d_k":
-            self.val[start::p] *= self.comb[e]
-        elif tag == "sigma":
-            a = self.a
-            if a == 0:
-                self.val[start::p] *= e + 1
-                return
-            pa = p ** a
-            g = np.ones(e.size, dtype=np.int64)
-            pw = 1
-            for j in range(1, int(e.max()) + 1):
-                pw *= pa
-                g[e >= j] += pw
-            self.val[start::p] *= g
-        elif tag == "mu" or tag == "mu_squared":
-            self.sq[start::p] &= e < 2
-            self.parity[start::p] ^= (e & 1).astype(np.int8)
-        elif tag == "omega" or tag == "two_omega":
-            self.cnt[start::p] += 1
-        elif tag == "big_omega" or tag == "two_big_omega":
-            self.cnt[start::p] += e
-        elif tag == "r2":
-            if p == 2:
-                return
-            if p % 4 == 1:
-                self.val[start::p] *= e + 1
-            else:
-                self.val[start::p] *= (e % 2 == 0)
-        else:
-            raise ValueError(f"no walk kernel for {tag!r}")
-
-    def finish(self, big: np.ndarray) -> np.ndarray:
-        """Account for a leftover prime factor > sqrt(hi) and return values."""
-        tag = self.spec.tag
-        if tag == "d":
-            out = self.val
-            out[big] *= 2
-        elif tag == "d_k":
-            out = self.val
-            out[big] *= self.comb[1]
-        elif tag == "sigma":
-            # only sigma_0 reaches here; positive exponents are finished by
-            # the caller, which still holds the leftover prime values
-            out = self.val
-            out[big] *= 2
-        elif tag == "mu":
-            out = np.where(self.sq, 1 - 2 * (self.parity & 1), 0).astype(np.int64)
-        elif tag == "mu_squared":
-            out = self.sq.astype(np.int64)
-        elif tag == "omega":
-            out = self.cnt
-        elif tag == "big_omega":
-            out = self.cnt
-        elif tag == "two_omega" or tag == "two_big_omega":
-            out = np.left_shift(1, self.cnt)
-        else:
-            raise ValueError(f"no walk kernel for {tag!r}")
-        return out
+def _r2_factor(p, e):
+    """Local factor of r2: 1 at p = 2, e+1 at p = 1 mod 4, [e even] at 3 mod 4."""
+    if np.ndim(p) == 0:
+        # one prime of the walk; a vectorised where costs ~30% more here
+        if p == 2:
+            return 1
+        return e + 1 if p % 4 == 1 else e % 2 == 0
+    # the leftover fold: an array of residuals, all with e = 1
+    return np.array([1, e + 1, 1, e % 2 == 0])[p & 3]
 
 
-def _walk_segment_values(spec: FnSpec, lo: int, hi: int,
-                         primes: np.ndarray) -> np.ndarray:
+def _sigma_factor(a: int, p, e):
+    """Local factor of sigma_a: 1 + p^a + ... + p^(a e)."""
+    if a == 0:
+        return e + 1
+    pa = p ** a
+    g = pw = 1
+    for j in range(1, int(np.max(e)) + 1):
+        pw = pw * pa
+        g = g + pw * (e >= j)
+    return g
+
+
+# tag -> (start value, fold, local factor at p^e); the three auxiliary
+# integer sums have rows of their own
+_RULES = {
+    "d": (1, np.multiply, lambda p, e: e + 1),
+    "mu": (1, np.multiply, lambda p, e: -1 * (e == 1)),
+    "mu_squared": (1, np.multiply, lambda p, e: e == 1),
+    "omega": (0, np.add, lambda p, e: 1),
+    "big_omega": (0, np.add, lambda p, e: e),
+    "two_omega": (1, np.multiply, lambda p, e: 2),
+    "two_big_omega": (1, np.multiply, lambda p, e: 1 << e),
+    "r2": (4, np.multiply, _r2_factor),
+    "d_of_square": (1, np.multiply, lambda p, e: 2 * e + 1),
+    "d_squared": (1, np.multiply, lambda p, e: (e + 1) ** 2),
+    "d_on_squarefree": (1, np.multiply, lambda p, e: 2 * (e == 1)),
+}
+
+
+def _rule(f):
+    """The _RULES row for an FnSpec or an auxiliary rule name."""
+    if isinstance(f, str):
+        return _RULES[f]
+    if f.tag == "d_k":
+        comb = np.array([math.comb(e + f.k - 1, f.k - 1) for e in range(64)],
+                        dtype=np.int64)
+        return 1, np.multiply, lambda p, e: comb[e]
+    if f.tag == "sigma":
+        return 1, np.multiply, partial(_sigma_factor, f.a)
+    return _RULES[f.tag]
+
+
+def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Values of f(n) for n in [lo, hi) via the prime-exponent walk."""
-    count = hi - lo
+    start_value, fold, factor = _rule(f)
     rem = np.arange(lo, hi, dtype=np.int64)
-    kern = _WalkKernel(spec)
-    kern.start(lo, count)
-    tag = spec.tag
-    track_parity_for_big = tag in ("mu", "mu_squared")
-    sigma_a = spec.a if tag == "sigma" else None
+    out = np.full(hi - lo, start_value, dtype=np.int64)
     for p in primes:
         p = int(p)
         if p * p >= hi:
@@ -262,39 +229,21 @@ def _walk_segment_values(spec: FnSpec, lo: int, hi: int,
             sub[idx] //= p
             e[idx] += 1
             idx = idx[sub[idx] % p == 0]
-        kern.fold(start, p, e)
-    big = rem > 1
-    if tag == "sigma" and sigma_a is not None and sigma_a > 0:
-        out = kern.val
-        w = np.flatnonzero(big)
-        if w.size:
-            out[w] *= 1 + rem[w] ** sigma_a
-        return out
-    if tag == "r2":
-        # leftover prime > sqrt(hi) is odd; 1 mod 4 doubles, 3 mod 4 kills
-        out = kern.val
-        w = np.flatnonzero(big)
-        if w.size:
-            r = rem[w] % 4
-            out[w[r == 1]] *= 2
-            out[w[r == 3]] = 0
-        return 4 * out
-    if track_parity_for_big:
-        kern.parity[big] ^= 1
-        return kern.finish(np.zeros(count, dtype=bool))
-    if tag in ("omega", "big_omega", "two_omega", "two_big_omega"):
-        kern.cnt[big] += 1
-        return kern.finish(np.zeros(count, dtype=bool))
-    return kern.finish(big)
+        seg = out[start::p]
+        fold(seg, factor(p, e), out=seg)
+    fold(out, factor(rem, 1), out=out, where=rem > 1)
+    return out
 
 
-def _exact_array_sum(arr: np.ndarray, value_bound: int) -> int:
-    """Sum an int64 array exactly, chunking so no partial can overflow."""
+def _exact_array_sum(arr: np.ndarray, bound: int) -> int:
+    """Sum an int64 array exactly, chunking so no partial can overflow.
+
+    bound is at least max |arr|; callers measure it once per array they
+    split, not once per piece, which costs more than the sums themselves.
+    """
     if arr.size == 0:
         return 0
-    if value_bound <= 0:
-        value_bound = 1
-    chunk = max(1, (1 << 62) // value_bound)
+    chunk = max(1, (1 << 62) // max(1, bound))
     if chunk >= arr.size:
         return int(arr.sum(dtype=np.int64))
     total = 0
@@ -303,54 +252,22 @@ def _exact_array_sum(arr: np.ndarray, value_bound: int) -> int:
     return total
 
 
-def _value_bound(spec: FnSpec, m: int) -> int:
-    """Crude upper bound for |f(n)|, n <= m, used to pick safe chunk sizes."""
-    tag = spec.tag
-    if tag in ("mu", "mu_squared"):
-        return 1
-    if tag in ("omega", "big_omega"):
-        return 64
-    if tag in ("d", "two_omega"):
-        return 4096
-    if tag in ("two_big_omega",):
-        return max(2, m)
-    if tag == "r2":
-        return 1 << 14
-    if tag == "d_k":
-        # d_k(n) <= d(n)^(k-1); d-maxima by range, generous at the top end
-        if m <= 10 ** 5:
-            dmax = 128
-        elif m <= 10 ** 8:
-            dmax = 768
-        elif m <= 10 ** 12:
-            dmax = 6720
-        else:
-            dmax = 103680
-        return min(dmax ** (spec.k - 1), 1 << 61)
-    if tag == "sigma":
-        return 8 * max(2, m) ** max(spec.a, 1)
-    return max(2, m)
-
-
-_WALK_TAGS = ("d", "d_k", "sigma", "mu", "mu_squared", "omega", "big_omega",
-              "two_omega", "two_big_omega", "r2")
-
-
-def _numpy_walk_ok(spec: FnSpec, m: int) -> bool:
-    if spec.tag not in _WALK_TAGS:
-        return False
-    # every intermediate the kernels form must stay below 2^62
-    if spec.tag == "sigma" and spec.a > 0:
-        return (m ** spec.a) * 4 < (1 << 62)
-    if spec.tag == "d_k":
-        return spec.k <= 32
-    return True
+def _numpy_walk_ok(f, m: int) -> bool:
+    # every intermediate the rules form must stay below 2^62
+    if isinstance(f, str):
+        return True
+    if f.tag == "sigma":
+        return (m ** f.a) * 4 < (1 << 62)
+    if f.tag == "d_k":
+        return f.k <= 32
+    return f.tag in _RULES
 
 
 def _segment_task(args):
     """Worker body: exact sum of f over [lo, hi), split at checkpoints."""
-    spec, lo, hi, marks, bound = args
-    vals = _walk_segment_values(spec, lo, hi, _worker_primes(hi))
+    f, lo, hi, marks = args
+    vals = _walk_segment_values(f, lo, hi, _worker_primes(hi))
+    bound = int(np.abs(vals).max())
     pieces = []
     prev = lo
     for m in marks:
@@ -388,9 +305,15 @@ def _python_scan(spec: FnSpec, m: int, marks: list[int]) -> dict[int, int]:
     return out
 
 
-def _brute_scan(spec: FnSpec, checkpoints: list[int], bound: int,
+def _brute_scan(f, checkpoints: list[int], bound: int,
                 workers: int = 1) -> dict[int, int]:
-    """Exact prefix sums of f at each checkpoint, in one streaming pass."""
+    """Exact prefix sums of f at each checkpoint, in one streaming pass.
+
+    f is an FnSpec or the name of an auxiliary rule in _RULES.  The pool
+    never has more workers than segments or CPUs.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
     marks = sorted(set(int(c) for c in checkpoints))
     if not marks:
         return {}
@@ -400,19 +323,19 @@ def _brute_scan(spec: FnSpec, checkpoints: list[int], bound: int,
             f"x={m} exceeds the oracle bound {bound}")
     if m <= 0:
         return {c: 0 for c in marks}
-    if not _numpy_walk_ok(spec, m):
-        return _python_scan(spec, m, marks)
+    if not _numpy_walk_ok(f, m):
+        return _python_scan(f, m, marks)
 
-    vb = _value_bound(spec, m)
     tasks = []
     lo = 1
     while lo <= m:
         hi = min(lo + SEGMENT_SIZE, m + 1)
         inside = [c for c in marks if lo <= c < hi]
-        tasks.append((spec, lo, hi, inside, vb))
+        tasks.append((f, lo, hi, inside))
         lo = hi
 
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             piece_lists = list(pool.map(_segment_task, tasks, chunksize=1))
     else:
@@ -420,7 +343,7 @@ def _brute_scan(spec: FnSpec, checkpoints: list[int], bound: int,
 
     out = {}
     running = 0
-    for (spec_, lo, hi, inside, vb_), pieces in zip(tasks, piece_lists):
+    for (_, _, _, inside), pieces in zip(tasks, piece_lists):
         for c, piece in zip(inside, pieces[:-1]):
             running += piece
             out[c] = running
@@ -439,11 +362,7 @@ def brute_force_sum(f, x, *, bound: int = ORACLE_BOUND_DEFAULT,
     if m < 1:
         raise ValueError("x must be >= 1")
     t0 = time.perf_counter()
-    if spec.tag == "d_restricted":
-        # not multiplicative in a walk-friendly way; enumerate pointwise
-        total = _python_scan(spec, m, [m])[m]
-    else:
-        total = _brute_scan(spec, [m], bound, workers)[m]
+    total = _brute_scan(spec, [m], bound, workers)[m]
     return SummatoryResult(x=float(x), fn=spec.label(), value=total,
                            algorithm="brute",
                            elapsed=time.perf_counter() - t0)
@@ -457,10 +376,7 @@ def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
     if any(m < 1 for m in ms):
         raise ValueError("all x must be >= 1")
     t0 = time.perf_counter()
-    if spec.tag == "d_restricted":
-        table = _python_scan(spec, max(ms), sorted(set(ms)))
-    else:
-        table = _brute_scan(spec, ms, bound, workers)
+    table = _brute_scan(spec, ms, bound, workers)
     dt = time.perf_counter() - t0
     return [SummatoryResult(x=float(x), fn=spec.label(), value=table[m],
                             algorithm="brute", elapsed=dt)
@@ -514,17 +430,23 @@ def floor_sum(x) -> int:
     return total
 
 
-@lru_cache(maxsize=8)
+_MU_TABLE = np.zeros(1, dtype=np.int8)
+
+
 def _mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..limit) as int8 via a standard sieve."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes_up_to(limit):
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            mu[sq::sq] = 0
-    return mu
+    """mu(0..n) as int8 for some n >= limit, from one table that only grows."""
+    global _MU_TABLE
+    if _MU_TABLE.size <= limit:
+        n = max(limit, 2 * _MU_TABLE.size)
+        mu = np.ones(n + 1, dtype=np.int8)
+        mu[0] = 0
+        for p in primes_up_to(n):
+            mu[p::p] *= -1
+            sq = p * p
+            if sq <= n:
+                mu[sq::sq] = 0
+        _MU_TABLE = mu
+    return _MU_TABLE
 
 
 @lru_cache(maxsize=1 << 18)
@@ -694,12 +616,11 @@ def shifted_divisor_sum(x, m_shift: int, *,
     if m + m_shift > bound:
         raise ResourceLimitError(
             f"x + m = {m + m_shift} exceeds the oracle bound {bound}")
-    d = _divisor_count_table(m + m_shift)
+    d = divisor_count_sieve(m + m_shift)
     a = d[1:m + 1].astype(np.int64)
     b = d[1 + m_shift:m + m_shift + 1].astype(np.int64)
-    # d(n)d(n+m) <= ~768^2 at this scale; chunk so partial sums stay exact
     prod = a * b
-    return _exact_array_sum(prod, 1 << 20)
+    return _exact_array_sum(prod, int(prod.max()))
 
 
 def shifted_main_term(x, m_shift: int) -> float:
@@ -707,19 +628,6 @@ def shifted_main_term(x, m_shift: int) -> float:
     from .arith import sigma
     xf = float(x)
     return (6.0 / math.pi ** 2) * sigma(m_shift, 1) / m_shift * xf * math.log(xf) ** 2
-
-
-@lru_cache(maxsize=2)
-def _divisor_count_table(limit: int) -> np.ndarray:
-    """d(0..limit) as int32 via segment-free pair counting (d and n/d)."""
-    if limit > ORACLE_BOUND_DEFAULT + 10 ** 6:
-        raise ResourceLimitError(f"divisor table limit {limit} too large")
-    d = np.zeros(limit + 1, dtype=np.int32)
-    r = math.isqrt(limit)
-    for a in range(1, r + 1):
-        d[a * a] += 1
-        d[a * (a + 1)::a] += 2
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +638,15 @@ AUX_KINDS = ("d_over_n", "two_omega_over_n", "two_big_omega",
              "two_big_omega_over_n", "d_on_squarefree", "d_of_square",
              "d_squared")
 
-_AUX_POINTWISE = {
+# kind -> (walk rule, weighted by 1/n)
+_AUX_WALKS = {
     "d_over_n": ("d", True),
     "two_omega_over_n": ("two_omega", True),
     "two_big_omega": ("two_big_omega", False),
     "two_big_omega_over_n": ("two_big_omega", True),
+    "d_on_squarefree": ("d_on_squarefree", False),
+    "d_of_square": ("d_of_square", False),
+    "d_squared": ("d_squared", False),
 }
 
 
@@ -753,75 +665,19 @@ def auxiliary_sums(kind: str, x, *,
     if m > bound:
         raise ResourceLimitError(f"x={m} exceeds the oracle bound {bound}")
 
-    if kind in _AUX_POINTWISE:
-        tag, weighted = _AUX_POINTWISE[kind]
-        spec = FnSpec(tag=tag)
-        if not weighted:
-            return brute_force_sum(spec, m, bound=bound).value
-        total_chunks = []
-        lo = 1
-        while lo <= m:
-            hi = min(lo + SEGMENT_SIZE, m + 1)
-            vals = _walk_segment_values(spec, lo, hi, _worker_primes(hi))
-            w = vals / np.arange(lo, hi, dtype=np.float64)
-            total_chunks.extend(
-                math.fsum(w[i:i + SUM_CHUNK]) for i in range(0, w.size, SUM_CHUNK))
-            lo = hi
-        return math.fsum(total_chunks)
-
-    # the remaining kinds are plain multiplicative walks
-    spec_map = {
-        "d_on_squarefree": _squarefree_d_values,
-        "d_of_square": _d_of_square_values,
-        "d_squared": _d_squared_values,
-    }
-    value_fn = spec_map[kind]
-    total = 0
+    rule, weighted = _AUX_WALKS[kind]
+    if not weighted:
+        return _brute_scan(rule, [m], bound)[m]
+    total_chunks = []
     lo = 1
     while lo <= m:
         hi = min(lo + SEGMENT_SIZE, m + 1)
-        total += _exact_array_sum(value_fn(lo, hi), 1 << 30)
+        vals = _walk_segment_values(rule, lo, hi, _worker_primes(hi))
+        w = vals / np.arange(lo, hi, dtype=np.float64)
+        total_chunks.extend(
+            math.fsum(w[i:i + SUM_CHUNK]) for i in range(0, w.size, SUM_CHUNK))
         lo = hi
-    return total
-
-
-def _squarefree_d_values(lo: int, hi: int) -> np.ndarray:
-    """mu^2(n) d(n) on [lo, hi): d(n) when n squarefree else 0."""
-    mu2 = _walk_segment_values(FnSpec(tag="mu_squared"), lo, hi,
-                               _worker_primes(hi))
-    d = _walk_segment_values(FnSpec(tag="d"), lo, hi, _worker_primes(hi))
-    return mu2 * d
-
-
-def _d_of_square_values(lo: int, hi: int) -> np.ndarray:
-    """d(n^2) on [lo, hi) via the exponent walk: product of (2e+1)."""
-    count = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    out = np.ones(count, dtype=np.int64)
-    for p in _worker_primes(hi):
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = (-lo) % p
-        sub = rem[start::p]
-        if sub.size == 0:
-            continue
-        np.floor_divide(sub, p, out=sub)
-        e = np.ones(sub.size, dtype=np.int64)
-        idx = np.flatnonzero(sub % p == 0)
-        while idx.size:
-            sub[idx] //= p
-            e[idx] += 1
-            idx = idx[sub[idx] % p == 0]
-        out[start::p] *= 2 * e + 1
-    out[rem > 1] *= 3
-    return out
-
-
-def _d_squared_values(lo: int, hi: int) -> np.ndarray:
-    """d(n)^2 on [lo, hi)."""
-    d = _walk_segment_values(FnSpec(tag="d"), lo, hi, _worker_primes(hi))
-    return d * d
+    return math.fsum(total_chunks)
 
 
 @lru_cache(maxsize=1)

@@ -395,6 +395,9 @@ def test_criterion_10_worker_determinism(tmp_path):
                    "--algorithm", "brute"]),
         ("sum_mu_json", ["sum", "--fn", "mu", "--x", "200000",
                          "--algorithm", "brute", "--format", "json"]),
+        # three 2^21-long segments, so workers=4 runs the process pool
+        ("sum_mu_segments", ["sum", "--algorithm", "brute", "--fn", "mu",
+                             "--x", "4500000"]),
         ("delta_grid", ["delta", "--target", "d", "--grid-lo", "100",
                         "--grid-hi", "100000"]),
         ("fit_d", ["fit", "--target", "d", "--grid-lo", "1000",

@@ -235,6 +235,44 @@ def test_exit_resource_limit(capsys):
     assert "bound" in err.lower() or "limit" in err.lower()
 
 
+def test_exit_usage_x_not_exact_as_float(capsys):
+    # 2^53 + 1 reads as the float 2^53, which would answer for another x
+    rc, out, err = run(capsys, "sum", "--x", "9007199254740993")
+    assert rc == 2
+    assert out == ""
+    assert "9007199254740992" in err
+    rc, _, _ = run(capsys, "delta", "--grid-lo", "100",
+                   "--grid-hi", "100000000000000001")
+    assert rc == 2
+    rc, _, _ = run(capsys, "sum", "--fn", "mu", "--algorithm", "brute",
+                   "--x", "0.99999999999999999")
+    assert rc == 2
+
+
+def test_x_with_exact_floor_keeps_its_bytes(capsys):
+    rc, out, _ = run(capsys, "sum", "--x", "1000.5")
+    assert rc == 0
+    assert out == "x,fn,value,algorithm\n1000.5,d,7069,hyperbola\n"
+    rc, out, _ = run(capsys, "sum", "--x", "1000.5", "--fn", "mu",
+                     "--algorithm", "brute", "--format", "json")
+    assert rc == 0
+    assert out == '[{"x":1000.5,"fn":"mu","value":2,"algorithm":"brute"}]\n'
+
+
+def test_exit_usage_workers_below_one(capsys):
+    for workers in ("0", "-3"):
+        rc, out, err = run(capsys, "sum", "--fn", "mu", "--x", "5000",
+                           "--algorithm", "brute", "--workers", workers)
+        assert rc == 2
+        assert out == ""
+        assert "workers" in err
+    # also where the flag has nothing to run
+    rc, _, err = run(capsys, "delta", "--target", "d", "--x", "100.5",
+                     "--workers", "0")
+    assert rc == 2
+    assert "workers" in err
+
+
 def test_exit_verify_failure(capsys, monkeypatch):
     monkeypatch.setitem(
         SUITES, "identities",

@@ -10,8 +10,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divisorlab import summatory
 from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
                         ap_main_term, auxiliary_main_term, auxiliary_sums,
                         brute_force_profile, brute_force_sum,
@@ -23,8 +27,10 @@ from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
                         omega_distinct, restricted_divisor_count,
                         shifted_divisor_sum, squarefree_divisor_sum,
                         two_squares_count)
+from divisorlab.arith import divisors, eval_arithmetic
 from divisorlab.errors import ResourceLimitError
-from divisorlab.summatory import compensated_sum, floor_to_int
+from divisorlab.summatory import (_walk_segment_values, _worker_primes,
+                                  compensated_sum, floor_to_int)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -102,6 +108,75 @@ def test_brute_covers_every_tag():
     for tag, fn in table_oracles.items():
         got = brute_force_sum(FnSpec(tag), 500).value
         assert got == sum(fn(n) for n in range(1, 501))
+
+
+# every rule of the walk: the ten FnSpec tags (d_k and sigma at several
+# parameters) and the three integer auxiliary sums
+WALK_RULES = ([FnSpec(t) for t in ("d", "mu", "mu_squared", "omega", "big_omega",
+                                   "two_omega", "two_big_omega", "r2")]
+              + [FnSpec("d_k", k=k) for k in (3, 5)]
+              + [FnSpec("sigma", a=a) for a in (0, 1, 2)]
+              + ["d_on_squarefree", "d_of_square", "d_squared"])
+WALK_WINDOW = 64
+
+
+def pointwise(rule, n):
+    if rule == "d_on_squarefree":
+        return mobius(n) ** 2 * divisor_count(n)
+    if rule == "d_of_square":
+        # d(n^2) = sum over d | n of 2^omega(d); trial-factoring n^2 is slow
+        return sum(1 << omega_distinct(d) for d in divisors(n))
+    if rule == "d_squared":
+        return divisor_count(n) ** 2
+    return eval_arithmetic(rule, n)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(0, 4000))
+def test_walk_rules_match_pointwise(shift):
+    # windows past 1, near 1e7 and across 2^21 (the segment length), and a
+    # short one from 2: with hi <= 4 no prime is walked, so 2 and 3 reach
+    # the leftover fold
+    windows = [(lo, lo + WALK_WINDOW) for lo in
+               (2 + shift, 10 ** 7 - 2000 + shift,
+                (1 << 21) - 1 - shift % (WALK_WINDOW - 1))]
+    windows.append((2, 3 + shift % 8))
+    for lo, hi in windows:
+        primes = _worker_primes(hi)
+        for rule in WALK_RULES:
+            got = _walk_segment_values(rule, lo, hi, primes)
+            assert got.dtype == np.int64
+            assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], \
+                (rule, lo)
+
+
+def test_pool_never_exceeds_segments_or_cpus(monkeypatch):
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    want = brute_force_sum(FnSpec("mu"), 3000).value
+    monkeypatch.setattr(summatory, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(summatory, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(summatory.os, "cpu_count", lambda: 64)
+    assert brute_force_sum(FnSpec("mu"), 3000, workers=10 ** 9).value == want
+    monkeypatch.setattr(summatory.os, "cpu_count", lambda: 2)
+    assert brute_force_sum(FnSpec("mu"), 3000, workers=10 ** 9).value == want
+    assert brute_force_sum(FnSpec("mu"), 3000, workers=1).value == want
+    assert requested == [3, 2]
+    with pytest.raises(ValueError):
+        brute_force_sum(FnSpec("mu"), 3000, workers=0)
 
 
 def test_floor_sum_identity():
