@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .arith import divisor_count_sieve, shared_factor_table, two_squares_count
 from .errors import AccuracyError, PoleError
-from .summatory import divisor_sum_hyperbola, floor_to_int
-from .zeta import zeta_constants
+from .summatory import divisor_main_term, divisor_sum_hyperbola
+from .zeta import EULER_GAMMA
 
 ASYMPTOTIC_SWITCH = 12.0
 # Guaranteed absolute error <= 1e-10 up to DOCUMENTED_ENVELOPE; beyond it
@@ -102,7 +102,6 @@ def _series_I1(z: float) -> float:
 
 def _series_Y(nu: int, z: float) -> float:
     """Y_nu by the standard log-series, nu in {0, 1}."""
-    g = zeta_constants().euler_gamma
     lg = math.log(0.5 * z)
     q = 0.25 * z * z
     if nu == 0:
@@ -117,7 +116,7 @@ def _series_Y(nu: int, z: float) -> float:
             acc += piece if k % 2 == 1 else -piece
             if term * harmonic < 1e-18 * (1.0 + abs(acc)):
                 break
-        return (2.0 / math.pi) * ((lg + g) * _series_J(0, z) + acc)
+        return (2.0 / math.pi) * ((lg + EULER_GAMMA) * _series_J(0, z) + acc)
     # nu = 1:
     #   (2/pi) log(z/2) J1 - 2/(pi z)
     #   - (1/pi) sum_{k>=0} (psi(k+1) + psi(k+2)) (-1)^k (z/2)^{2k+1} / (k! (k+1)!)
@@ -125,12 +124,12 @@ def _series_Y(nu: int, z: float) -> float:
     term = 0.5 * z
     h_k = 0.0
     h_k1 = 1.0
-    acc = term * (-2.0 * g + h_k + h_k1)
+    acc = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
     for k in range(1, SERIES_CUTOFF + 1):
         term *= -q / (k * (k + 1))
         h_k += 1.0 / k
         h_k1 += 1.0 / (k + 1)
-        piece = term * (-2.0 * g + h_k + h_k1)
+        piece = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
         acc += piece
         if abs(piece) < 1e-18 * (1.0 + abs(acc)):
             break
@@ -139,17 +138,16 @@ def _series_Y(nu: int, z: float) -> float:
 
 def _series_K1(z: float) -> float:
     """K_1 ascending series: 1/z + log(z/2) I1 - (z/4) sum ... ."""
-    g = zeta_constants().euler_gamma
     q = 0.25 * z * z
     term = 1.0
     h_k = 0.0
     h_k1 = 1.0
-    acc = -2.0 * g + h_k + h_k1
+    acc = -2.0 * EULER_GAMMA + h_k + h_k1
     for k in range(1, SERIES_CUTOFF + 1):
         term *= q / (k * (k + 1))
         h_k += 1.0 / k
         h_k1 += 1.0 / (k + 1)
-        piece = term * (-2.0 * g + h_k + h_k1)
+        piece = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
         acc += piece
         if abs(piece) < 1e-18 * (1.0 + abs(acc)):
             break
@@ -285,18 +283,44 @@ def _require_noninteger(x, name: str) -> float:
     return xf
 
 
-def voronoi_full(x, n_terms: int = 10 ** 4) -> TruncatedSeriesValue:
+def default_terms(kind: str, x) -> int:
+    """The most terms, up to 10^4 (10^3 for truncated), kind's series takes at x.
+
+    full and sierpinski keep every Bessel argument c sqrt(x) sqrt(n)
+    (c = 4 pi, 2 pi) within ARGUMENT_ENVELOPE, by the series' own float
+    expression; truncated keeps the count below x.  x outside (0, inf) gets
+    the cap, for the series to refuse with its own message.
+    """
+    cap = 10 ** 3 if kind == "truncated" else 10 ** 4
+    xf = float(x)
+    if not 0.0 < xf < math.inf:
+        return cap
+    if kind == "truncated":
+        return min(cap, math.ceil(xf) - 1)
+    scale = (4.0 if kind == "full" else 2.0) * math.pi * math.sqrt(xf)
+    n = min(cap, int((ARGUMENT_ENVELOPE / scale) ** 2) + 1)
+    while n > 0 and scale * math.sqrt(n) > ARGUMENT_ENVELOPE:
+        n -= 1
+    if n == 0:
+        raise AccuracyError(f"{kind} series: at x = {xf:g} its first Bessel "
+                            f"argument passes the envelope z = {ARGUMENT_ENVELOPE:g}")
+    return n
+
+
+def voronoi_full(x, n_terms: int | None = None) -> TruncatedSeriesValue:
     """Bessel-kernel expansion of D(x) truncated at n_terms summands.
 
-    The series converges slowly, so the magnitude of the last summand is
-    returned alongside the value as a truncation indicator.
+    n_terms defaults to default_terms("full", x).  The series converges
+    slowly, so the magnitude of the last summand is returned alongside the
+    value as a truncation indicator.
     """
     xf = _require_noninteger(x, "voronoi_full")
     if xf <= 1.0:
         raise ValueError("voronoi_full needs x > 1")
+    if n_terms is None:
+        n_terms = default_terms("full", xf)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    g = zeta_constants().euler_gamma
     d = divisor_count_sieve(n_terms)
     four_pi_sqrt_x = 4.0 * math.pi * math.sqrt(xf)
     terms = []
@@ -305,7 +329,7 @@ def voronoi_full(x, n_terms: int = 10 ** 4) -> TruncatedSeriesValue:
         kernel = bessel_K1(arg) + 0.5 * math.pi * bessel_Y1(arg)
         terms.append(float(d[n]) / math.sqrt(n) * kernel)
     series = math.fsum(terms)
-    value = (0.25 + (math.log(xf) + 2.0 * g - 1.0) * xf
+    value = (0.25 + divisor_main_term(xf)
              - (2.0 * math.sqrt(xf) / math.pi) * series)
     last = abs(terms[-1]) * 2.0 * math.sqrt(xf) / math.pi
     return TruncatedSeriesValue(value=value, n_terms=n_terms, last_term=last)
@@ -343,23 +367,24 @@ def divisor_delta_reference(x, *, include_quarter: bool = True) -> float:
     xf = float(x)
     if xf < 1.0:
         raise ValueError("needs x >= 1")
-    g = zeta_constants().euler_gamma
-    exact = float(divisor_sum_hyperbola(xf).value)
-    ref = exact - (math.log(xf) + 2.0 * g - 1.0) * xf
+    ref = float(divisor_sum_hyperbola(xf).value) - divisor_main_term(xf)
     if include_quarter:
         ref -= 0.25
     return ref
 
 
-def sierpinski_sum(x, n_terms: int = 10 ** 4) -> float:
+def sierpinski_sum(x, n_terms: int | None = None) -> float:
     """pi x + sqrt(x) sum_{n<=N} r2(n)/sqrt(n) J1(2 pi sqrt(nx)).
 
     The lattice-count analogue of the Bessel divisor expansion; compare
     against circle_lattice_sum.  r2(n) = 0 terms are skipped outright.
+    n_terms defaults to default_terms("sierpinski", x).
     """
     xf = _require_noninteger(x, "sierpinski_sum")
     if xf <= 0.0:
         raise ValueError("sierpinski_sum needs x > 0")
+    if n_terms is None:
+        n_terms = default_terms("sierpinski", xf)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     table = shared_factor_table(max(n_terms, 2))

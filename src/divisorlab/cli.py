@@ -38,12 +38,12 @@ from .arith import (FnSpec, build_factor_table, dirichlet_coefficients,
                     eval_arithmetic, hermite_divisor_count, sigma,
                     two_squares_count)
 from .bessel import (bessel_J1, bessel_K1, bessel_Y1, _bessel_J0, _bessel_Y0,
-                     divisor_delta_reference, sierpinski_sum, voronoi_full,
-                     voronoi_truncated)
+                     default_terms, divisor_delta_reference, sierpinski_sum,
+                     voronoi_full, voronoi_truncated)
 from .errors import (AccuracyError, PoleError, ResourceLimitError,
                      TableFormatError, VerificationError)
-from .explicit import (TARGETS, TruncationConfig, delta_error,
-                       evaluate_explicit, main_term, nontrivial_zero_sum,
+from .explicit import (TruncationConfig, delta_error, evaluate_explicit,
+                       main_term, nontrivial_zero_sum, resolve_target,
                        trivial_zero_tail)
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
@@ -66,17 +66,6 @@ EXIT_VERIFY = 5
 # Emitting a row per integer has to stop somewhere well short of the sieve's
 # own memory bound; 10^7 rows is already a ~200 MB text file.
 SIEVE_ROWS_MAX = 10 ** 7
-
-# Aliases accepted by --target, mapped onto explicit.TARGETS.
-TARGET_ALIASES = {
-    "d": "divisor_sum",
-    "divisor": "divisor_sum",
-    "divisor_sum": "divisor_sum",
-    "two_omega": "two_omega_sum",
-    "two_omega_sum": "two_omega_sum",
-    "two_omega_over_n": "two_omega_over_n_sum",
-    "two_omega_over_n_sum": "two_omega_over_n_sum",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +225,8 @@ def _build_parser():
                    help="full divisor series, truncated cosine series, or the "
                         "lattice-count series (default full)")
     p.add_argument("--terms", type=int, default=None,
-                   help="series length (default 10000; 1000 for truncated)")
+                   help="series length (default: the most, up to 10000, that keep "
+                        "Bessel arguments within 1e5; truncated: up to 1000, below x)")
     built.append(p)
 
     p = subs.add_parser("delta", parents=[common],
@@ -293,15 +283,6 @@ def _build_parser():
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _resolve_target(label: str) -> str:
-    target = TARGET_ALIASES.get(label.strip())
-    if target is None:
-        raise ValueError(f"unknown target {label!r}; pick one of "
-                         f"{', '.join(sorted(set(TARGET_ALIASES)))}")
-    assert target in TARGETS
-    return target
-
 
 def _load_zeros(path: str | None):
     if path:
@@ -373,13 +354,14 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_explicit(args) -> int:
-    target = _resolve_target(args.target)
+    target = resolve_target(args.target)
     zeros = _load_zeros(args.zeros)
     cfg = TruncationConfig(num_zero_pairs=args.pairs, tail_terms=args.tail,
                            midpoint_delta=args.midpoint_delta,
                            tail_variant=args.tail_variant,
                            tail_sign=-1 if args.tail_sign == "minus" else 1)
-    evaluation = evaluate_explicit(target, args.x, zeros, cfg)
+    evaluation = evaluate_explicit(target, args.x, zeros, cfg,
+                                   bound=args.oracle_bound)
     fmt = _report_format(args)
     if fmt == "csv":
         raise ValueError("explicit reports are JSON only; the partial-sum "
@@ -391,40 +373,36 @@ def _cmd_voronoi(args) -> int:
     kind = args.kind
     n_terms = args.terms
     if n_terms is None:
-        n_terms = 10 ** 3 if kind == "truncated" else 10 ** 4
+        n_terms = default_terms(kind, args.x)
+    last_term = None
     if kind == "full":
         out = voronoi_full(args.x, n_terms)
+        value, last_term = out.value, out.last_term
         reference = float(divisor_sum_hyperbola(args.x).value)
-        row = {"x": args.x, "kind": kind, "n_terms": out.n_terms,
-               "value": out.value, "reference": reference,
-               "residual": out.value - reference, "last_term": out.last_term}
     elif kind == "truncated":
         value = voronoi_truncated(args.x, n_terms)
         reference = divisor_delta_reference(args.x)
-        row = {"x": args.x, "kind": kind, "n_terms": n_terms, "value": value,
-               "reference": reference, "residual": value - reference,
-               "last_term": None}
     else:
         value = sierpinski_sum(args.x, n_terms)
         reference = float(circle_lattice_sum(math.floor(args.x)))
-        row = {"x": args.x, "kind": kind, "n_terms": n_terms, "value": value,
-               "reference": reference, "residual": value - reference,
-               "last_term": None}
+    row = {"x": args.x, "kind": kind, "n_terms": n_terms, "value": value,
+           "reference": reference, "residual": value - reference,
+           "last_term": last_term}
     return _write_rows([row], _report_format(args), args.output)
 
 
 def _cmd_delta(args) -> int:
-    target = _resolve_target(args.target)
+    target = resolve_target(args.target)
     has_grid = args.grid_lo is not None or args.grid_hi is not None
     if args.x is not None and has_grid:
         raise ValueError("give either --x or a --grid-lo/--grid-hi pair, not both")
     if args.x is not None:
-        samples = [delta_error(target, args.x)]
+        samples = [delta_error(target, args.x, bound=args.oracle_bound)]
     else:
         if args.grid_lo is None or args.grid_hi is None:
             raise ValueError("delta needs --x or both --grid-lo and --grid-hi")
         grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
-        samples = delta_samples(target, grid)
+        samples = delta_samples(target, grid, bound=args.oracle_bound)
     return _write_rows(samples, _report_format(args), args.output)
 
 
@@ -455,9 +433,9 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    target = _resolve_target(args.target)
+    target = resolve_target(args.target)
     grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
-    samples = delta_samples(target, grid)
+    samples = delta_samples(target, grid, bound=args.oracle_bound)
     fit = exponent_fit(samples)
     if args.samples_output:
         emit_report(samples, "csv", args.samples_output)

@@ -28,17 +28,20 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .summatory import (
     ORACLE_BOUND_DEFAULT,
+    TWO_OMEGA_OVER_N_CONSTANT,
     auxiliary_sums,
+    divisor_main_term,
     divisor_sum_hyperbola,
     squarefree_divisor_sum,
+    squarefree_main_term,
+    two_omega_over_n_main_term,
 )
 from .zeta import ZeroTable, zeta, zeta_constants, zeta_derivative, zeta_negative_special
-
-TARGETS = ("divisor_sum", "two_omega_sum", "two_omega_over_n_sum")
 
 TAIL_VARIANTS = ("residue", "printed")
 
@@ -54,26 +57,50 @@ TAIL_TERMS_MAX = 30
 
 @dataclass(frozen=True)
 class _TargetSpec:
-    """Coefficients of one explicit formula.
+    """One target's explicit formula, exact oracle and command-line aliases.
 
     zero_coefficient scales the nontrivial-zero sum, power_shift moves
     both the zero-term exponent (x^{rho/2 - power_shift}) and the tail
     exponent (x^{-2n-1-power_shift}), and tail_coefficient is the
     magnitude in front of the trivial tail; the sign of the tail is a
-    formula-variant flag carried by TruncationConfig.
+    formula-variant flag carried by TruncationConfig.  exact(y, bound) is
+    the oracle value of the sum at y.
     """
 
-    name: str
     zero_coefficient: float
     power_shift: int
     tail_coefficient: float
+    constant: float
+    main: Callable[[float], float]
+    exact: Callable[[float, int], float]
+    aliases: tuple[str, ...]
 
 
+# The exact routes name their oracle at call time rather than holding the
+# function object, so a rebound module attribute (a tracing wrapper, say)
+# is the one that runs.
 _TARGET_SPECS = {
-    "divisor_sum": _TargetSpec("divisor_sum", math.pi ** 2 / 3, 0, math.pi ** 2 / 6),
-    "two_omega_sum": _TargetSpec("two_omega_sum", 2.0, 0, 1.0),
-    "two_omega_over_n_sum": _TargetSpec("two_omega_over_n_sum", 2.0, 1, 1.0),
+    "divisor_sum": _TargetSpec(
+        math.pi ** 2 / 3, 0, math.pi ** 2 / 6,
+        constant=-math.pi ** 2 / 12.0, main=divisor_main_term,
+        exact=lambda y, bound: float(divisor_sum_hyperbola(y).value),
+        aliases=("d", "divisor")),
+    "two_omega_sum": _TargetSpec(
+        2.0, 0, 1.0, constant=-0.5, main=squarefree_main_term,
+        exact=lambda y, bound: float(squarefree_divisor_sum(y).value),
+        aliases=("two_omega",)),
+    "two_omega_over_n_sum": _TargetSpec(
+        2.0, 1, 1.0, constant=TWO_OMEGA_OVER_N_CONSTANT,
+        main=two_omega_over_n_main_term,
+        exact=lambda y, bound: float(
+            auxiliary_sums("two_omega_over_n", y, bound=bound)),
+        aliases=("two_omega_over_n",)),
 }
+
+TARGETS = tuple(_TARGET_SPECS)
+
+_LABELS = {label: name for name, spec in _TARGET_SPECS.items()
+           for label in (name, *spec.aliases)}
 
 
 def _require_target(target: str) -> _TargetSpec:
@@ -82,6 +109,22 @@ def _require_target(target: str) -> _TargetSpec:
     except KeyError:
         raise ValueError(
             f"unknown target {target!r}; expected one of {TARGETS}") from None
+
+
+def _above_one(x, name: str) -> float:
+    xf = float(x)
+    if not xf > 1.0:
+        raise ValueError(f"{name} needs x > 1")
+    return xf
+
+
+def resolve_target(label: str) -> str:
+    """The target name for a name or alias, as --target accepts them."""
+    try:
+        return _LABELS[label.strip()]
+    except KeyError:
+        raise ValueError(f"unknown target {label!r}; pick one of "
+                         f"{', '.join(sorted(_LABELS))}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +244,14 @@ class OmegaScanReport:
 # main terms
 # ---------------------------------------------------------------------------
 
-def _main_value(target: str, x: float) -> float:
-    """Main term without the x > 1 guard; callers pick the domain."""
-    cs = zeta_constants()
-    g = cs.euler_gamma
-    lx = math.log(x)
-    if target == "divisor_sum":
-        return (lx + 2.0 * g - 1.0) * x
-    lead = 6.0 / math.pi ** 2
-    if target == "two_omega_sum":
-        return lead * (lx + 2.0 * g - 1.0 - 12.0 * cs.zeta_prime_2 / math.pi ** 2) * x
-    return lead * (lx * lx / 2.0 + (2.0 * g - 12.0 * cs.zeta_prime_2 / math.pi ** 2) * lx)
-
-
-def _constant_value(target: str) -> float:
-    if target == "divisor_sum":
-        return -math.pi ** 2 / 12.0
-    if target == "two_omega_sum":
-        return -0.5
-    return 2.0 * zeta_constants().euler_gamma - 1.0
-
-
 def main_term(target: str, x) -> tuple[float, float]:
     """Constant and x-dependent main term of the target's formula.
 
     Returns (constant, main).  Requires x > 1 so the log is positive and
     the formula's derivation region applies.
     """
-    _require_target(target)
-    xf = float(x)
-    if not xf > 1.0:
-        raise ValueError("main_term needs x > 1")
-    return _constant_value(target), _main_value(target, xf)
+    spec = _require_target(target)
+    return spec.constant, spec.main(_above_one(x, "main_term"))
 
 
 def polynomial_residue(k: int, x, *, form: str = "consistent") -> float:
@@ -296,6 +315,46 @@ def _pair_terms(spec: _TargetSpec, x: float, zeros: ZeroTable,
     return out
 
 
+def _check_pairs(zeros: ZeroTable, num_pairs: int) -> None:
+    if num_pairs < 0:
+        raise ValueError("num_pairs must be >= 0")
+    if num_pairs > len(zeros):
+        raise ValueError(
+            f"requested {num_pairs} zero pairs but the table holds {len(zeros)}")
+
+
+def _running_sums(terms) -> list[tuple[int, float]]:
+    """[(1, t_1), (2, t_1 + t_2), ...], accumulated in order."""
+    out = []
+    running = 0.0
+    for k, term in enumerate(terms, start=1):
+        running += term
+        out.append((k, running))
+    return out
+
+
+def _midpoints(xf: float, delta: float) -> tuple[float, ...]:
+    """Where to evaluate: x itself, or x -+ delta when x sits on a jump."""
+    return (xf - delta, xf + delta) if xf.is_integer() else (xf,)
+
+
+def _zero_partials(spec: _TargetSpec, points: tuple[float, ...],
+                   zeros: ZeroTable, num_pairs: int) -> list[tuple[int, float]]:
+    """[(1, s_1), ..., (num_pairs, s_N)], each term averaged over points.
+
+    Refuses more pairs than the table holds; an unvalidated table triggers
+    a RuntimeWarning (attributed to the public caller's caller) but still
+    evaluates.
+    """
+    _check_pairs(zeros, num_pairs)
+    if not zeros.validated:
+        warnings.warn(
+            "zero table failed residual validation; zero-sum values may be unreliable",
+            RuntimeWarning, stacklevel=3)
+    term_lists = [_pair_terms(spec, y, zeros, num_pairs) for y in points]
+    return _running_sums(sum(terms) / len(points) for terms in zip(*term_lists))
+
+
 def nontrivial_zero_sum(target: str, x, zeros: ZeroTable,
                         num_pairs: int) -> list[tuple[int, float]]:
     """Partial sums over the first num_pairs zero pairs at x.
@@ -306,32 +365,8 @@ def nontrivial_zero_sum(target: str, x, zeros: ZeroTable,
     table triggers a RuntimeWarning but still evaluates.
     """
     spec = _require_target(target)
-    xf = float(x)
-    if not xf > 1.0:
-        raise ValueError("nontrivial_zero_sum needs x > 1")
-    if num_pairs < 0:
-        raise ValueError("num_pairs must be >= 0")
-    if num_pairs > len(zeros):
-        raise ValueError(
-            f"requested {num_pairs} zero pairs but the table holds {len(zeros)}")
-    if not zeros.validated:
-        warnings.warn(
-            "zero table failed residual validation; zero-sum values may be unreliable",
-            RuntimeWarning, stacklevel=2)
-    if num_pairs == 0:
-        return []
-    if xf.is_integer():
-        lo = _pair_terms(spec, xf - 0.5, zeros, num_pairs)
-        hi = _pair_terms(spec, xf + 0.5, zeros, num_pairs)
-        terms = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-    else:
-        terms = _pair_terms(spec, xf, zeros, num_pairs)
-    out = []
-    running = 0.0
-    for k, term in enumerate(terms, start=1):
-        running += term
-        out.append((k, running))
-    return out
+    xf = _above_one(x, "nontrivial_zero_sum")
+    return _zero_partials(spec, _midpoints(xf, 0.5), zeros, num_pairs)
 
 
 def zero_coefficient_partial_sum(zeros: ZeroTable,
@@ -342,17 +377,9 @@ def zero_coefficient_partial_sum(zeros: ZeroTable,
     increment is real.  Used to inspect the empirical boundedness of the
     coefficient series; no convergence is asserted.
     """
-    if num_pairs < 0:
-        raise ValueError("num_pairs must be >= 0")
-    if num_pairs > len(zeros):
-        raise ValueError(
-            f"requested {num_pairs} zero pairs but the table holds {len(zeros)}")
-    out = []
-    running = 0.0
-    for k, t in enumerate(zeros.ordinates[:num_pairs], start=1):
-        running += 2.0 * _pair_weight(t).real
-        out.append((k, running))
-    return out
+    _check_pairs(zeros, num_pairs)
+    return _running_sums(2.0 * _pair_weight(t).real
+                         for t in zeros.ordinates[:num_pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +416,7 @@ def trivial_zero_tail(target: str, x, tail_terms: int, *,
     coefficients, so small tail_terms already saturates double precision.
     """
     spec = _require_target(target)
-    xf = float(x)
-    if not xf > 1.0:
-        raise ValueError("trivial_zero_tail needs x > 1")
+    xf = _above_one(x, "trivial_zero_tail")
     if tail_terms < 1:
         raise ValueError("tail_terms must be >= 1")
     if tail_terms > TAIL_TERMS_MAX:
@@ -410,77 +435,50 @@ def trivial_zero_tail(target: str, x, tail_terms: int, *,
 # assembled evaluation
 # ---------------------------------------------------------------------------
 
-def _exact_reference(target: str, x: float, averaged: bool) -> float | None:
+def _exact_reference(spec: _TargetSpec, x: float, averaged: bool,
+                     bound: int) -> float | None:
     """Oracle value of the target sum, or None beyond the oracle bound.
 
     For averaged (integer) x with half-step delta in (0, 1) the exact side
     is (S(x - delta) + S(x + delta)) / 2 = (S(x - 1) + S(x)) / 2 exactly,
     because the summatory function is constant between integers.
     """
-    if x > ORACLE_BOUND_DEFAULT:
+    if x > bound:
         return None
-
-    def at(y: float) -> float:
-        if target == "divisor_sum":
-            return float(divisor_sum_hyperbola(y).value)
-        if target == "two_omega_sum":
-            return float(squarefree_divisor_sum(y).value)
-        return float(auxiliary_sums("two_omega_over_n", y))
-
     if averaged:
-        return (at(x - 1.0) + at(x)) / 2.0
-    return at(x)
+        return (spec.exact(x - 1.0, bound) + spec.exact(x, bound)) / 2.0
+    return spec.exact(x, bound)
 
 
 def evaluate_explicit(target: str, x, zeros: ZeroTable,
-                      cfg: TruncationConfig | None = None) -> FormulaEvaluation:
+                      cfg: TruncationConfig | None = None, *,
+                      bound: int = ORACLE_BOUND_DEFAULT) -> FormulaEvaluation:
     """Evaluate the truncated explicit formula and attach the exact oracle.
 
     Integer x is averaged over x +- cfg.midpoint_delta piece by piece.
     The zero_sum_partials trajectory starts at (0, 0.0) and records one
-    row per additional zero pair.
+    row per additional zero pair.  exact is None for x above bound.
     """
     spec = _require_target(target)
     if cfg is None:
         cfg = TruncationConfig()
-    xf = float(x)
-    if not xf > 1.0:
-        raise ValueError("evaluate_explicit needs x > 1")
-    if cfg.num_zero_pairs > len(zeros):
-        raise ValueError(
-            f"requested {cfg.num_zero_pairs} zero pairs but the table holds {len(zeros)}")
-    if not zeros.validated:
-        warnings.warn(
-            "zero table failed residual validation; zero-sum values may be unreliable",
-            RuntimeWarning, stacklevel=2)
-
+    xf = _above_one(x, "evaluate_explicit")
     averaged = xf.is_integer()
-    points = (xf - cfg.midpoint_delta, xf + cfg.midpoint_delta) if averaged else (xf,)
-
-    mains = [_main_value(target, y) for y in points]
+    points = _midpoints(xf, cfg.midpoint_delta)
+    partials = _zero_partials(spec, points, zeros, cfg.num_zero_pairs)
+    mains = [spec.main(y) for y in points]
     tails = [trivial_zero_tail(target, y, cfg.tail_terms,
                                variant=cfg.tail_variant, sign=cfg.tail_sign)
              for y in points]
-    term_lists = [_pair_terms(spec, y, zeros, cfg.num_zero_pairs) for y in points]
-
-    npts = len(points)
-    main = math.fsum(mains) / npts
-    tail = math.fsum(tails) / npts
-
-    partials = [(0, 0.0)]
-    running = 0.0
-    for k in range(cfg.num_zero_pairs):
-        running += sum(lst[k] for lst in term_lists) / npts
-        partials.append((k + 1, running))
 
     return FormulaEvaluation(
         x=xf,
         target=target,
-        main_term=main,
-        constant_term=_constant_value(target),
-        zero_sum_partials=tuple(partials),
-        trivial_tail=tail,
-        exact=_exact_reference(target, xf, averaged),
+        main_term=math.fsum(mains) / len(points),
+        constant_term=spec.constant,
+        zero_sum_partials=((0, 0.0), *partials),
+        trivial_tail=math.fsum(tails) / len(points),
+        exact=_exact_reference(spec, xf, averaged, bound),
         averaged=averaged,
         zero_table_validated=zeros.validated,
     )
@@ -490,24 +488,25 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
 # error-term measurement
 # ---------------------------------------------------------------------------
 
-def delta_error(target: str, x) -> DeltaSample:
+def delta_error(target: str, x, *, bound: int = ORACLE_BOUND_DEFAULT) -> DeltaSample:
     """delta(x) = exact sum - main term, with x^{1/4} and x^{1/2} scalings.
 
     The constant term is deliberately excluded: the error term is defined
-    against the main term alone.  The exact side is evaluated at floor(x).
+    against the main term alone.  The exact side is evaluated at floor(x);
+    x above bound raises ResourceLimitError.
     """
-    _require_target(target)
+    spec = _require_target(target)
     xf = float(x)
     if xf < 1.0:
         raise ValueError("delta_error needs x >= 1")
-    if xf > ORACLE_BOUND_DEFAULT:
+    if xf > bound:
         raise ResourceLimitError(
-            f"x = {xf:g} exceeds the exact-oracle bound {ORACLE_BOUND_DEFAULT:g}")
-    exact = _exact_reference(target, xf, False)
-    return DeltaSample.build(xf, exact, _main_value(target, xf))
+            f"x = {xf:g} exceeds the exact-oracle bound {bound:g}")
+    return DeltaSample.build(xf, spec.exact(xf, bound), spec.main(xf))
 
 
-def omega_scan(target: str, x_grid) -> OmegaScanReport:
+def omega_scan(target: str, x_grid, *,
+               bound: int = ORACLE_BOUND_DEFAULT) -> OmegaScanReport:
     """Scan delta/x^{1/4} over a grid: extremes, locations, sign changes.
 
     Positive sup and negative inf together with sign changes are the
@@ -524,7 +523,7 @@ def omega_scan(target: str, x_grid) -> OmegaScanReport:
     sign_changes = 0
     prev_sign = 0
     for xv in xs:
-        sample = delta_error(target, xv)
+        sample = delta_error(target, xv, bound=bound)
         v = sample.delta_over_x14
         if sup_scaled is None or v > sup_scaled:
             sup_scaled, sup_x = v, xv

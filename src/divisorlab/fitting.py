@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .explicit import DeltaSample, delta_error
+from .summatory import ORACLE_BOUND_DEFAULT
 
 LANDMARK_EXPONENTS = (0.25, 1.0 / 3.0, 0.5)
 
@@ -148,6 +149,7 @@ def fit_main_constant(xs, values, lead: float) -> MainConstantFit:
     return MainConstantFit(constant=mean, spread=spread, n_samples=len(xs))
 
 
-def delta_samples(target: str, grid) -> list[DeltaSample]:
+def delta_samples(target: str, grid, *,
+                  bound: int = ORACLE_BOUND_DEFAULT) -> list[DeltaSample]:
     """delta_error over a grid, in grid order."""
-    return [delta_error(target, x) for x in grid]
+    return [delta_error(target, x, bound=bound) for x in grid]

@@ -33,8 +33,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .arith import (FnSpec, build_factor_table, divisor_count_sieve,
-                    eval_arithmetic, primes_up_to)
+                    eval_arithmetic, primes_up_to, sigma)
 from .errors import ResourceLimitError
+from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 
 # Default ceiling for the linear oracle; a full scan at this size takes on
 # the order of a minute.  Callers can raise it explicitly.
@@ -510,21 +511,10 @@ def harmonic_sum(x, ap: APSpec | None = None) -> float:
 
 def harmonic_main_term(x, ap: APSpec | None = None) -> float:
     """Asymptotic predictor log x + gamma, or (log x)/q + gamma(a, q)."""
-    from .zeta import EULER_GAMMA, generalized_euler_constant
     lx = math.log(x)
     if ap is None:
         return lx + EULER_GAMMA
     return lx / ap.q + generalized_euler_constant(ap.a, ap.q)
-
-
-def _exact_x_fraction(x) -> Fraction:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"unsupported x type {type(x).__name__}")
 
 
 def fractional_part_sum(x, ap: APSpec | None = None) -> float:
@@ -537,7 +527,7 @@ def fractional_part_sum(x, ap: APSpec | None = None) -> float:
     m = floor_to_int(x)
     if m < 1:
         raise ValueError("x must be >= 1")
-    fx = _exact_x_fraction(x)
+    fx = Fraction(x)
     num, den = fx.numerator, fx.denominator
     xf = float(x)
     if ap is None:
@@ -553,7 +543,6 @@ def fractional_part_sum(x, ap: APSpec | None = None) -> float:
 
 def fractional_main_term(x, ap: APSpec | None = None) -> float:
     """Asymptotic predictor (1 - gamma) x, or (1 - gamma) x / q on a progression."""
-    from .zeta import EULER_GAMMA
     scale = 1 if ap is None else ap.q
     return (1.0 - EULER_GAMMA) * float(x) / scale
 
@@ -599,7 +588,6 @@ def ap_divisor_sum(x, ap: APSpec, *,
 
 def ap_main_term(x, ap: APSpec) -> float:
     """Predictor (x log x)/q + (gamma(a,q) - (1-gamma)/q) x for the AP divisor sum."""
-    from .zeta import EULER_GAMMA, generalized_euler_constant
     xf = float(x)
     g_aq = generalized_euler_constant(ap.a, ap.q)
     return xf * math.log(xf) / ap.q + (g_aq - (1.0 - EULER_GAMMA) / ap.q) * xf
@@ -625,7 +613,6 @@ def shifted_divisor_sum(x, m_shift: int, *,
 
 def shifted_main_term(x, m_shift: int) -> float:
     """Leading term (6/pi^2) (sigma(m)/m) x log^2 x of the shifted correlation."""
-    from .arith import sigma
     xf = float(x)
     return (6.0 / math.pi ** 2) * sigma(m_shift, 1) / m_shift * xf * math.log(xf) ** 2
 
@@ -714,12 +701,10 @@ def auxiliary_main_term(kind: str, x, *, form: str = "consistent") -> float:
     """
     if form not in ("consistent", "printed"):
         raise ValueError("form must be 'consistent' or 'printed'")
-    from .zeta import EULER_GAMMA, zeta_derivative
     xf = float(x)
     lx = math.log(xf)
     g = EULER_GAMMA
-    zp2 = zeta_derivative(2.0).real
-    z2 = math.pi ** 2 / 6.0
+    zp2, z2 = zeta_constants().zeta_prime_2, zeta_constants().zeta2
     if kind == "d_over_n":
         return 0.5 * lx ** 2 + (2 * g - 1) * lx
     if kind == "two_omega_over_n":
@@ -727,8 +712,7 @@ def auxiliary_main_term(kind: str, x, *, form: str = "consistent") -> float:
             # displayed log coefficient uses zeta(2)^2 in the denominator
             return (6 / math.pi ** 2) * (0.5 * lx ** 2
                                          + (2 * g - 2 * zp2 / z2 ** 2) * lx) + 2 * g - 1
-        return (6 / math.pi ** 2) * (0.5 * lx ** 2
-                                     + (2 * g - 2 * zp2 / z2) * lx) + 2 * g - 1
+        return two_omega_over_n_main_term(xf) + TWO_OMEGA_OVER_N_CONSTANT
     if kind == "two_big_omega":
         return _two_big_omega_constant() * xf * lx ** 2
     if kind == "two_big_omega_over_n":
@@ -749,18 +733,30 @@ def auxiliary_main_term(kind: str, x, *, form: str = "consistent") -> float:
     raise ValueError(f"unknown auxiliary sum kind {kind!r}")
 
 
+# ---------------------------------------------------------------------------
+# main terms of D, S_2w and T: the one definition explicit and bessel call
+# ---------------------------------------------------------------------------
+
 def divisor_main_term(x) -> float:
     """(log x + 2 gamma - 1) x, the smooth part of D(x)."""
-    from .zeta import EULER_GAMMA
     xf = float(x)
-    return (math.log(xf) + 2 * EULER_GAMMA - 1) * xf
+    return (math.log(xf) + 2.0 * EULER_GAMMA - 1.0) * xf
 
 
 def squarefree_main_term(x) -> float:
     """(6/pi^2)(log x + 2 gamma - 1 - 2 zeta'(2)/zeta(2)) x, smooth part of S_2w."""
-    from .zeta import EULER_GAMMA, zeta_derivative
     xf = float(x)
-    zp2 = zeta_derivative(2.0).real
-    z2 = math.pi ** 2 / 6.0
-    return (6 / math.pi ** 2) * (math.log(xf) + 2 * EULER_GAMMA - 1
-                                 - 2 * zp2 / z2) * xf
+    zp2 = zeta_constants().zeta_prime_2
+    return 6.0 / math.pi ** 2 * (math.log(xf) + 2.0 * EULER_GAMMA - 1.0
+                                 - 12.0 * zp2 / math.pi ** 2) * xf
+
+
+def two_omega_over_n_main_term(x) -> float:
+    """(6/pi^2)((log x)^2/2 + (2 gamma - 2 zeta'(2)/zeta(2)) log x), T(x) less its constant."""
+    lx = math.log(float(x))
+    zp2 = zeta_constants().zeta_prime_2
+    return 6.0 / math.pi ** 2 * (lx * lx / 2.0
+                                 + (2.0 * EULER_GAMMA - 12.0 * zp2 / math.pi ** 2) * lx)
+
+
+TWO_OMEGA_OVER_N_CONSTANT = 2.0 * EULER_GAMMA - 1.0

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import AccuracyError, PoleError, TableFormatError
 
-# Euler's constant to full double precision; stieltjes(0) recomputes it and
-# the test suite pins the two against each other.
+# Euler's constant to full double precision and the package's one source of
+# gamma (zeta_constants() hands it on; the main terms in summatory read it).
+# stieltjes(0) recomputes it only as a check the test suite pins.
 EULER_GAMMA = 0.5772156649015329
 
 IM_ENVELOPE = 1.0e5
@@ -282,10 +283,7 @@ def zeta_negative_special(kind: str, n: int) -> float:
     zeta_prime_at_neg_even, k>=1: zeta'(-2k) = (-1)^k zeta(2k+1) (2k)! / (2 (2pi)^{2k})
     """
     if kind == "zeta_at_neg_odd":
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        b = bernoulli_number(2 * n + 2)
-        val = -b / (2 * n + 2)
+        val = zeta_exact_negative_odd(n)
         return val.numerator / val.denominator
     if kind == "zeta_prime_at_neg_even":
         if n < 1:
@@ -378,7 +376,7 @@ class ZetaConstants:
 @lru_cache(maxsize=1)
 def zeta_constants() -> ZetaConstants:
     return ZetaConstants(
-        euler_gamma=stieltjes(0),
+        euler_gamma=EULER_GAMMA,
         stieltjes_gamma1=stieltjes(1),
         zeta2=math.pi ** 2 / 6,
         zeta_prime_2=zeta_derivative(2.0).real,

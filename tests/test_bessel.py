@@ -16,7 +16,7 @@ from divisorlab import (bessel_J1, bessel_K1, bessel_Y1, circle_lattice_sum,
                         sierpinski_sum, voronoi_full, voronoi_truncated)
 from divisorlab.bessel import (ARGUMENT_ENVELOPE, ASYMPTOTIC_SWITCH,
                                DOCUMENTED_ENVELOPE, TruncatedSeriesValue,
-                               _bessel_J0, _bessel_Y0)
+                               _bessel_J0, _bessel_Y0, default_terms)
 from divisorlab.errors import AccuracyError, PoleError
 
 
@@ -190,3 +190,26 @@ def test_sierpinski_regression_small_x():
 def test_sierpinski_rejects_integer_x():
     with pytest.raises(ValueError):
         sierpinski_sum(100.0, 100)
+
+
+def test_default_terms_keep_every_argument_in_the_envelope():
+    assert default_terms("full", 7000.5) == 9045
+    assert default_terms("sierpinski", 30000.5) == 8443
+    assert default_terms("truncated", 500.5) == 500
+    assert default_terms("truncated", 1500.5) == 10 ** 3
+    # the documented defaults hold unchanged up to x = 6332 and 25330
+    assert default_terms("full", 6332.5) == 10 ** 4
+    assert default_terms("sierpinski", 25330.25) == 10 ** 4
+    for kind, c, top in (("full", 4.0, 6.3e7), ("sierpinski", 2.0, 2.5e8)):
+        for x in (6333.5, 25330.5, 1e5 + 0.5, 3.3e6 + 0.5, top + 0.5):
+            n = default_terms(kind, x)
+            # the series' own float expression, at the count and one past it
+            scale = c * math.pi * math.sqrt(x)
+            assert scale * math.sqrt(n) <= ARGUMENT_ENVELOPE
+            assert n == 10 ** 4 or scale * math.sqrt(n + 1) > ARGUMENT_ENVELOPE
+    assert default_terms("full", 63300000.5) == 1
+    with pytest.raises(AccuracyError, match="envelope"):
+        default_terms("full", 63400000.5)
+    with pytest.raises(AccuracyError, match="envelope"):
+        default_terms("sierpinski", 253400000.5)
+    assert voronoi_full(7000.5).n_terms == 9045

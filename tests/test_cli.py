@@ -235,6 +235,54 @@ def test_exit_resource_limit(capsys):
     assert "bound" in err.lower() or "limit" in err.lower()
 
 
+def test_exit_resource_delta_above_oracle_bound(capsys):
+    rc, out, err = run(capsys, "delta", "--target", "d", "--x", "2000.5",
+                       "--oracle-bound", "1000")
+    assert rc == 4
+    assert out == ""
+    assert "bound 1000" in err
+    rc, _, _ = run(capsys, "delta", "--target", "d", "--x", "2000.5")
+    assert rc == 0
+
+
+def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
+    rc, out, _ = run(capsys, "explicit", "--x", "2000.5", "--pairs", "5",
+                     "--zeros", zeros_file, "--oracle-bound", "1000")
+    assert rc == 0
+    assert '"exact":null' in out
+    rc, out, _ = run(capsys, "explicit", "--x", "2000.5", "--pairs", "5",
+                     "--zeros", zeros_file)
+    assert '"exact":15518' in out
+
+
+def test_exit_resource_fit_above_oracle_bound(capsys):
+    rc, out, err = run(capsys, "fit", "--target", "two_omega_over_n",
+                       "--grid-lo", "1", "--grid-hi", "2000",
+                       "--oracle-bound", "1000")
+    assert rc == 4
+    assert out == ""
+    assert "bound 1000" in err
+
+
+@pytest.mark.parametrize("kind, x, terms", [("full", "7000.5", 9045),
+                                            ("sierpinski", "30000.5", 8443),
+                                            ("truncated", "500.5", 500)])
+def test_voronoi_default_terms_fit_the_domain(capsys, kind, x, terms):
+    rc, out, err = run(capsys, "voronoi", "--kind", kind, "--x", x,
+                       "--format", "json")
+    assert rc == 0, err
+    (row,) = json.loads(out)
+    assert row["n_terms"] == terms
+
+
+def test_exit_resource_voronoi_past_the_envelope(capsys):
+    for kind, x in (("full", "63400000.5"), ("sierpinski", "253400000.5")):
+        rc, out, err = run(capsys, "voronoi", "--kind", kind, "--x", x)
+        assert rc == 4
+        assert out == ""
+        assert "envelope" in err
+
+
 def test_exit_usage_x_not_exact_as_float(capsys):
     # 2^53 + 1 reads as the float 2^53, which would answer for another x
     rc, out, err = run(capsys, "sum", "--x", "9007199254740993")

@@ -11,6 +11,9 @@ import warnings
 
 import pytest
 
+import divisorlab.explicit as explicit
+from divisorlab import (auxiliary_main_term, divisor_delta_reference,
+                        divisor_main_term, squarefree_main_term)
 from divisorlab import (DeltaSample, FormulaEvaluation, TruncationConfig,
                         ZeroTable, auxiliary_sums, default_zero_table,
                         delta_error, divisor_sum_hyperbola, evaluate_explicit,
@@ -21,6 +24,8 @@ from divisorlab import brute_force_sum, FnSpec
 from divisorlab.errors import ResourceLimitError
 from divisorlab.explicit import TAIL_TERMS_MAX, TARGETS
 from divisorlab.fitting import half_integer_grid
+from divisorlab.summatory import (TWO_OMEGA_OVER_N_CONSTANT,
+                                  two_omega_over_n_main_term)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -293,3 +298,58 @@ def test_omega_scan_finds_both_signs():
 
 def test_targets_registry():
     assert TARGETS == ("divisor_sum", "two_omega_sum", "two_omega_over_n_sum")
+
+
+# ---------------------------------------------------------------------------
+# one home per main term, constant and oracle bound
+# ---------------------------------------------------------------------------
+
+HOME_MAIN_TERMS = {
+    "divisor_sum": divisor_main_term,
+    "two_omega_sum": squarefree_main_term,
+    "two_omega_over_n_sum": two_omega_over_n_main_term,
+}
+
+
+def test_main_terms_have_one_home():
+    table = default_zero_table()
+    cfg = TruncationConfig(num_zero_pairs=2, tail_terms=2)
+    for target, home in HOME_MAIN_TERMS.items():
+        for x in (2.5, 100.5, 12345.5, 65432.75):
+            want = home(x)
+            assert explicit._TARGET_SPECS[target].main(x) == want
+            assert main_term(target, x)[1] == want
+            assert delta_error(target, x).predicted == want
+            assert evaluate_explicit(target, x, table, cfg).main_term == want
+    assert main_term("two_omega_over_n_sum", 10)[0] == 2.0 * EULER_GAMMA - 1.0
+    for x in (2.5, 100.5, 12345.5):
+        assert auxiliary_main_term("two_omega_over_n", x) == (
+            two_omega_over_n_main_term(x) + TWO_OMEGA_OVER_N_CONSTANT)
+        assert divisor_delta_reference(x, include_quarter=False) == (
+            float(divisor_sum_hyperbola(x).value) - divisor_main_term(x))
+
+
+def test_exact_routes_take_the_bound_and_their_oracle_at_call_time(monkeypatch):
+    # a rebound module attribute (as a tracer installs) is the one called
+    seen = []
+
+    def oracle(kind, y, *, bound):
+        seen.append((kind, y, bound))
+        return 7
+
+    monkeypatch.setattr(explicit, "auxiliary_sums", oracle)
+    sample = delta_error("two_omega_over_n_sum", 500.5, bound=777)
+    assert seen == [("two_omega_over_n", 500.5, 777)]
+    assert sample.exact == 7.0
+
+
+def test_oracle_bound_is_an_argument():
+    table = default_zero_table()
+    cfg = TruncationConfig(num_zero_pairs=2, tail_terms=2)
+    for target in TARGETS:
+        with pytest.raises(ResourceLimitError, match="bound 1000"):
+            delta_error(target, 2000.5, bound=1000)
+        assert evaluate_explicit(target, 2000.5, table, cfg, bound=1000).exact is None
+        assert evaluate_explicit(target, 2000.5, table, cfg).exact is not None
+    with pytest.raises(ResourceLimitError):
+        omega_scan("divisor_sum", [10.5, 2000.5], bound=1000)
