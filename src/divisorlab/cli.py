@@ -150,6 +150,21 @@ def _real(text: str) -> float:
     return value
 
 
+def _whole(text: str) -> int:
+    """A whole number as an integer or in exponent form (1e9), kept exact.
+
+    float screens out what is not a finite number, as for --x; Decimal
+    gives the value, so one past 2^53 keeps its last digits.
+    """
+    try:
+        exact = Decimal(text) if math.isfinite(float(text)) else None
+    except ValueError:
+        exact = None
+    if exact is None or exact != exact.to_integral_value():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number")
+    return int(exact)
+
+
 def _worker_count(text: str) -> int:
     workers = int(text)
     if workers < 1:
@@ -167,7 +182,7 @@ def _build_parser():
                         help="report format (default csv; explicit and fit default json)")
     common.add_argument("--workers", type=_worker_count, default=1,
                         help="worker processes for brute-force scans (default 1)")
-    common.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND_DEFAULT,
+    common.add_argument("--oracle-bound", type=_whole, default=ORACLE_BOUND_DEFAULT,
                         dest="oracle_bound",
                         help=f"ceiling for linear-time exact scans (default {ORACLE_BOUND_DEFAULT})")
 

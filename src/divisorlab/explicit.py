@@ -34,7 +34,7 @@ from .errors import ResourceLimitError
 from .summatory import (
     ORACLE_BOUND_DEFAULT,
     TWO_OMEGA_OVER_N_CONSTANT,
-    auxiliary_sums,
+    auxiliary_profile,
     divisor_main_term,
     divisor_sum_hyperbola,
     squarefree_divisor_sum,
@@ -63,8 +63,9 @@ class _TargetSpec:
     both the zero-term exponent (x^{rho/2 - power_shift}) and the tail
     exponent (x^{-2n-1-power_shift}), and tail_coefficient is the
     magnitude in front of the trivial tail; the sign of the tail is a
-    formula-variant flag carried by TruncationConfig.  exact(y, bound) is
-    the oracle value of the sum at y.
+    formula-variant flag carried by TruncationConfig.  exact(ys, bound)
+    is the list of oracle values of the sum at the points ys, from one
+    call: one scan for a brute-force oracle.
     """
 
     zero_coefficient: float
@@ -72,7 +73,7 @@ class _TargetSpec:
     tail_coefficient: float
     constant: float
     main: Callable[[float], float]
-    exact: Callable[[float, int], float]
+    exact: Callable[[list[float], int], list[float]]
     aliases: tuple[str, ...]
 
 
@@ -83,17 +84,19 @@ _TARGET_SPECS = {
     "divisor_sum": _TargetSpec(
         math.pi ** 2 / 3, 0, math.pi ** 2 / 6,
         constant=-math.pi ** 2 / 12.0, main=divisor_main_term,
-        exact=lambda y, bound: float(divisor_sum_hyperbola(y).value),
+        exact=lambda ys, bound: [float(divisor_sum_hyperbola(y).value)
+                                 for y in ys],
         aliases=("d", "divisor")),
     "two_omega_sum": _TargetSpec(
         2.0, 0, 1.0, constant=-0.5, main=squarefree_main_term,
-        exact=lambda y, bound: float(squarefree_divisor_sum(y).value),
+        exact=lambda ys, bound: [float(squarefree_divisor_sum(y).value)
+                                 for y in ys],
         aliases=("two_omega",)),
     "two_omega_over_n_sum": _TargetSpec(
         2.0, 1, 1.0, constant=TWO_OMEGA_OVER_N_CONSTANT,
         main=two_omega_over_n_main_term,
-        exact=lambda y, bound: float(
-            auxiliary_sums("two_omega_over_n", y, bound=bound)),
+        exact=lambda ys, bound: auxiliary_profile(
+            "two_omega_over_n", ys, bound=bound),
         aliases=("two_omega_over_n",)),
 }
 
@@ -445,9 +448,8 @@ def _exact_reference(spec: _TargetSpec, x: float, averaged: bool,
     """
     if x > bound:
         return None
-    if averaged:
-        return (spec.exact(x - 1.0, bound) + spec.exact(x, bound)) / 2.0
-    return spec.exact(x, bound)
+    values = spec.exact([x - 1.0, x] if averaged else [x], bound)
+    return sum(values) / len(values)
 
 
 def evaluate_explicit(target: str, x, zeros: ZeroTable,
@@ -488,21 +490,31 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
 # error-term measurement
 # ---------------------------------------------------------------------------
 
-def delta_error(target: str, x, *, bound: int = ORACLE_BOUND_DEFAULT) -> DeltaSample:
-    """delta(x) = exact sum - main term, with x^{1/4} and x^{1/2} scalings.
+def delta_samples(target: str, grid, *,
+                  bound: int = ORACLE_BOUND_DEFAULT) -> list[DeltaSample]:
+    """delta(x) = exact sum - main term at each grid point, in grid order.
 
-    The constant term is deliberately excluded: the error term is defined
-    against the main term alone.  The exact side is evaluated at floor(x);
-    x above bound raises ResourceLimitError.
+    Each sample carries the x^{1/4} and x^{1/2} scalings.  The constant
+    term is deliberately excluded: the error term is defined against the
+    main term alone.  The exact side is evaluated at floor(x), by one call
+    of the target's exact route for the whole grid; a point above bound
+    raises ResourceLimitError naming the first such point.
     """
     spec = _require_target(target)
-    xf = float(x)
-    if xf < 1.0:
-        raise ValueError("delta_error needs x >= 1")
-    if xf > bound:
-        raise ResourceLimitError(
-            f"x = {xf:g} exceeds the exact-oracle bound {bound:g}")
-    return DeltaSample.build(xf, spec.exact(xf, bound), spec.main(xf))
+    xs = [float(x) for x in grid]
+    for xf in xs:
+        if xf < 1.0:
+            raise ValueError("delta_error needs x >= 1")
+        if xf > bound:
+            raise ResourceLimitError(
+                f"x = {xf:g} exceeds the exact-oracle bound {bound:g}")
+    return [DeltaSample.build(xf, exact, spec.main(xf))
+            for xf, exact in zip(xs, spec.exact(xs, bound))]
+
+
+def delta_error(target: str, x, *, bound: int = ORACLE_BOUND_DEFAULT) -> DeltaSample:
+    """delta_samples at the one point x."""
+    return delta_samples(target, [x], bound=bound)[0]
 
 
 def omega_scan(target: str, x_grid, *,
@@ -514,28 +526,26 @@ def omega_scan(target: str, x_grid, *,
     report is evidence, not proof.  The grid should be ascending for the
     sign-change count to mean anything.
     """
-    _require_target(target)
-    xs = [float(v) for v in x_grid]
-    if not xs:
+    samples = delta_samples(target, x_grid, bound=bound)
+    if not samples:
         raise ValueError("omega_scan needs a nonempty grid")
     sup_scaled = inf_scaled = None
     sup_x = inf_x = None
     sign_changes = 0
     prev_sign = 0
-    for xv in xs:
-        sample = delta_error(target, xv, bound=bound)
+    for sample in samples:
         v = sample.delta_over_x14
         if sup_scaled is None or v > sup_scaled:
-            sup_scaled, sup_x = v, xv
+            sup_scaled, sup_x = v, sample.x
         if inf_scaled is None or v < inf_scaled:
-            inf_scaled, inf_x = v, xv
+            inf_scaled, inf_x = v, sample.x
         cur = 1 if sample.delta > 0.0 else (-1 if sample.delta < 0.0 else 0)
         if cur != 0:
             if prev_sign != 0 and cur != prev_sign:
                 sign_changes += 1
             prev_sign = cur
     return OmegaScanReport(
-        target=target, count=len(xs),
+        target=target, count=len(samples),
         sup_scaled=sup_scaled, sup_x=sup_x,
         inf_scaled=inf_scaled, inf_x=inf_x,
         sign_changes=sign_changes,

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .explicit import DeltaSample, delta_error
-from .summatory import ORACLE_BOUND_DEFAULT
+# delta_samples lives beside delta_error, its one-point case, and stays
+# part of this module's interface
+from .explicit import delta_samples  # noqa: F401
 
 LANDMARK_EXPONENTS = (0.25, 1.0 / 3.0, 0.5)
 
@@ -147,9 +148,3 @@ def fit_main_constant(xs, values, lead: float) -> MainConstantFit:
     mean = math.fsum(estimates) / len(estimates)
     spread = max(abs(e - mean) for e in estimates)
     return MainConstantFit(constant=mean, spread=spread, n_samples=len(xs))
-
-
-def delta_samples(target: str, grid, *,
-                  bound: int = ORACLE_BOUND_DEFAULT) -> list[DeltaSample]:
-    """delta_error over a grid, in grid order."""
-    return [delta_error(target, x, bound=bound) for x in grid]

@@ -16,7 +16,6 @@ import math
 from dataclasses import fields, is_dataclass
 
 from .explicit import DeltaSample, FormulaEvaluation
-from .summatory import SummatoryResult
 
 DELTA_CSV_HEADER = "x,exact,predicted,delta,delta_over_x14,delta_over_x12"
 SUM_CSV_HEADER = "x,fn,value,algorithm"
@@ -89,10 +88,6 @@ def row_dict(row) -> dict:
             "averaged": row.averaged,
             "zero_table_validated": row.zero_table_validated,
         }
-    if isinstance(row, SummatoryResult):
-        # elapsed is intentionally dropped: reports must be byte-stable
-        return {"x": row.x, "fn": row.fn, "value": row.value,
-                "algorithm": row.algorithm}
     if is_dataclass(row):
         return {f.name: getattr(row, f.name) for f in fields(row)}
     if isinstance(row, dict):

@@ -15,20 +15,21 @@ and the identity floor(x/n) = floor(floor(x)/n) for integer n >= 1 keeps all
 quotients in integer arithmetic.  No floating floor is taken anywhere near an
 integer boundary.
 
-Real-valued sums (harmonic, fractional-part) use chunked exact summation:
-math.fsum over fixed chunks of 2^16 terms, then an fsum of the chunk totals.
-The result is independent of how work was split across processes.
+Real-valued sums (harmonic, fractional-part, the 1/n-weighted auxiliary
+sums) use chunked exact summation: math.fsum over fixed chunks of 2^16
+terms, then an fsum of the chunk totals.  The result is independent of how
+work was split across processes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,16 +61,13 @@ ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel",
 class SummatoryResult:
     """One evaluated summatory value.
 
-    value is an exact int for counting sums; elapsed is wall-clock seconds
-    and is deliberately excluded from serialized reports so that output
-    files stay byte-identical between runs.
+    value is an exact int for counting sums.
     """
 
     x: float
     fn: str
     value: int | float
     algorithm: str
-    elapsed: float
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -265,17 +263,33 @@ def _numpy_walk_ok(f, m: int) -> bool:
 
 
 def _segment_task(args):
-    """Worker body: exact sum of f over [lo, hi), split at checkpoints."""
-    f, lo, hi, marks = args
+    """Worker body: f (or f(n)/n) summed over [lo, hi), to each checkpoint.
+
+    Returns (the sums from lo to each checkpoint, the segment's sum).
+    Integer sums are exact.  A scan to n alone takes the float sum to n as
+    fsum of the fsums of the SUM_CHUNK chunks before n's chunk, counted
+    from the segment start, and of n's chunk up to n.  The chunk fsums are
+    added here as exact Fractions, so each checkpoint rounds once, to that
+    same float, whatever other checkpoints the scan has.
+    """
+    f, lo, hi, marks, weighted = args
     vals = _walk_segment_values(f, lo, hi, _worker_primes(hi))
+    if weighted:
+        w = vals / np.arange(lo, hi, dtype=np.float64)
+        before = list(accumulate(
+            (Fraction(math.fsum(w[i:i + SUM_CHUNK]))
+             for i in range(0, w.size, SUM_CHUNK)), initial=0))
+        at = []
+        for m in marks:
+            j = (m - lo) // SUM_CHUNK
+            partial = math.fsum(w[j * SUM_CHUNK:m + 1 - lo])
+            at.append(before[j] + Fraction(partial))
+        return at, before[-1]
     bound = int(np.abs(vals).max())
-    pieces = []
-    prev = lo
-    for m in marks:
-        pieces.append(_exact_array_sum(vals[prev - lo:m + 1 - lo], bound))
-        prev = m + 1
-    pieces.append(_exact_array_sum(vals[prev - lo:], bound))
-    return pieces
+    cuts = [lo, *(m + 1 for m in marks), hi]
+    sums = list(accumulate(_exact_array_sum(vals[a - lo:b - lo], bound)
+                           for a, b in zip(cuts, cuts[1:])))
+    return sums[:-1], sums[-1]
 
 
 @lru_cache(maxsize=4)
@@ -289,29 +303,23 @@ def _python_scan(spec: FnSpec, m: int, marks: list[int]) -> dict[int, int]:
         raise ResourceLimitError(
             f"{spec.label()} has no fast exact engine past 1e7 (got {m})")
     table = build_factor_table(max(m, 2))
-    out = {}
+    out = dict.fromkeys(marks, 0)
     total = 0
-    want = sorted(set(marks))
-    wi = 0
     for n in range(1, m + 1):
         total += eval_arithmetic(spec, n, table)
-        while wi < len(want) and want[wi] == n:
+        if n in out:
             out[n] = total
-            wi += 1
-    while wi < len(want):
-        out[want[wi]] = total
-        wi += 1
-    if 0 in marks:
-        out[0] = 0
     return out
 
 
-def _brute_scan(f, checkpoints: list[int], bound: int,
-                workers: int = 1) -> dict[int, int]:
-    """Exact prefix sums of f at each checkpoint, in one streaming pass.
+def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
+                weighted: bool = False) -> dict[int, int | float]:
+    """Prefix sums of f at each checkpoint, in one streaming pass.
 
-    f is an FnSpec or the name of an auxiliary rule in _RULES.  The pool
-    never has more workers than segments or CPUs.
+    f is an FnSpec or the name of an auxiliary rule in _RULES.  The sums
+    are exact ints, or with weighted the chunked float sums of f(n)/n (an
+    auxiliary rule only).  The pool never has more workers than segments
+    or CPUs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -322,8 +330,6 @@ def _brute_scan(f, checkpoints: list[int], bound: int,
     if m > bound:
         raise ResourceLimitError(
             f"x={m} exceeds the oracle bound {bound}")
-    if m <= 0:
-        return {c: 0 for c in marks}
     if not _numpy_walk_ok(f, m):
         return _python_scan(f, m, marks)
 
@@ -332,26 +338,23 @@ def _brute_scan(f, checkpoints: list[int], bound: int,
     while lo <= m:
         hi = min(lo + SEGMENT_SIZE, m + 1)
         inside = [c for c in marks if lo <= c < hi]
-        tasks.append((f, lo, hi, inside))
+        tasks.append((f, lo, hi, inside, weighted))
         lo = hi
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            piece_lists = list(pool.map(_segment_task, tasks, chunksize=1))
+            results = list(pool.map(_segment_task, tasks, chunksize=1))
     else:
-        piece_lists = [_segment_task(t) for t in tasks]
+        results = [_segment_task(t) for t in tasks]
 
-    out = {}
-    running = 0
-    for (_, _, _, inside), pieces in zip(tasks, piece_lists):
-        for c, piece in zip(inside, pieces[:-1]):
-            running += piece
-            out[c] = running
-        running += pieces[-1]
-    for c in marks:
-        if c not in out:
-            out[c] = running if c >= m else 0
+    value = float if weighted else int
+    out = dict.fromkeys(marks, 0)
+    before = 0
+    for task, (at_marks, total) in zip(tasks, results):
+        for c, at in zip(task[3], at_marks):
+            out[c] = value(before + at)
+        before += total
     return out
 
 
@@ -362,11 +365,9 @@ def brute_force_sum(f, x, *, bound: int = ORACLE_BOUND_DEFAULT,
     m = floor_to_int(x)
     if m < 1:
         raise ValueError("x must be >= 1")
-    t0 = time.perf_counter()
     total = _brute_scan(spec, [m], bound, workers)[m]
     return SummatoryResult(x=float(x), fn=spec.label(), value=total,
-                           algorithm="brute",
-                           elapsed=time.perf_counter() - t0)
+                           algorithm="brute")
 
 
 def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
@@ -376,11 +377,9 @@ def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
     ms = [floor_to_int(x) for x in xs]
     if any(m < 1 for m in ms):
         raise ValueError("all x must be >= 1")
-    t0 = time.perf_counter()
     table = _brute_scan(spec, ms, bound, workers)
-    dt = time.perf_counter() - t0
     return [SummatoryResult(x=float(x), fn=spec.label(), value=table[m],
-                            algorithm="brute", elapsed=dt)
+                            algorithm="brute")
             for x, m in zip(xs, ms)]
 
 
@@ -405,11 +404,8 @@ def divisor_sum_hyperbola(x) -> SummatoryResult:
     m = floor_to_int(x)
     if m < 1:
         raise ValueError("x must be >= 1")
-    t0 = time.perf_counter()
-    val = _divisor_sum_int(m)
-    return SummatoryResult(x=float(x), fn="d", value=val,
-                           algorithm="hyperbola",
-                           elapsed=time.perf_counter() - t0)
+    return SummatoryResult(x=float(x), fn="d", value=_divisor_sum_int(m),
+                           algorithm="hyperbola")
 
 
 def floor_sum(x) -> int:
@@ -470,11 +466,9 @@ def squarefree_divisor_sum(x) -> SummatoryResult:
     m = floor_to_int(x)
     if m < 1:
         raise ValueError("x must be >= 1")
-    t0 = time.perf_counter()
-    val = _squarefree_divisor_sum_int(m)
-    return SummatoryResult(x=float(x), fn="two_omega", value=val,
-                           algorithm="moebius_kernel",
-                           elapsed=time.perf_counter() - t0)
+    return SummatoryResult(x=float(x), fn="two_omega",
+                           value=_squarefree_divisor_sum_int(m),
+                           algorithm="moebius_kernel")
 
 
 def divisor_sum_from_squarefree(x) -> SummatoryResult:
@@ -486,13 +480,11 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
     m = floor_to_int(x)
     if m < 1:
         raise ValueError("x must be >= 1")
-    t0 = time.perf_counter()
     total = 0
     for d in range(1, math.isqrt(m) + 1):
         total += _squarefree_divisor_sum_int(m // (d * d))
     return SummatoryResult(x=float(x), fn="d", value=total,
-                           algorithm="convolution_kernel",
-                           elapsed=time.perf_counter() - t0)
+                           algorithm="convolution_kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +567,13 @@ def ap_divisor_sum(x, ap: APSpec, *,
         raise ValueError("x must be >= 1")
     if m > bound:
         raise ResourceLimitError(f"x={m} exceeds the oracle bound {bound}")
-    t0 = time.perf_counter()
     ds = np.arange(ap.a, m + 1, ap.q, dtype=np.int64)
     if ds.size:
         total = int(np.sum(m // ds, dtype=np.int64))
     else:
         total = 0
     return SummatoryResult(x=float(x), fn=f"d_restricted_{ap.q}_{ap.a}",
-                           value=total, algorithm="lattice",
-                           elapsed=time.perf_counter() - t0)
+                           value=total, algorithm="lattice")
 
 
 def ap_main_term(x, ap: APSpec) -> float:
@@ -637,34 +627,28 @@ _AUX_WALKS = {
 }
 
 
-def auxiliary_sums(kind: str, x, *,
-                   bound: int = ORACLE_BOUND_DEFAULT) -> int | float:
-    """Exact evaluation of the named companion sums (see AUX_KINDS).
+def auxiliary_profile(kind: str, xs, *,
+                      bound: int = ORACLE_BOUND_DEFAULT) -> list[int | float]:
+    """The named companion sum (see AUX_KINDS) at several x, in one pass.
 
-    Integer-valued kinds return an exact int; the /n kinds return a float
-    accumulated with chunked exact summation.
+    Integer-valued kinds give exact ints; the /n kinds give floats
+    accumulated with chunked exact summation, the same float at each x as
+    a scan to that x alone.
     """
     if kind not in AUX_KINDS:
         raise ValueError(f"unknown auxiliary sum kind {kind!r}")
-    m = floor_to_int(x)
-    if m < 1:
+    ms = [floor_to_int(x) for x in xs]
+    if any(m < 1 for m in ms):
         raise ValueError("x must be >= 1")
-    if m > bound:
-        raise ResourceLimitError(f"x={m} exceeds the oracle bound {bound}")
-
     rule, weighted = _AUX_WALKS[kind]
-    if not weighted:
-        return _brute_scan(rule, [m], bound)[m]
-    total_chunks = []
-    lo = 1
-    while lo <= m:
-        hi = min(lo + SEGMENT_SIZE, m + 1)
-        vals = _walk_segment_values(rule, lo, hi, _worker_primes(hi))
-        w = vals / np.arange(lo, hi, dtype=np.float64)
-        total_chunks.extend(
-            math.fsum(w[i:i + SUM_CHUNK]) for i in range(0, w.size, SUM_CHUNK))
-        lo = hi
-    return math.fsum(total_chunks)
+    table = _brute_scan(rule, ms, bound, weighted=weighted)
+    return [table[m] for m in ms]
+
+
+def auxiliary_sums(kind: str, x, *,
+                   bound: int = ORACLE_BOUND_DEFAULT) -> int | float:
+    """Exact evaluation of the named companion sum at one x (see AUX_KINDS)."""
+    return auxiliary_profile(kind, [x], bound=bound)[0]
 
 
 @lru_cache(maxsize=1)

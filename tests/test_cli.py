@@ -245,6 +245,31 @@ def test_exit_resource_delta_above_oracle_bound(capsys):
     assert rc == 0
 
 
+def test_oracle_bound_takes_exponent_form(capsys, tmp_path):
+    argv = ("delta", "--target", "two_omega_over_n", "--grid-lo", "10",
+            "--grid-hi", "3000")
+    rc, plain, _ = run(capsys, *argv, "--oracle-bound", "1000000000")
+    assert rc == 0
+    rc, expo, _ = run(capsys, *argv, "--oracle-bound", "1e9")
+    assert (rc, expo) == (0, plain)
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("oracle-bound=1e9\n")
+    rc, seeded, _ = run(capsys, *argv, "--config", str(cfg))
+    assert (rc, seeded) == (0, plain)
+    rc, _, err = run(capsys, *argv, "--oracle-bound", "1e3")
+    assert rc == 4
+    # the first grid point past the bound: ..., 794.5, 953.5, 1144.5
+    assert "x = 1144.5 exceeds the exact-oracle bound 1000" in err
+
+
+def test_exit_usage_oracle_bound_not_whole(capsys):
+    rc, out, err = run(capsys, "delta", "--target", "d", "--x", "100.5",
+                       "--oracle-bound", "1.5")
+    assert rc == 2
+    assert out == ""
+    assert "whole number" in err
+
+
 def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
     rc, out, _ = run(capsys, "explicit", "--x", "2000.5", "--pairs", "5",
                      "--zeros", zeros_file, "--oracle-bound", "1000")

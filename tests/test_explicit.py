@@ -12,14 +12,16 @@ import warnings
 import pytest
 
 import divisorlab.explicit as explicit
+from divisorlab import summatory
 from divisorlab import (auxiliary_main_term, divisor_delta_reference,
                         divisor_main_term, squarefree_main_term)
 from divisorlab import (DeltaSample, FormulaEvaluation, TruncationConfig,
                         ZeroTable, auxiliary_sums, default_zero_table,
-                        delta_error, divisor_sum_hyperbola, evaluate_explicit,
-                        main_term, nontrivial_zero_sum, omega_scan,
-                        polynomial_residue, squarefree_divisor_sum, stieltjes,
-                        trivial_zero_tail, zero_coefficient_partial_sum)
+                        delta_error, delta_samples, divisor_sum_hyperbola,
+                        evaluate_explicit, main_term, nontrivial_zero_sum,
+                        omega_scan, polynomial_residue, squarefree_divisor_sum,
+                        stieltjes, trivial_zero_tail,
+                        zero_coefficient_partial_sum)
 from divisorlab import brute_force_sum, FnSpec
 from divisorlab.errors import ResourceLimitError
 from divisorlab.explicit import TAIL_TERMS_MAX, TARGETS
@@ -333,14 +335,41 @@ def test_exact_routes_take_the_bound_and_their_oracle_at_call_time(monkeypatch):
     # a rebound module attribute (as a tracer installs) is the one called
     seen = []
 
-    def oracle(kind, y, *, bound):
-        seen.append((kind, y, bound))
-        return 7
+    def oracle(kind, ys, *, bound):
+        seen.append((kind, list(ys), bound))
+        return [7] * len(ys)
 
-    monkeypatch.setattr(explicit, "auxiliary_sums", oracle)
+    monkeypatch.setattr(explicit, "auxiliary_profile", oracle)
     sample = delta_error("two_omega_over_n_sum", 500.5, bound=777)
-    assert seen == [("two_omega_over_n", 500.5, 777)]
+    assert seen == [("two_omega_over_n", [500.5], 777)]
     assert sample.exact == 7.0
+
+
+def test_one_scan_per_grid(monkeypatch):
+    # a grid, an omega scan and an integer x (checkpoints x - 1 and x)
+    # each take one pass of the brute engine, with every checkpoint's
+    # value equal to that of a scan to it alone
+    target = "two_omega_over_n_sum"
+    grid = half_integer_grid(10, 200000, 1.4)
+    alone = [auxiliary_sums("two_omega_over_n", x) for x in grid]
+    table = default_zero_table()
+    cfg = TruncationConfig(num_zero_pairs=2, tail_terms=2)
+    below, at = (auxiliary_sums("two_omega_over_n", y) for y in (65536, 65537))
+    scans = []
+    real = summatory._brute_scan
+
+    def counting(f, checkpoints, *args, **kwargs):
+        scans.append(sorted(checkpoints))
+        return real(f, checkpoints, *args, **kwargs)
+
+    monkeypatch.setattr(summatory, "_brute_scan", counting)
+    assert [s.exact for s in delta_samples(target, grid)] == alone
+    assert len(scans) == 1
+    assert omega_scan(target, grid).count == len(grid)
+    assert len(scans) == 2
+    ev = evaluate_explicit(target, 65537, table, cfg)
+    assert scans[2:] == [[65536, 65537]]
+    assert ev.exact == (below + at) / 2.0
 
 
 def test_oracle_bound_is_an_argument():

@@ -27,6 +27,10 @@ COMMANDS = (
     + [("voronoi", "--kind", kind, "--x", "1000.5", "--terms", "2000")
        for kind in ("full", "sierpinski")]
     + [("ap", "--kind", "harmonic", "--x", "100000")]
+    + [("delta", "--target", "two_omega_over_n", "--grid-lo", "2000000",
+        "--grid-hi", "2200000", "--ratio", "1.01"),
+       ("explicit", "--target", "two_omega_over_n", "--x", "65537",
+        "--pairs", "5")]
 )
 
 

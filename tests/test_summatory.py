@@ -9,10 +9,11 @@ down here.
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divisorlab import summatory
@@ -29,6 +30,7 @@ from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
                         two_squares_count)
 from divisorlab.arith import divisors, eval_arithmetic
 from divisorlab.errors import ResourceLimitError
+from divisorlab.fitting import half_integer_grid
 from divisorlab.summatory import (_walk_segment_values, _worker_primes,
                                   compensated_sum, floor_to_int)
 
@@ -150,6 +152,51 @@ def test_walk_rules_match_pointwise(shift):
                 (rule, lo)
 
 
+WEIGHTED_KINDS = {"d_over_n": "d", "two_omega_over_n": "two_omega",
+                  "two_big_omega_over_n": "two_big_omega"}
+# one segment long, so a scan to any m <= REFERENCE_TOP is one chunk list
+REFERENCE_TOP = 1_550_000
+
+
+@lru_cache(maxsize=None)
+def weighted_terms(rule):
+    """f(n)/n for n = 1..REFERENCE_TOP from one walk, and its chunk fsums."""
+    hi = REFERENCE_TOP + 1
+    vals = _walk_segment_values(rule, 1, hi, _worker_primes(hi))
+    w = vals / np.arange(1, hi, dtype=np.float64)
+    chunk = summatory.SUM_CHUNK
+    return w, [math.fsum(w[i:i + chunk]) for i in range(0, w.size, chunk)]
+
+
+def chunked_fsum(rule, m):
+    """fsum of the fsums of the SUM_CHUNK chunks of f(1)/1, ..., f(m)/m."""
+    w, full = weighted_terms(rule)
+    chunk = summatory.SUM_CHUNK
+    return math.fsum(full[i // chunk] if i + chunk <= m else math.fsum(w[i:m])
+                     for i in range(0, m, chunk))
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.lists(st.integers(1, 3 * summatory.SUM_CHUNK), min_size=1, max_size=4))
+@example([1, 65535, 65536, 65537, 3 * summatory.SUM_CHUNK])
+def test_weighted_profile_is_checkpoint_invariant(xs):
+    # the float at a checkpoint is the one a scan to it alone gives, and
+    # that is the chunked fsum, whatever other checkpoints the scan holds
+    for kind, rule in WEIGHTED_KINDS.items():
+        profile = summatory.auxiliary_profile(kind, xs)
+        assert profile == [auxiliary_sums(kind, x) for x in xs], kind
+        assert profile == [chunked_fsum(rule, x) for x in xs], kind
+
+
+def test_weighted_profile_rounds_once_per_checkpoint():
+    # an error_profile-shaped grid: 37 points over up to 24 chunks, where
+    # adding up the chunk fsums in floats moves the last bit at some points
+    grid = half_integer_grid(110, REFERENCE_TOP, 1.3)
+    for kind, rule in WEIGHTED_KINDS.items():
+        assert summatory.auxiliary_profile(kind, grid) == \
+            [chunked_fsum(rule, math.floor(x)) for x in grid], kind
+
+
 def test_pool_never_exceeds_segments_or_cpus(monkeypatch):
     requested = []
 
@@ -195,7 +242,7 @@ def test_oracle_bound_guard():
 
 def test_result_container_validation():
     with pytest.raises(ValueError):
-        SummatoryResult(x=1.0, fn="d", value=1, algorithm="quantum", elapsed=0.0)
+        SummatoryResult(x=1.0, fn="d", value=1, algorithm="quantum")
 
 
 # ---------------------------------------------------------------------------
