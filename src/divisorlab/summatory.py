@@ -42,6 +42,13 @@ from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 # the order of a minute.  Callers can raise it explicitly.
 ORACLE_BOUND_DEFAULT = 10 ** 8
 
+# Largest x each sublinear route takes, about a minute of its pure-Python
+# loop on 2 CPUs: hyperbola ~55 s at 2e17, Moebius kernel ~50 s at 1e15,
+# convolution ~50 s at 5e13.  Larger x is refused before any loop or table.
+HYPERBOLA_MAX = 2 * 10 ** 17
+MOEBIUS_KERNEL_MAX = 10 ** 15
+CONVOLUTION_MAX = 5 * 10 ** 13
+
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
 # working array, small enough to stay cache-friendly with several workers.
 SEGMENT_SIZE = 1 << 21
@@ -132,6 +139,16 @@ def compensated_sum(values) -> float:
     return math.fsum(partials)
 
 
+def _route_floor(x, limit: int, route: str) -> int:
+    """floor(x) for a sublinear route, refused past the route's limit."""
+    m = floor_to_int(x)
+    if m < 1:
+        raise ValueError("x must be >= 1")
+    if m > limit:
+        raise ResourceLimitError(f"x={m} exceeds the {route} limit {limit}")
+    return m
+
+
 def _as_spec(f) -> FnSpec:
     if isinstance(f, FnSpec):
         return f
@@ -143,16 +160,19 @@ def _as_spec(f) -> FnSpec:
 # ---------------------------------------------------------------------------
 # segmented brute-force engine
 #
-# For each segment [lo, hi) one walk visits every prime p <= sqrt(hi),
-# extracts the exponent e of p from the residual value of each position by
-# repeated division, and folds rule(p, e) into the value array: multiplied
-# in for multiplicative functions, added for omega and Omega.  Whatever
-# residual exceeds 1 afterwards is a prime above sqrt(hi); the same rule
-# folds it in with e = 1.  A function is one row of _RULES (d_k and sigma
-# build theirs from their parameter in _rule): a start value, the fold, and
-# the local factor at a prime power.  Rules take p as an int inside the
-# walk; the leftover fold passes the whole residual array with e = 1 and
-# masks out the entries equal to 1.
+# For each segment [lo, hi) one walk visits every prime p <= sqrt(hi) and
+# finds the exponent e of p in each of its multiples without dividing: e
+# starts at 1 on the multiples of p and gains 1 on the multiples of p^2,
+# p^3, ..., each a strided slice.  The walk folds rule(p, e) into the value
+# array (multiplied in for multiplicative functions, added for omega and
+# Omega) and multiplies p^e into ext, the part of n it has extracted.  After
+# the walk n // ext is 1 or a prime above sqrt(hi), one division per entry;
+# the same rule folds that prime in with e = 1.  A function is one row of
+# _RULES (d_k and sigma build theirs from their parameter in _rule): a start
+# value, the fold, and the local factor at a prime power.  Rules take p as
+# an int inside the walk; the leftover fold passes the whole array of
+# quotients with e = 1.  d_restricted is not multiplicative and has a count
+# of its own (_restricted_segment_counts).
 # ---------------------------------------------------------------------------
 
 def _r2_factor(p, e):
@@ -211,27 +231,68 @@ def _rule(f):
 def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Values of f(n) for n in [lo, hi) via the prime-exponent walk."""
     start_value, fold, factor = _rule(f)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    out = np.full(hi - lo, start_value, dtype=np.int64)
+    size = hi - lo
+    ext = np.ones(size, dtype=np.int64)
+    out = np.full(size, start_value, dtype=np.int64)
     for p in primes:
         p = int(p)
         if p * p >= hi:
             break
         start = (-lo) % p
-        sub = rem[start::p]
-        if sub.size == 0:
+        if start >= size:
             continue
-        np.floor_divide(sub, p, out=sub)
-        e = np.ones(sub.size, dtype=np.int64)
-        idx = np.flatnonzero(sub % p == 0)
-        while idx.size:
-            sub[idx] //= p
-            e[idx] += 1
-            idx = idx[sub[idx] % p == 0]
+        e = np.ones((size - 1 - start) // p + 1, dtype=np.int64)
+        seg = ext[start::p]
+        seg *= p
+        step = p
+        while True:
+            # the multiples of p^k sit at every p^(k-1)-th entry of e
+            pk = step * p
+            s = (-lo) % pk
+            if s >= size:
+                break
+            e[(s - start) // p::step] += 1
+            seg = ext[s::pk]
+            seg *= p
+            step = pk
         seg = out[start::p]
         fold(seg, factor(p, e), out=seg)
-    fold(out, factor(rem, 1), out=out, where=rem > 1)
+    # what the primes below sqrt(hi) leave of n is 1 or one prime above it;
+    # its factor goes in as identity + (factor - identity) * [rem > 1], as
+    # a where= mask makes the fold several times slower
+    rem = np.floor_divide(np.arange(lo, hi, dtype=np.int64), ext, out=ext)
+    unit = fold.identity
+    lead = np.multiply(rem > 1, factor(rem, 1) - unit, out=rem)
+    lead += unit
+    fold(out, lead, out=out)
     return out
+
+
+def _restricted_segment_counts(q: int, a: int, lo: int, hi: int) -> np.ndarray:
+    """Number of divisors d = a (mod q) of each n in [lo, hi).
+
+    A divisor d <= sqrt(n) is counted on the multiples of d from d^2 on.  A
+    divisor above sqrt(n) is n/k for a k with k^2 < n, and n/k = a (mod q)
+    exactly when n = k a (mod k q).
+    """
+    cnt = np.zeros(hi - lo, dtype=np.int64)
+    r = math.isqrt(hi - 1)
+    for d in range(a, r + 1, q):
+        first = max(lo, d * d)
+        view = cnt[first + (-first) % d - lo::d]
+        view += 1
+    for k in range(1, r + 1):
+        first = max(lo, k * k + 1)
+        view = cnt[first + (k * a - first) % (k * q) - lo::k * q]
+        view += 1
+    return cnt
+
+
+def _segment_values(f, lo: int, hi: int) -> np.ndarray:
+    """Values of f(n) for n in [lo, hi): d_restricted by its own count."""
+    if isinstance(f, FnSpec) and f.tag == "d_restricted":
+        return _restricted_segment_counts(f.q, f.a, lo, hi)
+    return _walk_segment_values(f, lo, hi, _worker_primes(hi))
 
 
 def _exact_array_sum(arr: np.ndarray, bound: int) -> int:
@@ -259,7 +320,7 @@ def _numpy_walk_ok(f, m: int) -> bool:
         return (m ** f.a) * 4 < (1 << 62)
     if f.tag == "d_k":
         return f.k <= 32
-    return f.tag in _RULES
+    return True
 
 
 def _segment_task(args):
@@ -273,7 +334,7 @@ def _segment_task(args):
     same float, whatever other checkpoints the scan has.
     """
     f, lo, hi, marks, weighted = args
-    vals = _walk_segment_values(f, lo, hi, _worker_primes(hi))
+    vals = _segment_values(f, lo, hi)
     if weighted:
         w = vals / np.arange(lo, hi, dtype=np.float64)
         before = list(accumulate(
@@ -400,10 +461,8 @@ def _divisor_sum_int(m: int) -> int:
 
 
 def divisor_sum_hyperbola(x) -> SummatoryResult:
-    """Exact D(x) in O(sqrt x) integer operations."""
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
+    """Exact D(x) in O(sqrt x) integer operations, for x <= HYPERBOLA_MAX."""
+    m = _route_floor(x, HYPERBOLA_MAX, "hyperbola")
     return SummatoryResult(x=float(x), fn="d", value=_divisor_sum_int(m),
                            algorithm="hyperbola")
 
@@ -462,10 +521,11 @@ def _squarefree_divisor_sum_int(m: int) -> int:
 
 
 def squarefree_divisor_sum(x) -> SummatoryResult:
-    """Exact S_2w(x) = sum_{n<=x} 2^omega(n) via the Moebius kernel."""
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
+    """Exact S_2w(x) = sum_{n<=x} 2^omega(n) via the Moebius kernel.
+
+    x is at most MOEBIUS_KERNEL_MAX.
+    """
+    m = _route_floor(x, MOEBIUS_KERNEL_MAX, "Moebius kernel")
     return SummatoryResult(x=float(x), fn="two_omega",
                            value=_squarefree_divisor_sum_int(m),
                            algorithm="moebius_kernel")
@@ -475,11 +535,10 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
     """Exact D(x) rebuilt from the squarefree kernel: sum_d S_2w(x // d^2).
 
     Coefficient-level counterpart of d(n) = sum_{d^2 | n} 2^omega(n/d^2);
-    cross-checks the kernel pipeline against the hyperbola value.
+    cross-checks the kernel pipeline against the hyperbola value.  x is at
+    most CONVOLUTION_MAX.
     """
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
+    m = _route_floor(x, CONVOLUTION_MAX, "convolution")
     total = 0
     for d in range(1, math.isqrt(m) + 1):
         total += _squarefree_divisor_sum_int(m // (d * d))

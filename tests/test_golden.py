@@ -31,6 +31,10 @@ COMMANDS = (
         "--grid-hi", "2200000", "--ratio", "1.01"),
        ("explicit", "--target", "two_omega_over_n", "--x", "65537",
         "--pairs", "5")]
+    + [("sum", "--algorithm", "brute", "--fn", fn, "--x", "4500000")
+       for fn in ("mu", "two_omega", "r2")]
+    + [("sum", "--algorithm", "brute", "--fn", "d_restricted_4_1",
+        "--x", "100000")]
 )
 
 

@@ -8,6 +8,7 @@ down here.
 
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,8 +32,9 @@ from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
 from divisorlab.arith import divisors, eval_arithmetic
 from divisorlab.errors import ResourceLimitError
 from divisorlab.fitting import half_integer_grid
-from divisorlab.summatory import (_walk_segment_values, _worker_primes,
-                                  compensated_sum, floor_to_int)
+from divisorlab.summatory import (_segment_values, _walk_segment_values,
+                                  _worker_primes, compensated_sum,
+                                  floor_to_int)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -113,13 +115,18 @@ def test_brute_covers_every_tag():
 
 
 # every rule of the walk: the ten FnSpec tags (d_k and sigma at several
-# parameters) and the three integer auxiliary sums
+# parameters) and the three integer auxiliary sums; and d_restricted, which
+# has a segment count of its own
 WALK_RULES = ([FnSpec(t) for t in ("d", "mu", "mu_squared", "omega", "big_omega",
                                    "two_omega", "two_big_omega", "r2")]
               + [FnSpec("d_k", k=k) for k in (3, 5)]
               + [FnSpec("sigma", a=a) for a in (0, 1, 2)]
-              + ["d_on_squarefree", "d_of_square", "d_squared"])
+              + ["d_on_squarefree", "d_of_square", "d_squared"]
+              + [FnSpec("d_restricted", q=q, a=a) for q, a in ((4, 3), (7, 5))])
 WALK_WINDOW = 64
+# high prime powers, and the square of the largest prime walked in a
+# window that holds it (the next prime's square is past the window)
+HIGH_POWERS = (2 ** 23, 3 ** 14, 5 ** 10, 3191 ** 2)
 
 
 def pointwise(rule, n):
@@ -135,18 +142,21 @@ def pointwise(rule, n):
 
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(st.integers(0, 4000))
+@example(0)
 def test_walk_rules_match_pointwise(shift):
-    # windows past 1, near 1e7 and across 2^21 (the segment length), and a
-    # short one from 2: with hi <= 4 no prime is walked, so 2 and 3 reach
-    # the leftover fold
+    # windows past 1, near 1e7 and across 2^21 (the segment length), a
+    # short one from 2 (with hi <= 4 no prime is walked, so 2 and 3 reach
+    # the leftover fold), and windows that hold a high prime power at
+    # offset 0 or further in, so p^k for k >= 3 starts off the multiples
+    # of p at every offset
     windows = [(lo, lo + WALK_WINDOW) for lo in
                (2 + shift, 10 ** 7 - 2000 + shift,
-                (1 << 21) - 1 - shift % (WALK_WINDOW - 1))]
+                (1 << 21) - 1 - shift % (WALK_WINDOW - 1),
+                *(pk - shift % (WALK_WINDOW - 1) for pk in HIGH_POWERS))]
     windows.append((2, 3 + shift % 8))
     for lo, hi in windows:
-        primes = _worker_primes(hi)
         for rule in WALK_RULES:
-            got = _walk_segment_values(rule, lo, hi, primes)
+            got = _segment_values(rule, lo, hi)
             assert got.dtype == np.int64
             assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], \
                 (rule, lo)
@@ -240,6 +250,25 @@ def test_oracle_bound_guard():
         brute_force_sum(FnSpec("d"), 2000, bound=1000)
 
 
+@pytest.mark.parametrize("route, limit, largest_used", [
+    # largest_used: the top of the benchmark band of each route (the
+    # voronoi D reference stays below 6.33e7)
+    (divisor_sum_hyperbola, summatory.HYPERBOLA_MAX, 3e13),
+    (squarefree_divisor_sum, summatory.MOEBIUS_KERNEL_MAX, 1.9e11),
+    (divisor_sum_from_squarefree, summatory.CONVOLUTION_MAX, 1e10),
+])
+def test_sublinear_routes_refuse_past_their_limit_quickly(route, limit,
+                                                          largest_used):
+    assert limit > largest_used
+    table = summatory._MU_TABLE.size
+    for x in (limit + 1, 10 ** 20, 1e300):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="limit"):
+            route(x)
+        assert time.perf_counter() - t0 < 0.05
+    assert summatory._MU_TABLE.size == table
+
+
 def test_result_container_validation():
     with pytest.raises(ValueError):
         SummatoryResult(x=1.0, fn="d", value=1, algorithm="quantum")
@@ -260,6 +289,16 @@ def test_ap_divisor_sum_vs_brute():
             ap = APSpec(q=q, a=a)
             for x in range(1, m + 1):
                 assert ap_divisor_sum(x, ap).value == prof[x - 1].value
+
+
+def test_ap_divisor_sum_vs_brute_across_segments():
+    # the brute route counts divisors per segment, never via floor sums
+    xs = [(1 << 21) - 1, 1 << 21, (1 << 21) + 1, 3 * (1 << 21) + 5]
+    for q, a in ((4, 3), (3, 2)):
+        prof = brute_force_profile(FnSpec("d_restricted", q=q, a=a), xs,
+                                   workers=2)
+        assert [r.value for r in prof] == \
+            [ap_divisor_sum(x, APSpec(q=q, a=a)).value for x in xs]
 
 
 def test_ap_divisor_pointwise_oracle():
