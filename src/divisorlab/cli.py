@@ -434,11 +434,11 @@ def _cmd_ap(args) -> int:
         predicted = ap_main_term(xf, ap)
         label = res.fn
     elif args.kind == "harmonic":
-        value = harmonic_sum(xf, ap)
+        value = harmonic_sum(xf, ap, bound=args.oracle_bound)
         predicted = harmonic_main_term(xf, ap)
         label = f"harmonic_{ap.q}_{ap.a}" if ap else "harmonic"
     else:
-        value = fractional_part_sum(xf, ap)
+        value = fractional_part_sum(xf, ap, bound=args.oracle_bound)
         predicted = fractional_main_term(xf, ap)
         label = f"fractional_{ap.q}_{ap.a}" if ap else "fractional"
     residual = value - predicted

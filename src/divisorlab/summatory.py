@@ -7,7 +7,12 @@ Two independent routes to every headline quantity:
   oracle everything else is checked against.
 * sublinear algorithms -- the hyperbola method for D(x), the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2), its convolution inverse, and direct
-  lattice counts for the circle problem.
+  lattice counts for the circle problem.  The first three run in int64
+  numpy chunks.  The kernel and the convolution take D(k) and S_2w(k) for
+  small arguments k <= PREFIX_TABLE_LIMIT from one pair of prefix tables,
+  sieved on their first call (D from the divisor-count sieve, S_2w from
+  2^omega(n) = sum_{e^2 | n} mu(e) d(n/e^2)); the hyperbola never builds
+  them.
 
 Every counting sum over n <= x depends only on m = floor(x).  Real inputs are
 reduced to m through exact rational arithmetic (floats convert via Fraction),
@@ -42,12 +47,24 @@ from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 # the order of a minute.  Callers can raise it explicitly.
 ORACLE_BOUND_DEFAULT = 10 ** 8
 
-# Largest x each sublinear route takes, about a minute of its pure-Python
-# loop on 2 CPUs: hyperbola ~55 s at 2e17, Moebius kernel ~50 s at 1e15,
-# convolution ~50 s at 5e13.  Larger x is refused before any loop or table.
+# Largest x of the pointwise fallback scan (sigma_a once 4 x^a >= 2^62, d_k
+# for k > 32): ~17 us per n for sigma_3 on 2 CPUs, so about 50 s at the cap.
+POINTWISE_MAX = 3 * 10 ** 6
+
+# Largest x each sublinear route takes; larger x is refused before any loop
+# or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17, Moebius
+# kernel ~10 s at 1e15, convolution ~5 s at 5e13.  HYPERBOLA_MAX also
+# bounds the int64 chunk sums: a chunk of KERNEL_CHUNK quotients m // n sums
+# to at most m (1 + ln KERNEL_CHUNK) ~ 2.1e18 < 2^63.
 HYPERBOLA_MAX = 2 * 10 ** 17
 MOEBIUS_KERNEL_MAX = 10 ** 15
 CONVOLUTION_MAX = 5 * 10 ** 13
+
+# Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
+PREFIX_TABLE_LIMIT = 1 << 16
+
+# Length of the int64 chunks of the sublinear routes and the Moebius sieve.
+KERNEL_CHUNK = 1 << 14
 
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
 # working array, small enough to stay cache-friendly with several workers.
@@ -139,13 +156,13 @@ def compensated_sum(values) -> float:
     return math.fsum(partials)
 
 
-def _route_floor(x, limit: int, route: str) -> int:
-    """floor(x) for a sublinear route, refused past the route's limit."""
+def _bounded_floor(x, limit: int, what: str) -> int:
+    """floor(x), refused past limit (what names it) before any work."""
     m = floor_to_int(x)
     if m < 1:
         raise ValueError("x must be >= 1")
     if m > limit:
-        raise ResourceLimitError(f"x={m} exceeds the {route} limit {limit}")
+        raise ResourceLimitError(f"x={m} exceeds the {what} {limit}")
     return m
 
 
@@ -360,9 +377,10 @@ def _worker_primes(hi: int) -> np.ndarray:
 
 def _python_scan(spec: FnSpec, m: int, marks: list[int]) -> dict[int, int]:
     """Pointwise fallback scan using the factor table (exact big ints)."""
-    if m > 10 ** 7:
+    if m > POINTWISE_MAX:
         raise ResourceLimitError(
-            f"{spec.label()} has no fast exact engine past 1e7 (got {m})")
+            f"{spec.label()} has no fast exact engine past {POINTWISE_MAX} "
+            f"(got {m})")
     table = build_factor_table(max(m, 2))
     out = dict.fromkeys(marks, 0)
     total = 0
@@ -448,21 +466,23 @@ def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
 # sublinear exact algorithms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 20)
 def _divisor_sum_int(m: int) -> int:
-    """D(m) by the hyperbola method: 2*sum_{n<=sqrt(m)} floor(m/n) - floor(sqrt m)^2."""
-    if m <= 0:
-        return 0
+    """D(m) by the hyperbola method: 2*sum_{n<=sqrt(m)} floor(m/n) - floor(sqrt m)^2.
+
+    Each int64 chunk of quotients is summed in numpy (exact for m <=
+    HYPERBOLA_MAX) and added into a Python int.
+    """
     r = math.isqrt(m)
     s = 0
-    for n in range(1, r + 1):
-        s += m // n
+    for lo in range(1, r + 1, KERNEL_CHUNK):
+        n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=np.int64)
+        s += int(np.floor_divide(m, n, out=n).sum())
     return 2 * s - r * r
 
 
 def divisor_sum_hyperbola(x) -> SummatoryResult:
     """Exact D(x) in O(sqrt x) integer operations, for x <= HYPERBOLA_MAX."""
-    m = _route_floor(x, HYPERBOLA_MAX, "hyperbola")
+    m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
     return SummatoryResult(x=float(x), fn="d", value=_divisor_sum_int(m),
                            algorithm="hyperbola")
 
@@ -490,34 +510,89 @@ _MU_TABLE = np.zeros(1, dtype=np.int8)
 
 
 def _mobius_sieve(limit: int) -> np.ndarray:
-    """mu(0..n) as int8 for some n >= limit, from one table that only grows."""
+    """mu(0..n) as int8 for some n >= limit, from one table that only grows.
+
+    Sieved in chunks by the primes up to sqrt(n) only: rad collects the
+    product of those dividing each entry k, and a squarefree k with
+    rad < k has one more prime factor, above sqrt(n).
+    """
     global _MU_TABLE
     if _MU_TABLE.size <= limit:
         n = max(limit, 2 * _MU_TABLE.size)
         mu = np.ones(n + 1, dtype=np.int8)
+        small = primes_up_to(math.isqrt(n))
+        for lo in range(0, n + 1, KERNEL_CHUNK):
+            seg = mu[lo:lo + KERNEL_CHUNK]
+            rad = np.ones(seg.size, dtype=np.int64)
+            for p in small:
+                s = (-lo) % p
+                seg[s::p] *= -1
+                rad[s::p] *= p
+                sq = p * p
+                seg[(-lo) % sq::sq] = 0
+            big = rad != np.arange(lo, lo + seg.size, dtype=np.int64)
+            np.negative(seg, out=seg, where=big)
         mu[0] = 0
-        for p in primes_up_to(n):
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= n:
-                mu[sq::sq] = 0
         _MU_TABLE = mu
     return _MU_TABLE
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1)
+def _prefix_tables() -> tuple[np.ndarray, np.ndarray]:
+    """D(0..L) and S_2w(0..L) as read-only int32 prefix sums.
+
+    2^omega(n) = sum_{e^2 | n} mu(e) d(n/e^2) is sieved by adding mu(e)
+    d(k) at n = k e^2, the kernel's identity at coefficient level.
+    """
+    d = divisor_count_sieve(PREFIX_TABLE_LIMIT)
+    two_omega = np.zeros_like(d)
+    mu = _mobius_sieve(math.isqrt(PREFIX_TABLE_LIMIT))
+    for e in range(1, math.isqrt(PREFIX_TABLE_LIMIT) + 1):
+        if mu[e]:
+            sq = e * e
+            two_omega[sq::sq] += int(mu[e]) * d[1:PREFIX_TABLE_LIMIT // sq + 1]
+    tables = (np.cumsum(d, dtype=np.int32), np.cumsum(two_omega, dtype=np.int32))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
+                  mu: np.ndarray | None = None) -> int:
+    """sum_{lo <= d <= hi} table[m // d^2], times mu(d) if mu is given.
+
+    Every m // d^2 must be at most PREFIX_TABLE_LIMIT.
+    """
+    total = 0
+    for a in range(lo, hi + 1, KERNEL_CHUNK):
+        d = np.arange(a, min(a + KERNEL_CHUNK, hi + 1), dtype=np.int64)
+        np.multiply(d, d, out=d)
+        vals = table[np.floor_divide(m, d, out=d)]
+        if mu is not None:
+            vals *= mu[a:a + vals.size]
+        total += int(vals.sum(dtype=np.int64))
+    return total
+
+
+def _table_split(m: int) -> int:
+    """t = isqrt(m // (L+1)): m // d^2 exceeds L exactly when d <= t."""
+    return math.isqrt(m // (PREFIX_TABLE_LIMIT + 1))
+
+
 def _squarefree_divisor_sum_int(m: int) -> int:
-    """S_2w(m) = sum_{d <= sqrt(m)} mu(d) * D(m // d^2)."""
-    if m <= 0:
-        return 0
+    """S_2w(m) = sum_{d <= sqrt(m)} mu(d) * D(m // d^2).
+
+    D comes from the hyperbola for d <= t and from the prefix table above.
+    """
     r = math.isqrt(m)
     mu = _mobius_sieve(max(r, 16))
+    t = _table_split(m)
     total = 0
-    for d in range(1, r + 1):
+    for d in range(1, t + 1):
         md = int(mu[d])
         if md:
             total += md * _divisor_sum_int(m // (d * d))
-    return total
+    return total + _table_gather(_prefix_tables()[0], m, t + 1, r, mu)
 
 
 def squarefree_divisor_sum(x) -> SummatoryResult:
@@ -525,7 +600,7 @@ def squarefree_divisor_sum(x) -> SummatoryResult:
 
     x is at most MOEBIUS_KERNEL_MAX.
     """
-    m = _route_floor(x, MOEBIUS_KERNEL_MAX, "Moebius kernel")
+    m = _bounded_floor(x, MOEBIUS_KERNEL_MAX, "Moebius kernel limit")
     return SummatoryResult(x=float(x), fn="two_omega",
                            value=_squarefree_divisor_sum_int(m),
                            algorithm="moebius_kernel")
@@ -538,9 +613,10 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
     cross-checks the kernel pipeline against the hyperbola value.  x is at
     most CONVOLUTION_MAX.
     """
-    m = _route_floor(x, CONVOLUTION_MAX, "convolution")
-    total = 0
-    for d in range(1, math.isqrt(m) + 1):
+    m = _bounded_floor(x, CONVOLUTION_MAX, "convolution limit")
+    t = _table_split(m)
+    total = _table_gather(_prefix_tables()[1], m, t + 1, math.isqrt(m))
+    for d in range(1, t + 1):
         total += _squarefree_divisor_sum_int(m // (d * d))
     return SummatoryResult(x=float(x), fn="d", value=total,
                            algorithm="convolution_kernel")
@@ -550,11 +626,13 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
 # harmonic, fractional, circle, AP, shifted, auxiliary sums
 # ---------------------------------------------------------------------------
 
-def harmonic_sum(x, ap: APSpec | None = None) -> float:
-    """sum 1/n over n <= x, optionally restricted to n = a (mod q)."""
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
+def harmonic_sum(x, ap: APSpec | None = None, *,
+                 bound: int = ORACLE_BOUND_DEFAULT) -> float:
+    """sum 1/n over n <= x, optionally restricted to n = a (mod q).
+
+    A linear loop, so x is refused past bound.
+    """
+    m = _bounded_floor(x, bound, "oracle bound")
     if ap is None:
         return compensated_sum(1.0 / n for n in range(1, m + 1))
     return compensated_sum(1.0 / n for n in range(ap.a, m + 1, ap.q))
@@ -568,16 +646,15 @@ def harmonic_main_term(x, ap: APSpec | None = None) -> float:
     return lx / ap.q + generalized_euler_constant(ap.a, ap.q)
 
 
-def fractional_part_sum(x, ap: APSpec | None = None) -> float:
+def fractional_part_sum(x, ap: APSpec | None = None, *,
+                        bound: int = ORACLE_BOUND_DEFAULT) -> float:
     """sum {x/n} over n <= x (optionally n = a mod q), via {y} = y - floor(y).
 
     The floor part is exact integer arithmetic on the rational value of x;
     only the final x/n terms are floating point, accumulated with chunked
-    exact summation.
+    exact summation.  A linear loop, so x is refused past bound.
     """
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
+    m = _bounded_floor(x, bound, "oracle bound")
     fx = Fraction(x)
     num, den = fx.numerator, fx.denominator
     xf = float(x)
@@ -621,11 +698,7 @@ def ap_divisor_sum(x, ap: APSpec, *,
     """sum_{n<=x} d(n, q, a) by counting pairs: each d = a (mod q) contributes floor(x/d)."""
     if not isinstance(ap, APSpec):
         raise TypeError("ap must be an APSpec")
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
-    if m > bound:
-        raise ResourceLimitError(f"x={m} exceeds the oracle bound {bound}")
+    m = _bounded_floor(x, bound, "oracle bound")
     ds = np.arange(ap.a, m + 1, ap.q, dtype=np.int64)
     if ds.size:
         total = int(np.sum(m // ds, dtype=np.int64))

@@ -9,6 +9,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divisorlab import (FnSpec, build_factor_table,
                         dirichlet_coefficients, divisor_count,
@@ -214,6 +216,23 @@ def test_fnspec_parse_label_round_trip():
     for text in ("d", "mu", "mu_squared", "omega", "big_omega", "two_omega",
                  "two_big_omega", "r2", "d_3", "sigma_2", "d_restricted_4_1"):
         assert FnSpec.parse(text).label() == text
+
+
+def _specs():
+    simple = st.sampled_from(["d", "mu", "mu_squared", "omega", "big_omega",
+                              "two_omega", "two_big_omega", "r2"]).map(FnSpec)
+    d_k = st.integers(2, 10 ** 6).map(lambda k: FnSpec("d_k", k=k))
+    sig = st.integers(0, 10 ** 6).map(lambda a: FnSpec("sigma", a=a))
+    restricted = st.integers(2, 10 ** 6).flatmap(
+        lambda q: st.integers(1, q - 1).filter(lambda a: math.gcd(a, q) == 1)
+        .map(lambda a: FnSpec("d_restricted", q=q, a=a)))
+    return st.one_of(simple, d_k, sig, restricted)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_specs())
+def test_fnspec_label_parses_back(spec):
+    assert FnSpec.parse(spec.label()) == spec
 
 
 def test_fnspec_rejects_bad_specs():

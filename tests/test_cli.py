@@ -5,6 +5,7 @@ bytes are asserted exactly; no subprocesses, no PATH assumptions.
 """
 
 import json
+import time
 
 import pytest
 
@@ -243,6 +244,21 @@ def test_exit_resource_delta_above_oracle_bound(capsys):
     assert "bound 1000" in err
     rc, _, _ = run(capsys, "delta", "--target", "d", "--x", "2000.5")
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("ap", "--kind", "harmonic", "--x", "1e12"),
+    ("ap", "--kind", "fractional", "--x", "1e12", "--q", "4", "--a", "1"),
+    ("ap", "--kind", "harmonic", "--x", "2000", "--oracle-bound", "1000"),
+    ("sum", "--algorithm", "brute", "--fn", "sigma_3", "--x", "3000001"),
+])
+def test_exit_resource_linear_loops_refuse_quickly(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.05
+    assert rc == 4
+    assert out == ""
+    assert "exceeds" in err or "past" in err
 
 
 def test_oracle_bound_takes_exponent_form(capsys, tmp_path):

@@ -8,7 +8,10 @@ down here.
 
 import math
 import random
+import subprocess
+import sys
 import time
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,7 +32,7 @@ from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
                         omega_distinct, restricted_divisor_count,
                         shifted_divisor_sum, squarefree_divisor_sum,
                         two_squares_count)
-from divisorlab.arith import divisors, eval_arithmetic
+from divisorlab.arith import divisors, eval_arithmetic, shared_factor_table
 from divisorlab.errors import ResourceLimitError
 from divisorlab.fitting import half_integer_grid
 from divisorlab.summatory import (_segment_values, _walk_segment_values,
@@ -63,6 +66,22 @@ def test_floor_handling():
     assert divisor_sum_hyperbola(100.999).value == 482
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-2 ** 60, 2 ** 60), st.integers(-4, 4),
+       st.integers(1, 2 ** 70))
+@example(0, -1, 1)
+@example(2 ** 53, 1, 1)
+@example(-(2 ** 53), -3, 2 ** 70)
+def test_floor_to_int_near_integers(k, ulps, den):
+    # a float within a few ulps of an integer, and a Fraction within ulps/den
+    x = float(k)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    assert floor_to_int(x) == int(Decimal(x).to_integral_value(ROUND_FLOOR))
+    frac = Fraction(k) + Fraction(ulps, den + 4)
+    assert floor_to_int(frac) == (k - 1 if ulps < 0 else k)
+
+
 def test_compensated_sum_matches_fsum():
     rng = random.Random(404)
     vals = [rng.uniform(-1, 1) * 10 ** rng.randrange(-8, 8) for _ in range(5000)]
@@ -94,6 +113,83 @@ def test_three_algorithms_random_medium():
         assert divisor_sum_hyperbola(x).value == rd.value
         assert divisor_sum_from_squarefree(x).value == rd.value
         assert squarefree_divisor_sum(x).value == rs.value
+
+
+# ---------------------------------------------------------------------------
+# the chunked kernels and their prefix tables, against Python-int references
+# ---------------------------------------------------------------------------
+
+L = summatory.PREFIX_TABLE_LIMIT
+# the table's top, and the m where the kernel's hyperbola count
+# t = isqrt(m // (L+1)) steps from 0 to 1, from 1 to 2 and from 2 to 3
+TABLE_EDGES = (L, L + 1, 4 * (L + 1) - 1, 4 * (L + 1), 9 * (L + 1))
+
+
+def literal_hyperbola(k):
+    r = math.isqrt(k)
+    return 2 * sum(k // n for n in range(1, r + 1)) - r * r
+
+
+def literal_squarefree_sum(m):
+    table = shared_factor_table()
+    return sum(mobius(d, table) * literal_hyperbola(m // (d * d))
+               for d in range(1, math.isqrt(m) + 1))
+
+
+_rng = random.Random(909)
+# log-uniform up to 1e12, so the literal references stay quick
+SEEDED_POINTS = tuple(sorted(int(10 ** _rng.uniform(0, 12)) for _ in range(10)))
+
+
+@pytest.mark.parametrize("m", TABLE_EDGES + SEEDED_POINTS + (98_765_432_101,))
+def test_routes_at_the_table_edges_and_beyond(m):
+    want_d = floor_sum(m)
+    assert divisor_sum_hyperbola(m).value == want_d
+    assert divisor_sum_from_squarefree(m).value == want_d
+    if m <= 10 ** 11:
+        assert squarefree_divisor_sum(m).value == literal_squarefree_sum(m)
+
+
+def test_prefix_tables_match_the_brute_oracle():
+    d_table, s_table = summatory._prefix_tables()
+    assert d_table.dtype == s_table.dtype == np.int32
+    assert d_table.size == s_table.size == L + 1
+    assert d_table[0] == s_table[0] == 0
+    rng = random.Random(606)
+    xs = sorted({1, 2, L - 1, L, *(rng.randrange(1, L + 1) for _ in range(200))})
+    for tag, table in (("d", d_table), ("two_omega", s_table)):
+        want = [r.value for r in brute_force_profile(FnSpec(tag), xs)]
+        assert [int(table[x]) for x in xs] == want
+
+
+def test_mobius_sieve_matches_pointwise():
+    # across three chunk boundaries of the sieve
+    n = 3 * summatory.KERNEL_CHUNK + 7
+    mu = summatory._mobius_sieve(n)
+    assert mu[0] == 0
+    assert [int(v) for v in mu[1:n + 1]] == [mobius(k) for k in range(1, n + 1)]
+
+
+def test_first_hyperbola_chunk_sum_fits_int64():
+    # the first chunk has the largest quotients; its int64 sum must be exact
+    m = summatory.HYPERBOLA_MAX
+    n = np.arange(1, summatory.KERNEL_CHUNK + 1, dtype=np.int64)
+    exact = sum(m // k for k in range(1, summatory.KERNEL_CHUNK + 1))
+    assert exact < 2 ** 63
+    assert int(np.floor_divide(m, n).sum()) == exact
+
+
+def test_prefix_tables_are_lazy():
+    # neither import nor the hyperbola builds the tables
+    code = ("from divisorlab import summatory as s; "
+            "s.divisor_sum_hyperbola(10 ** 9); "
+            "print(s._prefix_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
+    before = summatory._prefix_tables.cache_info()
+    divisor_sum_hyperbola(10 ** 9)
+    assert summatory._prefix_tables.cache_info() == before
 
 
 def test_brute_worker_counts_agree():
@@ -261,12 +357,14 @@ def test_sublinear_routes_refuse_past_their_limit_quickly(route, limit,
                                                           largest_used):
     assert limit > largest_used
     table = summatory._MU_TABLE.size
+    prefix = summatory._prefix_tables.cache_info()
     for x in (limit + 1, 10 ** 20, 1e300):
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="limit"):
             route(x)
         assert time.perf_counter() - t0 < 0.05
     assert summatory._MU_TABLE.size == table
+    assert summatory._prefix_tables.cache_info() == prefix
 
 
 def test_result_container_validation():
@@ -341,6 +439,27 @@ def test_fractional_part_sum_oracle():
         m = floor_to_int(x)
         want = math.fsum(x / n - math.floor(x / n) for n in range(1, m + 1))
         assert fractional_part_sum(x) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("loop", [harmonic_sum, fractional_part_sum])
+def test_linear_loops_refuse_past_the_bound_quickly(loop):
+    for x, kwargs in ((10 ** 12, {}), (1e300, {}), (2001, {"bound": 2000}),
+                      (10 ** 12, {"bound": 10 ** 11})):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="oracle bound"):
+            loop(x, **kwargs)
+        assert time.perf_counter() - t0 < 0.05
+    assert loop(2000, bound=2000) == loop(2000)
+
+
+@pytest.mark.parametrize("spec", [FnSpec("sigma", a=3), FnSpec("d_k", k=33)])
+def test_pointwise_fallback_refuses_past_its_cap_quickly(spec):
+    cap = summatory.POINTWISE_MAX
+    assert not summatory._numpy_walk_ok(spec, cap)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=str(cap)):
+        brute_force_sum(spec, cap + 1)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_fractional_limit_constant():
