@@ -3,8 +3,11 @@
 Hand-rolled J1, Y1, K1 in double precision: ascending series below the
 switch point, large-argument asymptotic expansions above it, sharing one
 coefficient recurrence a_m -> a_m * (4 - (2m-1)^2) / (8 m z).  The
-documented envelope is absolute error <= 1e-10 for arguments up to 1e4,
-with measured machine-level accuracy out to the hard boundary at 1e5.
+expansions are numpy kernels over arrays of z; each element stops where
+its own scalar recurrence would and adds its terms in the same order, and
+the scalar evaluators call them on one element.  The documented envelope
+is absolute error <= 1e-10 for arguments up to 1e4, with measured
+machine-level accuracy out to the hard boundary at 1e5.
 
 On top of them sit three summation formulas for a non-integer x:
 
@@ -13,18 +16,25 @@ On top of them sit three summation formulas for a non-integer x:
     voronoi_truncated (x^{1/4}/(pi sqrt 2)) sum_{n<=N} d(n) n^{-3/4} cos(4 pi sqrt(nx) - pi/4)
     sierpinski_sum    pi x + sqrt(x) sum_{n<=N} r2(n)/sqrt(n) J1(2 pi sqrt(nx))
 
-Oscillatory sums accumulate in ascending n with compensated summation;
-no acceleration tricks, reproducibility first.
+voronoi_full and sierpinski_sum form their terms SERIES_CHUNK at a time
+(sierpinski_sum: about 64 chunks at most, each with its own r2 walk) as
+arrays and feed every term, in ascending n, to one math.fsum, which
+rounds the exact sum once: the chunking cannot move a bit.  No
+acceleration tricks, reproducibility first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
-from .arith import divisor_count_sieve, shared_factor_table, two_squares_count
-from .errors import AccuracyError, PoleError
-from .summatory import divisor_main_term, divisor_sum_hyperbola
+import numpy as np
+
+from .arith import DIVISOR_SIEVE_MAX, divisor_count_sieve
+from .errors import AccuracyError, PoleError, ResourceLimitError
+from .summatory import _segment_values, divisor_main_term, divisor_sum_hyperbola
 from .zeta import EULER_GAMMA
 
 ASYMPTOTIC_SWITCH = 12.0
@@ -35,6 +45,9 @@ ASYMPTOTIC_SWITCH = 12.0
 DOCUMENTED_ENVELOPE = 1.0e4
 ARGUMENT_ENVELOPE = 1.0e5
 SERIES_CUTOFF = 60
+# Lattice-sum terms are formed this many at a time (sierpinski_sum: n_terms
+# // 64 once that is more), which bounds the arrays.
+SERIES_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -155,59 +168,74 @@ def _series_K1(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# large-argument asymptotics (shared coefficient recurrence)
+# large-argument asymptotics (shared coefficient recurrence, array kernels)
 # ---------------------------------------------------------------------------
 
-def _asymptotic_pq(nu: int, z: float) -> tuple[float, float]:
-    """Modulus/phase series P, Q of the J/Y large-z expansion.
+# K_1's factor e^{-z} is 0.0 in binary64 from z ~ 745.2 on.
+_EXP_UNDERFLOW = 746.0
 
-    Coefficients follow t_m = t_{m-1} (mu - (2m-1)^2) / (8 m z) with
-    mu = 4 nu^2; even-m terms feed P, odd-m feed Q, with an extra
-    (-1)^{floor(m/2)} sign.  The divergent tail is cut at the smallest
-    term (optimal truncation).
+
+def _asymptotic_series(mu: int, z: np.ndarray, split_pq: bool):
+    """Elementwise sums of the large-z terms t_m of order nu, mu = 4 nu^2.
+
+    t_m = t_{m-1} (mu - (2m-1)^2) / (8 m z).  Each element stops where its
+    own divergent tail starts (optimal truncation) or once a term is below
+    1e-18, and adds its terms in ascending m.  With split_pq, odd-m terms
+    feed Q and even-m terms P, each with an extra (-1)^{floor(m/2)} sign
+    (the J/Y modulus/phase pair); without, every term feeds one sum.
     """
-    mu = 4 * nu * nu
-    t = 1.0
-    p_acc = 1.0
-    q_acc = 0.0
-    prev = abs(t)
+    t = np.ones_like(z)
+    prev = np.ones_like(z)
+    p_acc = np.ones_like(z)
+    q_acc = np.zeros_like(z) if split_pq else p_acc
+    live = np.ones(z.shape, dtype=bool)
     for m in range(1, 40):
         t *= (mu - (2 * m - 1) ** 2) / (8.0 * m * z)
-        if abs(t) >= prev:
+        size = np.abs(t)
+        live &= size < prev
+        if not live.any():
             break
-        prev = abs(t)
-        signed = t if (m // 2) % 2 == 0 else -t
-        if m % 2 == 1:
-            q_acc += signed
-        else:
-            p_acc += signed
-        if abs(t) < 1e-18:
-            break
+        prev = size
+        acc = q_acc if m % 2 == 1 else p_acc
+        signed = -t if split_pq and (m // 2) % 2 == 1 else t
+        np.add(acc, signed, out=acc, where=live)
+        live &= size >= 1e-18
     return p_acc, q_acc
 
 
-def _asymptotic_JY(nu: int, z: float) -> tuple[float, float]:
-    p, q = _asymptotic_pq(nu, z)
+def _asymptotic_JY(nu: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_nu and Y_nu of an array of z > ASYMPTOTIC_SWITCH."""
+    p, q = _asymptotic_series(4 * nu * nu, z, split_pq=True)
     chi = z - (0.5 * nu + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * z))
-    c, s = math.cos(chi), math.sin(chi)
+    amp = np.sqrt(2.0 / (math.pi * z))
+    c, s = np.cos(chi), np.sin(chi)
     return amp * (c * p - s * q), amp * (s * p + c * q)
 
 
-def _asymptotic_K1(z: float) -> float:
-    """K_1 large-z expansion sqrt(pi/2z) e^{-z} sum t_m, same t_m recurrence."""
-    t = 1.0
-    acc = 1.0
-    prev = abs(t)
-    for m in range(1, 40):
-        t *= (4 - (2 * m - 1) ** 2) / (8.0 * m * z)
-        if abs(t) >= prev:
-            break
-        prev = abs(t)
-        acc += t
-        if abs(t) < 1e-18:
-            break
-    return math.sqrt(0.5 * math.pi / z) * math.exp(-z) * acc
+def _asymptotic_K1(z: np.ndarray) -> np.ndarray:
+    """K_1 = sqrt(pi/2z) e^{-z} sum t_m of an array of z > ASYMPTOTIC_SWITCH.
+
+    e^{-z} comes from math.exp, which np.exp does not match bit for bit;
+    where it underflows the value is 0.0 and the sum is not formed.
+    """
+    out = np.zeros_like(z)
+    near = np.flatnonzero(z < _EXP_UNDERFLOW)
+    if near.size:
+        zn = z[near]
+        decay = np.array([math.exp(-v) for v in zn.tolist()])
+        out[near] = (np.sqrt(0.5 * math.pi / zn) * decay
+                     * _asymptotic_series(4, zn, split_pq=False)[0])
+    return out
+
+
+def _on_branches(z: np.ndarray, series, asymptotic) -> np.ndarray:
+    """series(z) per element at or below the switch, asymptotic(array) above."""
+    out = np.empty_like(z)
+    far = z > ASYMPTOTIC_SWITCH
+    out[far] = asymptotic(z[far])
+    near = np.flatnonzero(~far)
+    out[near] = [series(v) for v in z[near].tolist()]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +256,12 @@ def _check_argument(z, name: str, *, allow_zero: bool) -> float:
     return zf
 
 
+def _check_arguments(z: np.ndarray, name: str, *, allow_zero: bool) -> None:
+    """_check_argument on each element outside (0, ARGUMENT_ENVELOPE], in order."""
+    for zf in z[~((z > 0.0) & (z <= ARGUMENT_ENVELOPE))].tolist():
+        _check_argument(zf, name, allow_zero=allow_zero)
+
+
 def bessel_J1(z) -> float:
     """J_1(z); absolute error <= 1e-10 for z <= 1e4, ulp-level beyond."""
     zf = _check_argument(z, "bessel_J1", allow_zero=True)
@@ -235,7 +269,7 @@ def bessel_J1(z) -> float:
         return 0.0
     if zf <= ASYMPTOTIC_SWITCH:
         return _series_J(1, zf)
-    return _asymptotic_JY(1, zf)[0]
+    return float(_asymptotic_JY(1, np.array([zf]))[0][0])
 
 
 def bessel_Y1(z) -> float:
@@ -243,7 +277,7 @@ def bessel_Y1(z) -> float:
     zf = _check_argument(z, "bessel_Y1", allow_zero=False)
     if zf <= ASYMPTOTIC_SWITCH:
         return _series_Y(1, zf)
-    return _asymptotic_JY(1, zf)[1]
+    return float(_asymptotic_JY(1, np.array([zf]))[1][0])
 
 
 def bessel_K1(z) -> float:
@@ -251,7 +285,7 @@ def bessel_K1(z) -> float:
     zf = _check_argument(z, "bessel_K1", allow_zero=False)
     if zf <= ASYMPTOTIC_SWITCH:
         return _series_K1(zf)
-    return _asymptotic_K1(zf)
+    return float(_asymptotic_K1(np.array([zf]))[0])
 
 
 def _bessel_J0(z) -> float:
@@ -259,7 +293,7 @@ def _bessel_J0(z) -> float:
     zf = _check_argument(z, "bessel_J0", allow_zero=True)
     if zf <= ASYMPTOTIC_SWITCH:
         return _series_J(0, zf)
-    return _asymptotic_JY(0, zf)[0]
+    return float(_asymptotic_JY(0, np.array([zf]))[0][0])
 
 
 def _bessel_Y0(z) -> float:
@@ -267,7 +301,7 @@ def _bessel_Y0(z) -> float:
     zf = _check_argument(z, "bessel_Y0", allow_zero=False)
     if zf <= ASYMPTOTIC_SWITCH:
         return _series_Y(0, zf)
-    return _asymptotic_JY(0, zf)[1]
+    return float(_asymptotic_JY(0, np.array([zf]))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +341,12 @@ def default_terms(kind: str, x) -> int:
     return n
 
 
+def _chunk_bounds(n_terms: int, size: int = SERIES_CHUNK):
+    """(lo, hi) for n in [1, n_terms], size values of n at a time."""
+    return ((lo, min(lo + size, n_terms + 1))
+            for lo in range(1, n_terms + 1, size))
+
+
 def voronoi_full(x, n_terms: int | None = None) -> TruncatedSeriesValue:
     """Bessel-kernel expansion of D(x) truncated at n_terms summands.
 
@@ -323,16 +363,26 @@ def voronoi_full(x, n_terms: int | None = None) -> TruncatedSeriesValue:
         raise ValueError("n_terms must be >= 1")
     d = divisor_count_sieve(n_terms)
     four_pi_sqrt_x = 4.0 * math.pi * math.sqrt(xf)
-    terms = []
-    for n in range(1, n_terms + 1):
-        arg = four_pi_sqrt_x * math.sqrt(n)
-        kernel = bessel_K1(arg) + 0.5 * math.pi * bessel_Y1(arg)
-        terms.append(float(d[n]) / math.sqrt(n) * kernel)
-    series = math.fsum(terms)
+    last = 0.0
+
+    def chunks():
+        nonlocal last
+        for lo, hi in _chunk_bounds(n_terms):
+            root = np.sqrt(np.arange(lo, hi, dtype=np.float64))
+            arg = four_pi_sqrt_x * root
+            _check_arguments(arg, "bessel_K1", allow_zero=False)
+            k1 = _on_branches(arg, _series_K1, _asymptotic_K1)
+            y1 = _on_branches(arg, partial(_series_Y, 1),
+                              lambda far: _asymptotic_JY(1, far)[1])
+            chunk = (d[lo:hi] / root * (k1 + 0.5 * math.pi * y1)).tolist()
+            last = chunk[-1]
+            yield chunk
+
+    series = math.fsum(chain.from_iterable(chunks()))
     value = (0.25 + divisor_main_term(xf)
              - (2.0 * math.sqrt(xf) / math.pi) * series)
-    last = abs(terms[-1]) * 2.0 * math.sqrt(xf) / math.pi
-    return TruncatedSeriesValue(value=value, n_terms=n_terms, last_term=last)
+    last_term = abs(last) * 2.0 * math.sqrt(xf) / math.pi
+    return TruncatedSeriesValue(value=value, n_terms=n_terms, last_term=last_term)
 
 
 def voronoi_truncated(x, n_terms: int) -> float:
@@ -387,13 +437,22 @@ def sierpinski_sum(x, n_terms: int | None = None) -> float:
         n_terms = default_terms("sierpinski", xf)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    table = shared_factor_table(max(n_terms, 2))
+    if n_terms > DIVISOR_SIEVE_MAX:
+        raise ResourceLimitError(
+            f"sierpinski series: {n_terms} terms exceed {DIVISOR_SIEVE_MAX}")
     two_pi_sqrt_x = 2.0 * math.pi * math.sqrt(xf)
-    terms = []
-    for n in range(1, n_terms + 1):
-        r = two_squares_count(n, table)
-        if r == 0:
-            continue
-        arg = two_pi_sqrt_x * math.sqrt(n)
-        terms.append(float(r) / math.sqrt(n) * bessel_J1(arg))
-    return math.pi * xf + math.sqrt(xf) * math.fsum(terms)
+
+    def chunks():
+        # r2 by the brute walk's rule, one walk per chunk; a walk loops over
+        # the primes up to sqrt(hi), so past 64 chunks the chunks grow instead
+        for lo, hi in _chunk_bounds(n_terms, max(SERIES_CHUNK, n_terms // 64)):
+            r2 = _segment_values("r2", lo, hi)
+            keep = np.flatnonzero(r2)
+            root = np.sqrt(keep + lo)
+            arg = two_pi_sqrt_x * root
+            _check_arguments(arg, "bessel_J1", allow_zero=True)
+            j1 = _on_branches(arg, partial(_series_J, 1),
+                              lambda far: _asymptotic_JY(1, far)[0])
+            yield (r2[keep] / root * j1).tolist()
+
+    return math.pi * xf + math.sqrt(xf) * math.fsum(chain.from_iterable(chunks()))

@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ResourceLimitError
 from .summatory import (
@@ -289,15 +289,23 @@ def polynomial_residue(k: int, x, *, form: str = "consistent") -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8192)
-def _pair_weight(t: float) -> complex:
-    """zeta(rho/2)^2 / (rho zeta'(rho)) for rho = 1/2 + i t.
+def _half_zeta_squared(t: float) -> complex:
+    """zeta(rho/2)^2 for rho = 1/2 + i t.
 
-    Cached per ordinate: the weight is x-independent, so a scan over many
-    x values prices each zero once.
+    Cached per ordinate: it is x-independent, so a scan over many x values
+    prices each zero once.
     """
-    rho = complex(0.5, t)
-    half = zeta(rho / 2.0)
-    return half * half / (rho * zeta_derivative(rho))
+    half = zeta(complex(0.5, t) / 2.0)
+    return half * half
+
+
+def _pair_weights(zeros: ZeroTable, num_pairs: int) -> Iterator[complex]:
+    """zeta(rho/2)^2 / (rho zeta'(rho)) over the first num_pairs zeros.
+
+    zeta'(rho) is the one the zero table holds.
+    """
+    for t, zeta_prime in zip(zeros.ordinates[:num_pairs], zeros.zeta_primes):
+        yield _half_zeta_squared(t) / (complex(0.5, t) * complex(zeta_prime))
 
 
 def _pair_terms(spec: _TargetSpec, x: float, zeros: ZeroTable,
@@ -311,8 +319,7 @@ def _pair_terms(spec: _TargetSpec, x: float, zeros: ZeroTable,
     lx = math.log(x)
     scale = 2.0 * spec.zero_coefficient * x ** (0.25 - spec.power_shift)
     out = []
-    for t in zeros.ordinates[:num_pairs]:
-        w = _pair_weight(t)
+    for t, w in zip(zeros.ordinates, _pair_weights(zeros, num_pairs)):
         phase = cmath.exp(complex(0.0, 0.5 * t * lx))
         out.append(scale * (w * phase).real)
     return out
@@ -381,8 +388,7 @@ def zero_coefficient_partial_sum(zeros: ZeroTable,
     coefficient series; no convergence is asserted.
     """
     _check_pairs(zeros, num_pairs)
-    return _running_sums(2.0 * _pair_weight(t).real
-                         for t in zeros.ordinates[:num_pairs])
+    return _running_sums(2.0 * w.real for w in _pair_weights(zeros, num_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,11 @@ FORMATS = ("csv", "json")
 # ---------------------------------------------------------------------------
 
 def format_number(v) -> str:
-    """15-significant-digit text for floats; ints and bools stay exact."""
+    """15-significant-digit text for floats; ints and bools stay exact.
+
+    A float within 5e-15 relative of the largest double rounds up to text
+    that reads back as infinity; it is refused like a non-finite one.
+    """
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -35,7 +39,10 @@ def format_number(v) -> str:
     f = float(v)
     if math.isnan(f) or math.isinf(f):
         raise ValueError("reports do not serialize non-finite numbers")
-    return format(f, ".15g")
+    text = format(f, ".15g")
+    if abs(f) > 1e308 and math.isinf(float(text)):
+        raise ValueError(f"{f!r} reads back as infinity at 15 digits")
+    return text
 
 
 def _json_escape(s: str) -> str:

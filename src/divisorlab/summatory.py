@@ -53,7 +53,7 @@ POINTWISE_MAX = 3 * 10 ** 6
 
 # Largest x each sublinear route takes; larger x is refused before any loop
 # or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17, Moebius
-# kernel ~10 s at 1e15, convolution ~5 s at 5e13.  HYPERBOLA_MAX also
+# kernel ~4 s at 1e15, convolution ~5 s at 5e13.  HYPERBOLA_MAX also
 # bounds the int64 chunk sums: a chunk of KERNEL_CHUNK quotients m // n sums
 # to at most m (1 + ln KERNEL_CHUNK) ~ 2.1e18 < 2^63.
 HYPERBOLA_MAX = 2 * 10 ** 17
@@ -63,7 +63,8 @@ CONVOLUTION_MAX = 5 * 10 ** 13
 # Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
 PREFIX_TABLE_LIMIT = 1 << 16
 
-# Length of the int64 chunks of the sublinear routes and the Moebius sieve.
+# Length of the int64 chunks of the sublinear routes, and the shortest chunk
+# of the Moebius sieve.
 KERNEL_CHUNK = 1 << 14
 
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
@@ -514,15 +515,18 @@ def _mobius_sieve(limit: int) -> np.ndarray:
 
     Sieved in chunks by the primes up to sqrt(n) only: rad collects the
     product of those dividing each entry k, and a squarefree k with
-    rad < k has one more prime factor, above sqrt(n).
+    rad < k has one more prime factor, above sqrt(n).  Each chunk loops
+    over all those primes, so a table has at most 64 chunks past
+    64 KERNEL_CHUNK entries.
     """
     global _MU_TABLE
     if _MU_TABLE.size <= limit:
         n = max(limit, 2 * _MU_TABLE.size)
         mu = np.ones(n + 1, dtype=np.int8)
         small = primes_up_to(math.isqrt(n))
-        for lo in range(0, n + 1, KERNEL_CHUNK):
-            seg = mu[lo:lo + KERNEL_CHUNK]
+        chunk = max(KERNEL_CHUNK, (n + 1) // 64)
+        for lo in range(0, n + 1, chunk):
+            seg = mu[lo:lo + chunk]
             rad = np.ones(seg.size, dtype=np.int64)
             for p in small:
                 s = (-lo) % p

@@ -3,14 +3,17 @@
 zeta and zeta_derivative run Euler-Maclaurin with cutoff N = max(20,
 ceil(2|Im s|)) and 10 Bernoulli correction terms, which keeps the absolute
 error at or below about 1e-10 for |Im s| <= 1e5 (the documented envelope).
+One helper forms both from a single array n^-s; zero-table validation
+keeps the zeta' it yields at each zero for the explicit formula.
 Arguments with Re s < 0 go through the functional equation, assembled in
 log space so nothing overflows at large imaginary parts.
 
 Special values at negative integers come from exact rational Bernoulli
-numbers.  Stieltjes constants gamma_0..gamma_2 come from an Euler-Maclaurin
-limit with symbolically differentiated tail terms.  Nontrivial-zero
-ordinates are external data loaded from text files; this module never
-computes a zero, it only validates that |zeta(1/2 + i t)| is small.
+numbers, each built on first use.  Stieltjes constants gamma_0..gamma_2
+come from an Euler-Maclaurin limit with symbolically differentiated tail
+terms.  Nontrivial-zero ordinates are external data loaded from text
+files; this module never computes a zero, it only validates that
+|zeta(1/2 + i t)| is small.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -44,23 +47,22 @@ ZEROS_ENV_VAR = "ZD_ZEROS"
 # exact Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _bernoulli_table(n_max: int = 64) -> tuple[Fraction, ...]:
-    """B_0..B_n_max as exact Fractions (B_1 = -1/2 convention)."""
-    table = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * table[j]
-        table.append(-acc / (m + 1))
-    return tuple(table)
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Exact B_m (B_1 = -1/2 convention), built on first use from B_0..B_{m-1}."""
+    if m == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(m):
+        acc += math.comb(m + 1, j) * _bernoulli(j)
+    return -acc / (m + 1)
 
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact B_n for 0 <= n <= 64."""
     if not 0 <= n <= 64:
         raise ValueError("Bernoulli numbers are tabulated for 0 <= n <= 64")
-    return _bernoulli_table()[n]
+    return _bernoulli(n)
 
 
 # float ratios B_{2j}/(2j)! for the Euler-Maclaurin correction terms
@@ -68,7 +70,7 @@ def bernoulli_number(n: int) -> Fraction:
 def _em_coeffs() -> tuple[float, ...]:
     out = []
     for j in range(1, _EM_BERNOULLI_TERMS + 1):
-        b = _bernoulli_table()[2 * j]
+        b = _bernoulli(2 * j)
         out.append(b.numerator / b.denominator / math.factorial(2 * j))
     return tuple(out)
 
@@ -81,49 +83,40 @@ def _em_cutoff(s: complex) -> int:
     return max(20, math.ceil(2.0 * abs(s.imag)))
 
 
-def _zeta_em(s: complex) -> complex:
-    """zeta(s) by Euler-Maclaurin; reliable for Re s > -19 on the envelope."""
+def _zeta_em_pair(s: complex) -> tuple[complex, complex]:
+    """zeta(s) and zeta'(s) by Euler-Maclaurin, from one array of n^-s.
+
+    Reliable for Re s > -19 on the envelope.  zeta' differentiates term by
+    term: its main sum weights n^-s by -log n, and its tail carries the
+    s-derivative of each correction term.
+    """
     N = _em_cutoff(s)
-    ns = np.arange(1, N, dtype=np.float64)
-    main = np.exp(-s * np.log(ns)).sum()
-    nin_s = cmath.exp(-s * math.log(N))
-    total = main + N * nin_s / (s - 1) + nin_s / 2
-    # correction terms B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1)
+    logs = np.log(np.arange(1, N, dtype=np.float64))
+    powers = -s * logs
+    np.exp(powers, out=powers)
+    lnN = math.log(N)
+    nin_s = cmath.exp(-s * lnN)
+    sm1 = s - 1
+    total = powers.sum() + N * nin_s / sm1 + nin_s / 2
+    powers *= logs              # in place: the terms of zeta' up to sign
+    dtotal = -powers.sum()
+    dtotal += N * nin_s * (-lnN / sm1 - 1.0 / (sm1 * sm1))
+    dtotal += -lnN * nin_s / 2
+    # correction terms B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1), and
+    # d/ds [poch * N^(-s-2j+1)] = (dpoch - poch*lnN) * N^(-s-2j+1)
     poch = s                    # s(s+1)...(s+2j-2), starts at j=1
+    dpoch = complex(1.0)
     npow = nin_s / N            # N^(-s-2j+1) at j=1
     inv_n2 = 1.0 / (N * N)
     for idx, c in enumerate(_em_coeffs()):
         total += c * poch * npow
-        poch *= (s + 2 * idx + 1) * (s + 2 * idx + 2)
-        npow *= inv_n2
-    return complex(total)
-
-
-def _zeta_em_derivative(s: complex) -> complex:
-    """zeta'(s) by term-wise differentiated Euler-Maclaurin."""
-    N = _em_cutoff(s)
-    ns = np.arange(1, N, dtype=np.float64)
-    logs = np.log(ns)
-    main = -(logs * np.exp(-s * logs)).sum()
-    lnN = math.log(N)
-    nin_s = cmath.exp(-s * lnN)
-    sm1 = s - 1
-    total = main
-    total += N * nin_s * (-lnN / sm1 - 1.0 / (sm1 * sm1))
-    total += -lnN * nin_s / 2
-    poch = s
-    dpoch = complex(1.0)
-    npow = nin_s / N
-    inv_n2 = 1.0 / (N * N)
-    for idx, c in enumerate(_em_coeffs()):
-        # d/ds [poch * N^(-s-2j+1)] = (dpoch - poch*lnN) * N^(-s-2j+1)
-        total += c * (dpoch - poch * lnN) * npow
+        dtotal += c * (dpoch - poch * lnN) * npow
         f1 = s + 2 * idx + 1
         f2 = s + 2 * idx + 2
         dpoch = dpoch * f1 * f2 + poch * (f1 + f2)
         poch *= f1 * f2
         npow *= inv_n2
-    return complex(total)
+    return complex(total), complex(dtotal)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +189,8 @@ def _digamma_complex(z: complex) -> complex:
     inv2 = inv * inv
     acc = cmath.log(z) - 0.5 * inv
     term = inv2
-    bern = _bernoulli_table()
     for n in range(1, 8):
-        b = bern[2 * n]
+        b = _bernoulli(2 * n)
         acc -= (b.numerator / b.denominator) / (2 * n) * term
         term *= inv2
     return total + acc
@@ -225,7 +217,7 @@ def zeta(s) -> complex:
     """zeta(s) to about 1e-10 absolute error for |Im s| <= 1e5."""
     s = _check_argument(s)
     if s.real >= 0:
-        return _zeta_em(s)
+        return _zeta_em_pair(s)[0]
     # functional equation in log space:
     # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
     w = 1 - s
@@ -235,16 +227,16 @@ def zeta(s) -> complex:
     if sin_half is not None and sin_half == 0:
         return complex(0.0)
     if sin_half is not None and abs(s.imag) <= 20:
-        return cmath.exp(ln_pref) * sin_half * _zeta_em(w)
+        return cmath.exp(ln_pref) * sin_half * _zeta_em_pair(w)[0]
     ln_total = ln_pref + _log_sin(math.pi * s / 2)
-    return cmath.exp(ln_total) * _zeta_em(w)
+    return cmath.exp(ln_total) * _zeta_em_pair(w)[0]
 
 
 def zeta_derivative(s) -> complex:
     """zeta'(s) to about 1e-8 absolute error on the same envelope."""
     s = _check_argument(s)
     if s.real >= 0:
-        return _zeta_em_derivative(s)
+        return _zeta_em_pair(s)[1]
     # differentiate zeta(s) = A(s) zeta(1-s) with
     # A = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s):
     # A' = (log 2pi - psi(1-s)) A + (pi/2) * [2^s pi^(s-1) cos(pi s/2) Gamma(1-s)]
@@ -253,8 +245,7 @@ def zeta_derivative(s) -> complex:
                + _lgamma_complex(w))
     a_sin = cmath.exp(ln_pref + _log_sin_or_zero(math.pi * s / 2))
     a_cos = cmath.exp(ln_pref + _log_cos(math.pi * s / 2))
-    zw = _zeta_em(w)
-    zwp = _zeta_em_derivative(w)
+    zw, zwp = _zeta_em_pair(w)
     coef = math.log(2 * math.pi) - _digamma_complex(w)
     return (coef * a_sin + (math.pi / 2) * a_cos) * zw - a_sin * zwp
 
@@ -289,7 +280,7 @@ def zeta_negative_special(kind: str, n: int) -> float:
         if n < 1:
             raise ValueError("zeta_prime_at_neg_even needs k >= 1")
         k = n
-        z = _zeta_em(complex(2 * k + 1)).real
+        z = _zeta_em_pair(complex(2 * k + 1))[0].real
         return ((-1) ** k * z * math.factorial(2 * k)
                 / (2 * (2 * math.pi) ** (2 * k)))
     raise ValueError(f"unknown special-value kind {kind!r}")
@@ -352,13 +343,12 @@ def stieltjes(k: int) -> float:
     # tail: - sum B_2j/(2j)! f^(2j-1)(m)
     terms = {(k, 1): 1.0}  # f = (log x)^k x^-1
     order = 0
-    bern = _bernoulli_table()
     for j in range(1, 9):
         while order < 2 * j - 1:
             terms = _poly_terms_derivative(terms)
             order += 1
         fval = math.fsum(c * lm ** a / m ** b for (a, b), c in terms.items())
-        b2j = bern[2 * j]
+        b2j = _bernoulli(2 * j)
         total -= (b2j.numerator / b2j.denominator) / math.factorial(2 * j) * fval
     return total
 
@@ -401,6 +391,28 @@ class ZeroTable:
 
     def __iter__(self):
         return iter(self.ordinates)
+
+    @cached_property
+    def zeta_primes(self) -> np.ndarray:
+        """zeta'(1/2 + i t_k) for every ordinate, computed on first use.
+
+        A read-only complex array.  load_zero_table's validation sets it
+        from the power arrays its residuals come from, so a validated table
+        never computes it twice.
+        """
+        out = np.empty(len(self.ordinates), dtype=np.complex128)
+        for k, t in enumerate(self.ordinates):
+            out[k] = zeta_at_ordinate(t)[1]
+        out.flags.writeable = False
+        return out
+
+
+def zeta_at_ordinate(t: float) -> tuple[complex, complex]:
+    """zeta and zeta' at 1/2 + i t, from one power array.
+
+    Both equal zeta(1/2 + i t) and zeta_derivative(1/2 + i t) bit for bit.
+    """
+    return _zeta_em_pair(_check_argument(complex(0.5, t)))
 
 
 def _read_zero_text(source) -> tuple[str, str]:
@@ -450,15 +462,21 @@ def load_zero_table(source, validate: bool = True) -> ZeroTable:
         prev = t
 
     failures: list[tuple[int, float, float]] = []
-    ok = True
     if validate:
-        for lineno, t in zip(lines_used, ordinates):
-            residual = abs(zeta(complex(0.5, t)))
+        primes = np.empty(len(ordinates), dtype=np.complex128)
+        for k, (lineno, t) in enumerate(zip(lines_used, ordinates)):
+            value, primes[k] = zeta_at_ordinate(t)
+            residual = abs(value)
             if residual >= ZERO_RESIDUAL_TOL:
                 failures.append((lineno, t, residual))
-                ok = False
-    return ZeroTable(ordinates=tuple(ordinates), source=name,
-                     validated=validate and ok, failures=tuple(failures))
+    table = ZeroTable(ordinates=tuple(ordinates), source=name,
+                      validated=validate and not failures,
+                      failures=tuple(failures))
+    if validate:
+        # fills the cached_property, as a first read would
+        primes.flags.writeable = False
+        object.__setattr__(table, "zeta_primes", primes)
+    return table
 
 
 @lru_cache(maxsize=1)

@@ -8,15 +8,20 @@ summation formulas are checked against exact lattice counts.
 import math
 import random
 
+import numpy as np
 import pytest
 import scipy.special as sps
 
 from divisorlab import (bessel_J1, bessel_K1, bessel_Y1, circle_lattice_sum,
-                        divisor_delta_reference, divisor_sum_hyperbola,
-                        sierpinski_sum, voronoi_full, voronoi_truncated)
+                        divisor_count_sieve, divisor_delta_reference,
+                        divisor_main_term, divisor_sum_hyperbola,
+                        sierpinski_sum, two_squares_count, voronoi_full,
+                        voronoi_truncated)
 from divisorlab.bessel import (ARGUMENT_ENVELOPE, ASYMPTOTIC_SWITCH,
-                               DOCUMENTED_ENVELOPE, TruncatedSeriesValue,
-                               _bessel_J0, _bessel_Y0, default_terms)
+                               DOCUMENTED_ENVELOPE, SERIES_CHUNK,
+                               TruncatedSeriesValue, _asymptotic_JY,
+                               _asymptotic_K1, _bessel_J0, _bessel_Y0,
+                               default_terms)
 from divisorlab.errors import AccuracyError, PoleError
 
 
@@ -126,6 +131,92 @@ def test_branch_continuity_at_switch():
 
 
 # ---------------------------------------------------------------------------
+# array kernels against the scalar recurrence they replaced
+# ---------------------------------------------------------------------------
+
+def scalar_pq(nu, z):
+    """The large-z P, Q sums one element at a time, as a plain loop."""
+    mu = 4 * nu * nu
+    t = 1.0
+    p_acc = 1.0
+    q_acc = 0.0
+    prev = abs(t)
+    for m in range(1, 40):
+        t *= (mu - (2 * m - 1) ** 2) / (8.0 * m * z)
+        if abs(t) >= prev:
+            break
+        prev = abs(t)
+        signed = t if (m // 2) % 2 == 0 else -t
+        if m % 2 == 1:
+            q_acc += signed
+        else:
+            p_acc += signed
+        if abs(t) < 1e-18:
+            break
+    return p_acc, q_acc
+
+
+def scalar_JY(nu, z):
+    p, q = scalar_pq(nu, z)
+    chi = z - (0.5 * nu + 0.25) * math.pi
+    amp = math.sqrt(2.0 / (math.pi * z))
+    c, s = math.cos(chi), math.sin(chi)
+    return amp * (c * p - s * q), amp * (s * p + c * q)
+
+
+def scalar_K1(z):
+    t = 1.0
+    acc = 1.0
+    prev = abs(t)
+    for m in range(1, 40):
+        t *= (4 - (2 * m - 1) ** 2) / (8.0 * m * z)
+        if abs(t) >= prev:
+            break
+        prev = abs(t)
+        acc += t
+        if abs(t) < 1e-18:
+            break
+    return math.sqrt(0.5 * math.pi / z) * math.exp(-z) * acc
+
+
+def kernel_arguments():
+    rng = random.Random(1212)
+    above = [math.nextafter(ASYMPTOTIC_SWITCH, math.inf), 12.0 + 1e-9, 12.25]
+    above += [rng.uniform(12.0, 13.0) for _ in range(200)]
+    underflow = [700.0, 745.0, 745.1332, 745.2, 745.9, 746.0, 750.0]
+    underflow += [rng.uniform(700.0, 750.0) for _ in range(300)]
+    log_uniform = [math.exp(rng.uniform(math.log(12.0), math.log(1e5)))
+                   for _ in range(2000)]
+    return above + underflow + log_uniform + [ARGUMENT_ENVELOPE]
+
+
+def test_array_kernels_match_the_scalar_loop():
+    zs = kernel_arguments()
+    z = np.array(zs)
+    for nu in (0, 1):
+        j, y = _asymptotic_JY(nu, z)
+        want = [scalar_JY(nu, v) for v in zs]
+        assert list(map(repr, j.tolist())) == [repr(w[0]) for w in want]
+        assert list(map(repr, y.tolist())) == [repr(w[1]) for w in want]
+    k = _asymptotic_K1(z)
+    assert list(map(repr, k.tolist())) == [repr(scalar_K1(v)) for v in zs]
+    # the array order is irrelevant: each element ends where its own loop does
+    perm = np.random.default_rng(7).permutation(z.size)
+    assert np.array_equal(_asymptotic_K1(z[perm]), k[perm])
+    assert np.array_equal(_asymptotic_JY(1, z[perm])[1],
+                          _asymptotic_JY(1, z)[1][perm])
+
+
+def test_scalar_evaluators_match_the_scalar_loop():
+    for zf in kernel_arguments()[::8]:
+        j1, y1 = scalar_JY(1, zf)
+        j0, y0 = scalar_JY(0, zf)
+        assert repr((bessel_J1(zf), bessel_Y1(zf), bessel_K1(zf))) == repr(
+            (j1, y1, scalar_K1(zf)))
+        assert repr((_bessel_J0(zf), _bessel_Y0(zf))) == repr((j0, y0))
+
+
+# ---------------------------------------------------------------------------
 # summation formulas
 # ---------------------------------------------------------------------------
 
@@ -176,6 +267,47 @@ def test_divisor_delta_reference_consistent():
     assert divisor_delta_reference(x) == pytest.approx(delta - 0.25, abs=1e-9)
     assert divisor_delta_reference(x, include_quarter=False) == pytest.approx(
         delta, abs=1e-9)
+
+
+def test_series_match_a_term_by_term_loop():
+    # one term at a time through the scalar recurrence, one fsum, as the
+    # series were summed before they went to chunked arrays
+    def pick(series, asymptotic):
+        return lambda z: series(z) if z <= ASYMPTOTIC_SWITCH else asymptotic(z)
+
+    K1 = pick(bessel_K1, scalar_K1)
+    Y1 = pick(bessel_Y1, lambda z: scalar_JY(1, z)[1])
+    J1 = pick(bessel_J1, lambda z: scalar_JY(1, z)[0])
+
+    def full_loop(x, n_terms):
+        d = divisor_count_sieve(n_terms)
+        c = 4.0 * math.pi * math.sqrt(x)
+        terms = []
+        for n in range(1, n_terms + 1):
+            arg = c * math.sqrt(n)
+            kernel = K1(arg) + 0.5 * math.pi * Y1(arg)
+            terms.append(float(d[n]) / math.sqrt(n) * kernel)
+        value = (0.25 + divisor_main_term(x)
+                 - (2.0 * math.sqrt(x) / math.pi) * math.fsum(terms))
+        return value, abs(terms[-1]) * 2.0 * math.sqrt(x) / math.pi
+
+    def sierpinski_loop(x, n_terms):
+        c = 2.0 * math.pi * math.sqrt(x)
+        terms = []
+        for n in range(1, n_terms + 1):
+            r = two_squares_count(n)
+            if r:
+                terms.append(float(r) / math.sqrt(n) * J1(c * math.sqrt(n)))
+        return math.pi * x + math.sqrt(x) * math.fsum(terms)
+
+    # summing rounded chunk sums instead would move the last bit at x = 13.025
+    # (full) and x = 1.5 (sierpinski)
+    for x, n_terms in ((1.5, SERIES_CHUNK + 1), (2.5, 1), (13.025, SERIES_CHUNK + 1),
+                       (1000.5, 2 * SERIES_CHUNK)):
+        out = voronoi_full(x, n_terms)
+        assert repr((out.value, out.last_term)) == repr(full_loop(x, n_terms))
+    for x, n_terms in ((0.5, 100), (1.5, SERIES_CHUNK + 1), (100.5, 2 * SERIES_CHUNK)):
+        assert repr(sierpinski_sum(x, n_terms)) == repr(sierpinski_loop(x, n_terms))
 
 
 def test_sierpinski_sum_against_circle_count():

@@ -5,12 +5,21 @@ bytes are asserted exactly; no subprocesses, no PATH assumptions.
 """
 
 import json
+import math
+import os
+import string
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divisorlab import brute_force_sum, FnSpec
-from divisorlab.cli import SUITES, main
+from divisorlab.cli import SUITES, _read_config_file, main
+from divisorlab.errors import TableFormatError
+from divisorlab.explicit import DeltaSample
+from divisorlab.reports import emit_report, read_delta_csv
 from divisorlab.zeta import default_zero_table
 
 D6_SUM_ROW = "x,fn,value,algorithm\n1000000,d,13970034,hyperbola\n"
@@ -177,6 +186,90 @@ def test_config_missing_file(capsys, tmp_path):
     assert "nope.cfg" in err
 
 
+_KEY = st.builds("{}{}{}".format, st.sampled_from(["", "-", "--"]),
+                 st.sampled_from(string.ascii_letters + "_"),
+                 st.text(alphabet=string.ascii_letters + string.digits + "_.-",
+                         max_size=12))
+_VALUE = st.text(alphabet=string.ascii_letters + string.digits + " =#.,:+-_",
+                 max_size=16)
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.just("pair"), _PAD, _KEY, _PAD, _VALUE, _PAD),
+    st.tuples(st.just("comment"), _PAD, _VALUE),
+    st.tuples(st.just("blank"), _PAD))
+
+
+def _config_text(lines):
+    out = []
+    for kind, *parts in lines:
+        if kind == "pair":
+            lead, key, gap, value, tail = parts
+            out.append(f"{lead}{key}{gap}={value}{tail}")
+        elif kind == "comment":
+            out.append(f"{parts[0]}#{parts[1]}")
+        else:
+            out.append(parts[0])
+    return "".join(line + "\n" for line in out)
+
+
+def _read_config_text(text):
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return _read_config_file(path)
+    finally:
+        os.unlink(path)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_CONFIG_LINE, max_size=12))
+def test_config_file_parses_every_key_value_line(lines):
+    want = {}
+    for kind, *parts in lines:
+        if kind == "pair":
+            want[parts[1].lstrip("-")] = parts[3].strip()
+    assert _read_config_text(_config_text(lines)) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_CONFIG_LINE, max_size=6), _KEY, st.lists(_CONFIG_LINE, max_size=6))
+def test_config_file_names_the_line_without_equals(before, key, after):
+    text = _config_text(before) + key + "\n" + _config_text(after)
+    with pytest.raises(TableFormatError) as info:
+        _read_config_text(text)
+    assert info.value.line == len(before) + 1
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE, _FINITE, _FINITE),
+                min_size=1, max_size=8))
+def test_delta_csv_round_trip_keeps_every_byte(rows):
+    samples = [DeltaSample(*row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "delta.csv")
+        if any(abs(float(format(v, ".15g"))) == math.inf for row in rows for v in row):
+            # 15 digits round a float this close to the largest double up
+            # past it; the writer refuses it rather than emit "inf" later
+            with pytest.raises(ValueError, match="infinity"):
+                emit_report(samples, "csv", path)
+            return
+        emit_report(samples, "csv", path)
+        with open(path, "rb") as fh:
+            first = fh.read()
+        back = read_delta_csv(path)
+        emit_report(back, "csv", path)
+        with open(path, "rb") as fh:
+            second = fh.read()
+    assert first == second
+    assert [float(format(v, ".15g")) for row in rows for v in row] == [
+        v for s in back for v in (s.x, s.exact, s.predicted, s.delta,
+                                  s.delta_over_x14, s.delta_over_x12)]
+
+
 def test_zeros_env_fallback(capsys, tmp_path, monkeypatch):
     small = tmp_path / "three.txt"
     small.write_text("".join(
@@ -322,6 +415,30 @@ def test_exit_resource_voronoi_past_the_envelope(capsys):
         assert rc == 4
         assert out == ""
         assert "envelope" in err
+
+
+def test_exit_resource_voronoi_terms_past_the_envelope(capsys):
+    # the kernel that meets the first argument past 1e5 names itself
+    for kind, terms, kernel in (("full", "70000", "bessel_K1"),
+                                ("sierpinski", "260000", "bessel_J1")):
+        rc, out, err = run(capsys, "voronoi", "--kind", kind,
+                           "--x", "1000.5", "--terms", terms)
+        assert rc == 4
+        assert out == ""
+        assert kernel in err and "envelope" in err
+
+
+def test_sierpinski_checks_the_envelope_on_nonzero_r2_terms_only(capsys):
+    # at x = 1e8 + 0.5, 2 pi sqrt(n x) passes 1e5 from n = 3 on, and r2(3) = 0
+    rc, out, err = run(capsys, "voronoi", "--kind", "sierpinski",
+                       "--x", "100000000.5", "--terms", "3", "--format", "json")
+    assert rc == 0, err
+    (row,) = json.loads(out)
+    assert row["n_terms"] == 3
+    rc, out, err = run(capsys, "voronoi", "--kind", "sierpinski",
+                       "--x", "100000000.5", "--terms", "4")
+    assert rc == 4
+    assert "bessel_J1" in err
 
 
 def test_exit_usage_x_not_exact_as_float(capsys):

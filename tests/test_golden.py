@@ -35,6 +35,13 @@ COMMANDS = (
        for fn in ("mu", "two_omega", "r2")]
     + [("sum", "--algorithm", "brute", "--fn", "d_restricted_4_1",
         "--x", "100000")]
+    # K1 is not negligible next to Y1 at x = 1.5; the sierpinski run
+    # crosses the series/asymptotic switch z = 12; 4097 terms end one past
+    # a 2^12-term chunk; 1000 pairs put every pair weight into the bytes
+    + [("voronoi", "--kind", "full", "--x", "1.5", "--terms", "5000"),
+       ("voronoi", "--kind", "sierpinski", "--x", "1.5", "--terms", "3000"),
+       ("voronoi", "--kind", "full", "--x", "1000.5", "--terms", "4097"),
+       ("explicit", "--target", "d", "--x", "500000.5", "--pairs", "1000")]
 )
 
 

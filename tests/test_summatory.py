@@ -170,6 +170,23 @@ def test_mobius_sieve_matches_pointwise():
     assert [int(v) for v in mu[1:n + 1]] == [mobius(k) for k in range(1, n + 1)]
 
 
+def test_mobius_sieve_matches_pointwise_across_table_sized_chunks(monkeypatch):
+    # past 64 KERNEL_CHUNK entries a fresh table is sieved in 64 chunks of
+    # (n + 1) // 64; check both sides of every chunk edge pointwise, and
+    # the whole table against the prime-exponent walk
+    monkeypatch.setattr(summatory, "_MU_TABLE", np.zeros(1, dtype=np.int8))
+    n = 64 * summatory.KERNEL_CHUNK + 4321
+    mu = summatory._mobius_sieve(n)
+    assert mu.size == n + 1
+    chunk = (n + 1) // 64
+    assert chunk > summatory.KERNEL_CHUNK
+    edges = {k for lo in range(chunk, n + 1, chunk)
+             for k in range(lo - 3, min(lo + 3, n + 1))}
+    edges |= {n - 1, n}
+    assert {k: int(mu[k]) for k in edges} == {k: mobius(k) for k in edges}
+    assert np.array_equal(mu[1:], _segment_values("mu", 1, n + 1))
+
+
 def test_first_hyperbola_chunk_sum_fits_int64():
     # the first chunk has the largest quotients; its int64 sum must be exact
     m = summatory.HYPERBOLA_MAX

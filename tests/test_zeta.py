@@ -4,17 +4,22 @@ mpmath is test-only: the library itself computes everything from its own
 Euler-Maclaurin machinery, and these tests confirm that independently.
 """
 
+import cmath
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from divisorlab import (ZeroTable, bernoulli_number, default_zero_table,
                         digamma, generalized_euler_constant, load_zero_table,
                         stieltjes, zeta, zeta_constants, zeta_derivative,
                         zeta_exact_negative_odd, zeta_negative_special)
+from divisorlab.zeta import zeta_at_ordinate
 from divisorlab.errors import PoleError, TableFormatError
 
 mpmath.mp.dps = 30
@@ -83,6 +88,20 @@ def test_bernoulli_values():
     for n in range(0, 40):
         p, q = mpmath.bernfrac(n)
         assert bernoulli_number(n) == Fraction(int(p), int(q))
+
+
+def test_bernoulli_table_grows_only_as_far_as_asked():
+    # an explicit-formula run needs B_20 at most; B_64 stays exact on demand
+    code = ("import sys; from divisorlab import TruncationConfig, "
+            "default_zero_table, evaluate_explicit; "
+            "evaluate_explicit('divisor_sum', 100.5, default_zero_table(), "
+            "TruncationConfig(num_zero_pairs=3)); "
+            "print(sys.modules['divisorlab.zeta']._bernoulli.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert 0 < int(out.stdout) <= 23
+    p, q = mpmath.bernfrac(64)
+    assert bernoulli_number(64) == Fraction(int(p), int(q))
 
 
 def test_exact_negative_odd():
@@ -196,3 +215,86 @@ def test_zero_table_validate_flag(tmp_path):
     table = load_zero_table(str(path), validate=False)
     assert not table.validated  # unvalidated tables never claim validation
     assert table.failures == ()
+
+
+# ---------------------------------------------------------------------------
+# zeta and zeta' from one power array
+# ---------------------------------------------------------------------------
+
+def em_reference(s):
+    """zeta(s) and zeta'(s) by two separate Euler-Maclaurin sums, each with
+    its own power array, as the engine computed them before fusing them."""
+    N = max(20, math.ceil(2.0 * abs(s.imag)))
+    coeffs = []
+    for j in range(1, 11):
+        b = bernoulli_number(2 * j)
+        coeffs.append(b.numerator / b.denominator / math.factorial(2 * j))
+    ns = np.arange(1, N, dtype=np.float64)
+    main = np.exp(-s * np.log(ns)).sum()
+    nin_s = cmath.exp(-s * math.log(N))
+    total = main + N * nin_s / (s - 1) + nin_s / 2
+    poch = s
+    npow = nin_s / N
+    inv_n2 = 1.0 / (N * N)
+    for idx, c in enumerate(coeffs):
+        total += c * poch * npow
+        poch *= (s + 2 * idx + 1) * (s + 2 * idx + 2)
+        npow *= inv_n2
+
+    logs = np.log(ns)
+    main = -(logs * np.exp(-s * logs)).sum()
+    lnN = math.log(N)
+    nin_s = cmath.exp(-s * lnN)
+    sm1 = s - 1
+    dtotal = main
+    dtotal += N * nin_s * (-lnN / sm1 - 1.0 / (sm1 * sm1))
+    dtotal += -lnN * nin_s / 2
+    poch = s
+    dpoch = complex(1.0)
+    npow = nin_s / N
+    for idx, c in enumerate(coeffs):
+        dtotal += c * (dpoch - poch * lnN) * npow
+        f1 = s + 2 * idx + 1
+        f2 = s + 2 * idx + 2
+        dpoch = dpoch * f1 * f2 + poch * (f1 + f2)
+        poch *= f1 * f2
+        npow *= inv_n2
+    return complex(total), complex(dtotal)
+
+
+def test_zero_table_zeta_prime_is_the_engine_derivative():
+    # the zeta' the pair weights read is zeta_derivative(rho), bit for bit,
+    # for every packaged zero
+    table = default_zero_table()
+    assert len(table) == len(table.zeta_primes) == 1000
+    assert not table.zeta_primes.flags.writeable
+    for t, prime in zip(table.ordinates, table.zeta_primes.tolist()):
+        rho = complex(0.5, t)
+        assert repr(prime) == repr(zeta_derivative(rho))
+        assert repr(zeta_at_ordinate(t)) == repr(em_reference(rho))
+        assert repr(zeta_at_ordinate(t)[0]) == repr(zeta(rho))
+
+
+def test_zeta_primes_come_from_validation_or_first_use(tmp_path):
+    packaged = default_zero_table()
+    path = tmp_path / "zeros.txt"
+    path.write_text("".join(f"{t!r}\n" for t in packaged.ordinates[:40]))
+    # validation hands over the values it computed ...
+    validated = load_zero_table(str(path))
+    assert "zeta_primes" in vars(validated)
+    assert validated.zeta_primes.tolist() == packaged.zeta_primes[:40].tolist()
+    # ... any other table computes them when first read
+    loaded = load_zero_table(str(path), validate=False)
+    built = ZeroTable(ordinates=packaged.ordinates[:40], source="inline",
+                      validated=False)
+    for table in (loaded, built):
+        assert "zeta_primes" not in vars(table)
+        assert table.zeta_primes.tolist() == packaged.zeta_primes[:40].tolist()
+        assert not table.zeta_primes.flags.writeable
+
+
+def test_fused_sums_match_the_separate_ones_off_the_line():
+    rng = random.Random(2718)
+    for _ in range(200):
+        s = complex(rng.uniform(0.0, 30.0), rng.uniform(-3000.0, 3000.0))
+        assert repr((zeta(s), zeta_derivative(s))) == repr(em_reference(s))
