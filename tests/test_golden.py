@@ -42,6 +42,13 @@ COMMANDS = (
        ("voronoi", "--kind", "sierpinski", "--x", "1.5", "--terms", "3000"),
        ("voronoi", "--kind", "full", "--x", "1000.5", "--terms", "4097"),
        ("explicit", "--target", "d", "--x", "500000.5", "--pairs", "1000")]
+    # one table per value rule; sigma_40 and d_33 overflow int64, and
+    # sigma_3 at 2^20 + 1 and d_33 sum past it
+    + [("sieve", "--fn", fn, "--limit", "1000")
+       for fn in ("d", "mu", "r2", "sigma_40", "d_33", "d_restricted_4_1")]
+    + [("sieve", "--fn", "sigma_2", "--limit", "1000", "--format", "json"),
+       ("sum", "--algorithm", "brute", "--fn", "sigma_3", "--x", "1048577"),
+       ("sum", "--algorithm", "brute", "--fn", "d_33", "--x", "100000")]
 )
 
 
