@@ -1,20 +1,18 @@
 """Exact and analytic summation lab for divisor-type arithmetic functions.
 
-The package splits into arithmetic tables (arith), exact summatory
-algorithms with brute-force oracles (summatory), a self-contained zeta
-engine (zeta), the truncated explicit formula over zeta zeros (explicit),
+The package splits into pointwise arithmetic functions (arith), exact
+summatory algorithms with brute-force oracles (summatory), a self-contained
+zeta engine (zeta), the truncated explicit formula over zeta zeros (explicit),
 Bessel-series summation formulas (bessel), error-exponent fitting
 (fitting), deterministic report emission (reports), and the divlab
 command line (cli).
 """
 
-from .arith import (FactorTable, FnSpec, GrowthReport, build_factor_table,
-                    divisor_count, divisor_count_k, divisor_count_sieve,
-                    dirichlet_coefficients, divisors, eval_arithmetic,
+from .arith import (FnSpec, GrowthReport, divisor_count, divisor_count_k,
+                    divisor_count_sieve, dirichlet_coefficients, divisors,
                     factorize, growth_bound_check, hermite_divisor_count,
                     mobius, omega_distinct, omega_total, primes_up_to,
-                    restricted_divisor_count, shared_factor_table, sigma,
-                    two_squares_count)
+                    restricted_divisor_count, sigma, two_squares_count)
 from .bessel import (BesselAccuracy, TruncatedSeriesValue, bessel_J1,
                      bessel_K1, bessel_Y1, divisor_delta_reference,
                      sierpinski_sum, voronoi_full, voronoi_truncated)

@@ -1,9 +1,10 @@
 """Pointwise arithmetic functions over a smallest-prime-factor sieve.
 
-Everything here is exact integer arithmetic.  The sieve table is the shared
-backbone: factorizations come from repeated division by the stored smallest
-prime factor, and every multiplicative function is evaluated from the
-factorization.  Values of n past the table limit fall back to trial division.
+Everything here is exact integer arithmetic.  Factorizations come from the
+stored smallest prime factor (trial division past the table limit or without
+a table), and every multiplicative function is evaluated from them.  This is
+the tests' pointwise reference; the commands take their values from the
+prime-exponent walk of summatory.
 
 Supported functions: d, d_k, sigma_a (a >= 0), mu, mu^2, omega, Omega,
 2^omega, 2^Omega, r2 (representations as a sum of two squares), and the
@@ -39,14 +40,6 @@ class FactorTable:
     limit: int
     spf: np.ndarray  # uint32, spf[n] = smallest prime factor of n, spf[0..1] = 0
 
-    def smallest_prime_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range 2..{self.limit}")
-        return int(self.spf[n])
-
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and self.smallest_prime_factor(n) == n
-
     def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
         """Prime factorization of n as ((p1, e1), (p2, e2), ...), p1 < p2 < ..."""
         if not 1 <= n <= self.limit:
@@ -61,11 +54,6 @@ class FactorTable:
                 e += 1
             out.append((p, e))
         return tuple(out)
-
-    def primes(self) -> np.ndarray:
-        """Primes up to the table limit, ascending."""
-        idx = np.arange(self.limit + 1, dtype=np.uint32)
-        return np.nonzero(self.spf == idx)[0][2:].astype(np.int64)
 
 
 def build_factor_table(limit: int) -> FactorTable:
@@ -351,12 +339,12 @@ def _id_pow(n_max: int, a: int) -> list[int]:
     return [0] + [n ** a for n in range(1, n_max + 1)]
 
 
-def _inv_zeta_even(n_max: int, shift: int, table: FactorTable) -> list[int]:
+def _inv_zeta_even(n_max: int, shift: int) -> list[int]:
     """Coefficients of 1/zeta(2s - shift): mu(k) k^shift at n = k^2, else 0."""
     out = [0] * (n_max + 1)
     k = 1
     while k * k <= n_max:
-        out[k * k] = mobius(k, table) * k ** shift
+        out[k * k] = mobius(k) * k ** shift
         k += 1
     return out
 
@@ -380,19 +368,18 @@ def dirichlet_coefficients(identity: str, n_max: int, *, k: int | None = None,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = build_factor_table(max(2, math.isqrt(n_max) + 1))
     ones = _ones(n_max)
     if identity == "zeta_sq_over_zeta2s":
         coef = _dirichlet_convolve(_dirichlet_convolve(ones, ones),
-                                   _inv_zeta_even(n_max, 0, table))
+                                   _inv_zeta_even(n_max, 0))
     elif identity == "zeta_cu_over_zeta2s":
         coef = _dirichlet_convolve(ones, ones)
         coef = _dirichlet_convolve(coef, ones)
-        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, 0, table))
+        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, 0))
     elif identity == "zeta_4_over_zeta2s":
         coef = _dirichlet_convolve(ones, ones)
         coef = _dirichlet_convolve(coef, coef)
-        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, 0, table))
+        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, 0))
     elif identity == "zeta_k":
         if k is None or k < 1:
             raise ValueError("zeta_k requires k >= 1")
@@ -405,7 +392,7 @@ def dirichlet_coefficients(identity: str, n_max: int, *, k: int | None = None,
         coef = _dirichlet_convolve(ones, _id_pow(n_max, a))
         coef = _dirichlet_convolve(coef, _id_pow(n_max, b))
         coef = _dirichlet_convolve(coef, _id_pow(n_max, a + b))
-        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, a + b, table))
+        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, a + b))
     else:
         raise ValueError(f"unknown identity {identity!r}")
     return coef

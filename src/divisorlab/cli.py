@@ -33,10 +33,8 @@ import sys
 import tempfile
 from decimal import Decimal
 
-from .arith import (FnSpec, build_factor_table, dirichlet_coefficients,
-                    divisor_count, divisor_count_k, divisor_count_sieve,
-                    eval_arithmetic, hermite_divisor_count, sigma,
-                    two_squares_count)
+from .arith import (FnSpec, dirichlet_coefficients, divisor_count_sieve,
+                    hermite_divisor_count)
 from .bessel import (bessel_J1, bessel_K1, bessel_Y1, _bessel_J0, _bessel_Y0,
                      default_terms, divisor_delta_reference, sierpinski_sum,
                      voronoi_full, voronoi_truncated)
@@ -48,7 +46,8 @@ from .explicit import (TruncationConfig, delta_error, evaluate_explicit,
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv, render_json)
-from .summatory import (ORACLE_BOUND_DEFAULT, APSpec, ap_divisor_sum,
+from .summatory import (ORACLE_BOUND_DEFAULT, SEGMENT_SIZE, APSpec,
+                        _segment_values, ap_divisor_sum,
                         ap_main_term, brute_force_profile, brute_force_sum,
                         circle_lattice_sum, divisor_sum_from_squarefree,
                         divisor_sum_hyperbola, floor_sum, fractional_main_term,
@@ -122,6 +121,8 @@ def _seed_config(parsers, config: dict[str, str]) -> None:
                 seed[dest] = lowered in ("true", "yes", "1")
             else:
                 seed[dest] = raw
+                # a required flag is satisfied by its configured value
+                action.required = False
         if seed:
             sub.set_defaults(**seed)
     for key in config:
@@ -194,7 +195,7 @@ def _build_parser():
 
     p = subs.add_parser("sieve", parents=[common],
                         help="tabulate one arithmetic function pointwise")
-    p.add_argument("--limit", type=int, required=True,
+    p.add_argument("--limit", type=_whole, required=True,
                    help=f"tabulate n = 1..limit (at most {SIEVE_ROWS_MAX} rows)")
     p.add_argument("--fn", default="d",
                    help="function label: d, d_3, sigma_1, mu, mu_squared, omega, "
@@ -219,9 +220,9 @@ def _build_parser():
     p.add_argument("--x", type=_real, required=True, help="evaluation point x > 1")
     p.add_argument("--zeros", metavar="PATH",
                    help="zero-ordinate file; default is ZD_ZEROS or the packaged table")
-    p.add_argument("--pairs", type=int, default=100,
+    p.add_argument("--pairs", type=_whole, default=100,
                    help="number of zero pairs in the oscillating sum (default 100)")
-    p.add_argument("--tail", type=int, default=10,
+    p.add_argument("--tail", type=_whole, default=10,
                    help="number of trivial-zero tail terms (default 10)")
     p.add_argument("--tail-variant", default="residue", choices=("residue", "printed"),
                    dest="tail_variant",
@@ -239,7 +240,7 @@ def _build_parser():
                    choices=("full", "truncated", "sierpinski"),
                    help="full divisor series, truncated cosine series, or the "
                         "lattice-count series (default full)")
-    p.add_argument("--terms", type=int, default=None,
+    p.add_argument("--terms", type=_whole, default=None,
                    help="series length (default: the most, up to 10000, that keep "
                         "Bessel arguments within 1e5; truncated: up to 1000, below x)")
     built.append(p)
@@ -334,14 +335,10 @@ def _cmd_sieve(args) -> int:
             f"sieve emits one row per integer; {limit} exceeds the "
             f"{SIEVE_ROWS_MAX} row cap")
     label = spec.label()
-    if spec.tag == "d":
-        counts = divisor_count_sieve(limit)
-        rows = [{"n": n, "fn": label, "value": int(counts[n])}
-                for n in range(1, limit + 1)]
-    else:
-        table = build_factor_table(max(2, limit))
-        rows = [{"n": n, "fn": label, "value": eval_arithmetic(spec, n, table)}
-                for n in range(1, limit + 1)]
+    rows = [{"n": n, "fn": label, "value": v}
+            for lo in range(1, limit + 1, SEGMENT_SIZE)
+            for n, v in enumerate(_segment_values(
+                spec, lo, min(lo + SEGMENT_SIZE, limit + 1)).tolist(), lo)]
     return _write_rows(rows, _report_format(args), args.output)
 
 
@@ -467,36 +464,38 @@ def _cmd_fit(args) -> int:
 def _suite_identities(args) -> list[tuple[str, bool, str]]:
     checks = []
     n_max = 4000
-    table = build_factor_table(n_max)
+
+    def walk(f, top=n_max):
+        return _segment_values(f, 1, top + 1)
+
+    def mismatches(coef, values):
+        # coef is 1-indexed, values[i] belongs to n = i + 1
+        return sum(c != v for c, v in zip(coef[1:], values.tolist()))
 
     coef = dirichlet_coefficients("zeta_sq_over_zeta2s", n_max)
-    bad = sum(1 for n in range(1, n_max + 1)
-              if coef[n] != eval_arithmetic(FnSpec("two_omega"), n, table))
+    bad = mismatches(coef, walk(FnSpec("two_omega")))
     checks.append(("squarefree_kernel", bad == 0,
                    f"2^omega coefficients, n <= {n_max}, {bad} mismatches"))
 
     coef = dirichlet_coefficients("zeta_cu_over_zeta2s", n_max)
-    bad = sum(1 for n in range(1, n_max + 1)
-              if coef[n] != divisor_count(n * n))
+    bad = mismatches(coef, walk("d_of_square"))
     checks.append(("d_of_square", bad == 0,
                    f"d(n^2) coefficients, n <= {n_max}, {bad} mismatches"))
 
     coef = dirichlet_coefficients("zeta_4_over_zeta2s", n_max)
-    bad = sum(1 for n in range(1, n_max + 1)
-              if coef[n] != divisor_count(n, table) ** 2)
+    bad = mismatches(coef, walk("d_squared"))
     checks.append(("d_squared", bad == 0,
                    f"d(n)^2 coefficients, n <= {n_max}, {bad} mismatches"))
 
     for k in (3, 4, 5):
         coef = dirichlet_coefficients("zeta_k", n_max, k=k)
-        bad = sum(1 for n in range(1, n_max + 1)
-                  if coef[n] != divisor_count_k(n, k, table))
+        bad = mismatches(coef, walk(FnSpec("d_k", k=k)))
         checks.append((f"d_{k}_convolution", bad == 0,
                        f"d_{k} coefficients, n <= {n_max}, {bad} mismatches"))
 
     coef = dirichlet_coefficients("sigma_product", 2000, a=1, b=2)
-    bad = sum(1 for n in range(1, 2001)
-              if coef[n] != sigma(n, 1, table) * sigma(n, 2, table))
+    bad = mismatches(coef, walk(FnSpec("sigma", a=1), 2000)
+                     * walk(FnSpec("sigma", a=2), 2000))
     checks.append(("sigma_product", bad == 0,
                    f"sigma_1 sigma_2 coefficients, n <= 2000, {bad} mismatches"))
 
@@ -508,7 +507,7 @@ def _suite_identities(args) -> list[tuple[str, bool, str]]:
                    f"floor-sum divisor count, n <= {m}, {bad} mismatches"))
 
     m = 2000
-    lattice = sum(two_squares_count(n, table) for n in range(1, m + 1))
+    lattice = int(walk(FnSpec("r2"), m).sum())
     expected = circle_lattice_sum(m)  # origin excluded by contract
     checks.append(("r2_vs_circle", lattice == expected,
                    f"sum r2(n <= {m}) = {lattice}, circle count {expected}"))

@@ -2,9 +2,10 @@
 
 Two independent routes to every headline quantity:
 
-* brute force -- a linear, segmented, sieve-driven scan that evaluates the
-  arithmetic function pointwise and accumulates exact integers.  This is the
-  oracle everything else is checked against.
+* brute force -- a linear, segmented scan whose prime-exponent walk builds
+  each segment's values as an array (int64, or object where int64 could
+  overflow) and accumulates exact integers.  This is the oracle everything
+  else is checked against.
 * sublinear algorithms -- the hyperbola method for D(x), the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2), its convolution inverse, and direct
   lattice counts for the circle problem.  The first three run in int64
@@ -38,8 +39,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import (FnSpec, build_factor_table, divisor_count_sieve,
-                    eval_arithmetic, primes_up_to, sigma)
+from .arith import FnSpec, divisor_count_sieve, primes_up_to, sigma
 from .errors import ResourceLimitError
 from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 
@@ -47,8 +47,9 @@ from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 # the order of a minute.  Callers can raise it explicitly.
 ORACLE_BOUND_DEFAULT = 10 ** 8
 
-# Largest x of the pointwise fallback scan (sigma_a once 4 x^a >= 2^62, d_k
-# for k > 32): ~17 us per n for sigma_3 on 2 CPUs, so about 50 s at the cap.
+# Largest x of a scan whose walk needs object (Python int) values: sigma_a
+# once 4 x^a >= 2^62, d_k for k > 21.  A cold scan at the cap takes ~3.5 s
+# for sigma_3 and ~9 s for sigma_40 on 2 CPUs.
 POINTWISE_MAX = 3 * 10 ** 6
 
 # Largest x each sublinear route takes; larger x is refused before any loop
@@ -70,6 +71,9 @@ KERNEL_CHUNK = 1 << 14
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
 # working array, small enough to stay cache-friendly with several workers.
 SEGMENT_SIZE = 1 << 21
+
+# Segment length of the scans whose values are Python ints (object dtype).
+OBJECT_SEGMENT_SIZE = 1 << 18
 
 # Chunk length for compensated float accumulation (see compensated_sum).
 SUM_CHUNK = 1 << 16
@@ -189,8 +193,10 @@ def _as_spec(f) -> FnSpec:
 # _RULES (d_k and sigma build theirs from their parameter in _rule): a start
 # value, the fold, and the local factor at a prime power.  Rules take p as
 # an int inside the walk; the leftover fold passes the whole array of
-# quotients with e = 1.  d_restricted is not multiplicative and has a count
-# of its own (_restricted_segment_counts).
+# quotients with e = 1.  The values are int64 unless they could overflow
+# at the segment's top (_numpy_walk_ok); then they are exact Python ints in
+# an object array.  d_restricted is not multiplicative and has a count of
+# its own (_restricted_segment_counts).
 # ---------------------------------------------------------------------------
 
 def _r2_factor(p, e):
@@ -233,25 +239,36 @@ _RULES = {
 }
 
 
-def _rule(f):
-    """The _RULES row for an FnSpec or an auxiliary rule name."""
+def _rule(f, dtype=np.int64):
+    """The _RULES row for an FnSpec or an auxiliary rule name, in dtype."""
     if isinstance(f, str):
         return _RULES[f]
     if f.tag == "d_k":
         comb = np.array([math.comb(e + f.k - 1, f.k - 1) for e in range(64)],
-                        dtype=np.int64)
+                        dtype=dtype)
         return 1, np.multiply, lambda p, e: comb[e]
     if f.tag == "sigma":
-        return 1, np.multiply, partial(_sigma_factor, f.a)
+        factor = partial(_sigma_factor, f.a)
+        if dtype is object:
+            def exact(p, e):
+                # the leftover fold passes an object array of primes; at one
+                # prime of the walk the factors for e = 0..max(e) form a
+                # table indexed by e, like d_k's binomials
+                if np.ndim(p):
+                    return factor(p, e)
+                return factor(np.array([p], dtype=object), np.arange(e.max() + 1))[e]
+            return 1, np.multiply, exact
+        return 1, np.multiply, factor
     return _RULES[f.tag]
 
 
 def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Values of f(n) for n in [lo, hi) via the prime-exponent walk."""
-    start_value, fold, factor = _rule(f)
+    dtype = np.int64 if _numpy_walk_ok(f, hi - 1) else object
+    start_value, fold, factor = _rule(f, dtype)
     size = hi - lo
     ext = np.ones(size, dtype=np.int64)
-    out = np.full(size, start_value, dtype=np.int64)
+    out = np.full(size, start_value, dtype=dtype)
     for p in primes:
         p = int(p)
         if p * p >= hi:
@@ -278,7 +295,8 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     # what the primes below sqrt(hi) leave of n is 1 or one prime above it;
     # its factor goes in as identity + (factor - identity) * [rem > 1], as
     # a where= mask makes the fold several times slower
-    rem = np.floor_divide(np.arange(lo, hi, dtype=np.int64), ext, out=ext)
+    rem = np.floor_divide(np.arange(lo, hi, dtype=np.int64), ext,
+                          out=ext).astype(dtype, copy=False)
     unit = fold.identity
     lead = np.multiply(rem > 1, factor(rem, 1) - unit, out=rem)
     lead += unit
@@ -318,9 +336,12 @@ def _exact_array_sum(arr: np.ndarray, bound: int) -> int:
 
     bound is at least max |arr|; callers measure it once per array they
     split, not once per piece, which costs more than the sums themselves.
+    An object array of Python ints sums exactly in one piece.
     """
     if arr.size == 0:
         return 0
+    if arr.dtype == object:
+        return int(arr.sum())
     chunk = max(1, (1 << 62) // max(1, bound))
     if chunk >= arr.size:
         return int(arr.sum(dtype=np.int64))
@@ -337,7 +358,8 @@ def _numpy_walk_ok(f, m: int) -> bool:
     if f.tag == "sigma":
         return (m ** f.a) * 4 < (1 << 62)
     if f.tag == "d_k":
-        return f.k <= 32
+        # the binomials C(e + k - 1, k - 1), e < 64, of _rule fit int64
+        return f.k <= 21
     return True
 
 
@@ -376,22 +398,6 @@ def _worker_primes(hi: int) -> np.ndarray:
     return np.asarray(primes_up_to(math.isqrt(hi) + 1), dtype=np.int64)
 
 
-def _python_scan(spec: FnSpec, m: int, marks: list[int]) -> dict[int, int]:
-    """Pointwise fallback scan using the factor table (exact big ints)."""
-    if m > POINTWISE_MAX:
-        raise ResourceLimitError(
-            f"{spec.label()} has no fast exact engine past {POINTWISE_MAX} "
-            f"(got {m})")
-    table = build_factor_table(max(m, 2))
-    out = dict.fromkeys(marks, 0)
-    total = 0
-    for n in range(1, m + 1):
-        total += eval_arithmetic(spec, n, table)
-        if n in out:
-            out[n] = total
-    return out
-
-
 def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
                 weighted: bool = False) -> dict[int, int | float]:
     """Prefix sums of f at each checkpoint, in one streaming pass.
@@ -410,13 +416,19 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
     if m > bound:
         raise ResourceLimitError(
             f"x={m} exceeds the oracle bound {bound}")
+    size = SEGMENT_SIZE
     if not _numpy_walk_ok(f, m):
-        return _python_scan(f, m, marks)
+        if m > POINTWISE_MAX:
+            raise ResourceLimitError(
+                f"{f.label()} outgrows int64, and its exact scans stop at "
+                f"{POINTWISE_MAX}; x={m} is past that")
+        # the walk holds several object arrays of ~50-byte ints at once
+        size = OBJECT_SEGMENT_SIZE
 
     tasks = []
     lo = 1
     while lo <= m:
-        hi = min(lo + SEGMENT_SIZE, m + 1)
+        hi = min(lo + size, m + 1)
         inside = [c for c in marks if lo <= c < hi]
         tasks.append((f, lo, hi, inside, weighted))
         lo = hi

@@ -15,8 +15,7 @@ import pytest
 
 from divisorlab import (APSpec, FnSpec, TruncationConfig, bessel_J1,
                         bessel_K1, bessel_Y1, brute_force_profile,
-                        brute_force_sum, build_factor_table,
-                        circle_lattice_sum, default_zero_table, delta_error,
+                        brute_force_sum, circle_lattice_sum, default_zero_table, delta_error,
                         divisor_count, divisor_count_k, divisor_count_sieve,
                         divisor_delta_reference, divisor_sum_from_squarefree,
                         divisor_sum_hyperbola, divisors, evaluate_explicit,
@@ -25,7 +24,8 @@ from divisorlab import (APSpec, FnSpec, TruncationConfig, bessel_J1,
                         sigma, squarefree_divisor_sum, stieltjes,
                         trivial_zero_tail, voronoi_truncated, zeta,
                         zeta_derivative)
-from divisorlab.arith import dirichlet_coefficients, eval_arithmetic
+from divisorlab.arith import (build_factor_table, dirichlet_coefficients,
+                              eval_arithmetic)
 from divisorlab.bessel import _bessel_J0, _bessel_Y0
 from divisorlab.cli import main
 from divisorlab.explicit import omega_scan

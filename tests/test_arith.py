@@ -6,20 +6,22 @@ trial division, r2 from enumerating lattice representations.
 """
 
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divisorlab import (FnSpec, build_factor_table,
-                        dirichlet_coefficients, divisor_count,
+import divisorlab
+from divisorlab import (FnSpec, dirichlet_coefficients, divisor_count,
                         divisor_count_k, divisor_count_sieve, divisors,
-                        eval_arithmetic, factorize, growth_bound_check,
+                        factorize, growth_bound_check,
                         hermite_divisor_count, mobius, omega_distinct,
                         omega_total, primes_up_to, restricted_divisor_count,
                         sigma, two_squares_count)
-from divisorlab.arith import TABLE_LIMIT_MAX
+from divisorlab.arith import (TABLE_LIMIT_MAX, build_factor_table,
+                              eval_arithmetic)
 from divisorlab.errors import ResourceLimitError
 
 
@@ -311,3 +313,20 @@ def test_growth_bound_report():
         growth_bound_check(10 ** 4, 1.5)
     with pytest.raises(ValueError):
         growth_bound_check(8, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one engine
+# ---------------------------------------------------------------------------
+
+def test_only_arith_names_the_pointwise_engine():
+    # the program takes every value from summatory's prime-exponent walk; the
+    # factor table and eval_arithmetic live on in arith as this suite's oracle
+    names = ("FactorTable", "build_factor_table", "eval_arithmetic",
+             "_python_scan")
+    package = pathlib.Path(divisorlab.__file__).parent
+    modules = sorted(p for p in package.rglob("*.py") if p.name != "arith.py")
+    assert len(modules) >= 10
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        assert [n for n in names if n in text] == [], path.name

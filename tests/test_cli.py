@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divisorlab import brute_force_sum, FnSpec
+from divisorlab.arith import build_factor_table, eval_arithmetic
 from divisorlab.cli import SUITES, _read_config_file, main
 from divisorlab.errors import TableFormatError
 from divisorlab.explicit import DeltaSample
@@ -97,14 +98,23 @@ def test_verify_identities_suite(capsys):
     assert passed == total
 
 
-def test_sieve_rows(capsys):
-    rc, out, _ = run(capsys, "sieve", "--limit", "10", "--fn", "d")
+# every tag; d_33 and sigma_40 take the walk's object (Python int) values
+SIEVE_LABELS = ("d", "d_3", "d_33", "sigma_0", "sigma_2", "sigma_40", "mu",
+                "mu_squared", "omega", "big_omega", "two_omega",
+                "two_big_omega", "r2", "d_restricted_4_1")
+
+
+@pytest.mark.parametrize("label", SIEVE_LABELS)
+def test_sieve_rows(capsys, label):
+    limit = 3000
+    rc, out, _ = run(capsys, "sieve", "--limit", str(limit), "--fn", label)
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,fn,value"
-    assert len(lines) == 11
-    assert lines[1] == "1,d,1"
-    assert lines[10] == "10,d,4"
+    assert len(lines) == limit + 1
+    spec, table = FnSpec.parse(label), build_factor_table(limit)
+    assert lines[1:] == [f"{n},{label},{eval_arithmetic(spec, n, table)}"
+                         for n in range(1, limit + 1)]
 
 
 def test_voronoi_row_keys(capsys):
@@ -369,6 +379,26 @@ def test_oracle_bound_takes_exponent_form(capsys, tmp_path):
     assert rc == 4
     # the first grid point past the bound: ..., 794.5, 953.5, 1144.5
     assert "x = 1144.5 exceeds the exact-oracle bound 1000" in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("limit", ("sieve", "--fn", "mu")),
+    ("terms", ("voronoi", "--x", "100.5")),
+    ("pairs", ("explicit", "--target", "d", "--x", "100.5")),
+    ("tail", ("explicit", "--target", "d", "--x", "100.5", "--pairs", "3")),
+])
+def test_count_flags_take_exponent_form(capsys, tmp_path, flag, argv):
+    rc, plain, _ = run(capsys, *argv, f"--{flag}", "20")
+    assert rc == 0
+    rc, expo, _ = run(capsys, *argv, f"--{flag}", "2e1")
+    assert (rc, expo) == (0, plain)
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(f"{flag}=2e1\n")
+    rc, seeded, _ = run(capsys, *argv, "--config", str(cfg))
+    assert (rc, seeded) == (0, plain)
+    rc, _, err = run(capsys, *argv, f"--{flag}", "20.5")
+    assert rc == 2
+    assert "'20.5' is not a whole number" in err
 
 
 def test_exit_usage_oracle_bound_not_whole(capsys):

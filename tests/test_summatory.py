@@ -237,6 +237,14 @@ WALK_RULES = ([FnSpec(t) for t in ("d", "mu", "mu_squared", "omega", "big_omega"
               + ["d_on_squarefree", "d_of_square", "d_squared"]
               + [FnSpec("d_restricted", q=q, a=a) for q, a in ((4, 3), (7, 5))])
 WALK_WINDOW = 64
+# rules whose values outgrow int64, each with the first n from which the
+# walk returns them as Python ints in an object array: 4 n^a >= 2^62 for
+# sigma_a, every n for d_k with k > 21 (d_21's binomials C(e + 20, 20),
+# e < 64, are the last to fit int64)
+OBJECT_FROM = {FnSpec("sigma", a=3): 1 << 20, FnSpec("sigma", a=5): 1 << 12,
+               FnSpec("sigma", a=13): 25, FnSpec("d_k", k=21): math.inf,
+               FnSpec("d_k", k=22): 1, FnSpec("d_k", k=33): 1,
+               FnSpec("d_k", k=40): 1}
 # high prime powers, and the square of the largest prime walked in a
 # window that holds it (the next prime's square is past the window)
 HIGH_POWERS = (2 ** 23, 3 ** 14, 5 ** 10, 3191 ** 2)
@@ -267,12 +275,27 @@ def test_walk_rules_match_pointwise(shift):
                 (1 << 21) - 1 - shift % (WALK_WINDOW - 1),
                 *(pk - shift % (WALK_WINDOW - 1) for pk in HIGH_POWERS))]
     windows.append((2, 3 + shift % 8))
-    for lo, hi in windows:
-        for rule in WALK_RULES:
-            got = _segment_values(rule, lo, hi)
-            assert got.dtype == np.int64
-            assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], \
-                (rule, lo)
+    cases = [(rule, lo, hi) for lo, hi in windows for rule in WALK_RULES]
+    # the object-dtype rules on the windows below 2^22 (pointwise values
+    # near 1e7 cost too much for them), and on windows across the int64
+    # edges of sigma_5 and sigma_3
+    windows += [(lo, lo + WALK_WINDOW) for lo in
+                (edge - 1 - shift % (WALK_WINDOW - 1) for edge in (1 << 12, 1 << 20))]
+    cases += [(rule, lo, hi) for lo, hi in windows if hi < 1 << 22
+              for rule in OBJECT_FROM]
+    for rule, lo, hi in cases:
+        got = _segment_values(rule, lo, hi)
+        assert got.dtype == (object if hi - 1 >= OBJECT_FROM.get(rule, hi)
+                             else np.int64), (rule, lo)
+        assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], \
+            (rule, lo)
+
+
+def test_exact_array_sum_of_python_ints():
+    values = [(1 << 63) + 5, 3 ** 45, -(1 << 70), 7, 0]
+    arr = np.array(values, dtype=object)
+    assert summatory._exact_array_sum(arr, max(map(abs, values))) == sum(values)
+    assert summatory._exact_array_sum(arr[:0], 1) == 0
 
 
 WEIGHTED_KINDS = {"d_over_n": "d", "two_omega_over_n": "two_omega",
