@@ -49,6 +49,14 @@ COMMANDS = (
     + [("sieve", "--fn", "sigma_2", "--limit", "1000", "--format", "json"),
        ("sum", "--algorithm", "brute", "--fn", "sigma_3", "--x", "1048577"),
        ("sum", "--algorithm", "brute", "--fn", "d_33", "--x", "100000")]
+    # each ap run crosses a q 2^16 chunk edge of its progression; the two
+    # voronoi runs are shapes of the analytic_series benchmark
+    + [("ap", "--kind", "divisor", "--q", "3", "--a", "1", "--x", "200000"),
+       ("ap", "--kind", "harmonic", "--q", "4", "--a", "1", "--x", "300000"),
+       ("ap", "--kind", "fractional", "--x", "150000.5"),
+       ("ap", "--kind", "fractional", "--q", "4", "--a", "3", "--x", "300000.5"),
+       ("voronoi", "--kind", "full", "--x", "1300.5", "--terms", "43000"),
+       ("voronoi", "--kind", "sierpinski", "--x", "5500.5", "--terms", "20000")]
 )
 
 
