@@ -2,12 +2,13 @@
 
 Hand-rolled J1, Y1, K1 in double precision: ascending series below the
 switch point, large-argument asymptotic expansions above it, sharing one
-coefficient recurrence a_m -> a_m * (4 - (2m-1)^2) / (8 m z).  The
-expansions are numpy kernels over arrays of z; each element stops where
-its own scalar recurrence would and adds its terms in the same order, and
-the scalar evaluators call them on one element.  The documented envelope
-is absolute error <= 1e-10 for arguments up to 1e4, with measured
-machine-level accuracy out to the hard boundary at 1e5.
+coefficient recurrence a_m -> a_m * (4 - (2m-1)^2) / (8 m z).  One
+table-driven _evaluate serves them (and J0, Y0) for a float or an array:
+the series per element in pure Python, the expansions as numpy kernels in
+which each element stops where its own scalar recurrence would and adds
+its terms in the same order.  The documented envelope is absolute error
+<= 1e-10 for arguments up to 1e4, with measured machine-level accuracy out
+to the hard boundary at 1e5.
 
 On top of them sit three summation formulas for a non-integer x:
 
@@ -16,11 +17,11 @@ On top of them sit three summation formulas for a non-integer x:
     voronoi_truncated (x^{1/4}/(pi sqrt 2)) sum_{n<=N} d(n) n^{-3/4} cos(4 pi sqrt(nx) - pi/4)
     sierpinski_sum    pi x + sqrt(x) sum_{n<=N} r2(n)/sqrt(n) J1(2 pi sqrt(nx))
 
-voronoi_full and sierpinski_sum form their terms SERIES_CHUNK at a time
-(sierpinski_sum: about 64 chunks at most, each with its own r2 walk) as
-arrays and feed every term, in ascending n, to one math.fsum, which
-rounds the exact sum once: the chunking cannot move a bit.  No
-acceleration tricks, reproducibility first.
+voronoi_full and sierpinski_sum are two rows of one chunk loop.  Each
+chunk (about 64 at most) takes d(n) or r2(n) from its own prime-exponent
+walk, forms its terms as arrays and feeds every term, in ascending n, to
+one math.fsum, which rounds the exact sum once: the chunking cannot move a
+bit.  No acceleration tricks, reproducibility first.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .arith import DIVISOR_SIEVE_MAX, divisor_count_sieve
+from .arith import DIVISOR_SIEVE_MAX
 from .errors import AccuracyError, PoleError, ResourceLimitError
 from .summatory import _segment_values, divisor_main_term, divisor_sum_hyperbola
 from .zeta import EULER_GAMMA
@@ -45,8 +46,8 @@ ASYMPTOTIC_SWITCH = 12.0
 DOCUMENTED_ENVELOPE = 1.0e4
 ARGUMENT_ENVELOPE = 1.0e5
 SERIES_CUTOFF = 60
-# Lattice-sum terms are formed this many at a time (sierpinski_sum: n_terms
-# // 64 once that is more), which bounds the arrays.
+# Lattice-sum terms are formed this many at a time (n_terms // 64 once that
+# is more), which bounds the arrays.
 SERIES_CHUNK = 1 << 12
 
 
@@ -228,85 +229,92 @@ def _asymptotic_K1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _on_branches(z: np.ndarray, series, asymptotic) -> np.ndarray:
-    """series(z) per element at or below the switch, asymptotic(array) above."""
-    out = np.empty_like(z)
-    far = z > ASYMPTOTIC_SWITCH
-    out[far] = asymptotic(z[far])
-    near = np.flatnonzero(~far)
-    out[near] = [series(v) for v in z[near].tolist()]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public evaluators
 # ---------------------------------------------------------------------------
 
-def _check_argument(z, name: str, *, allow_zero: bool) -> float:
-    zf = float(z)
-    if math.isnan(zf) or math.isinf(zf):
-        raise ValueError(f"{name} needs a finite argument")
-    if zf < 0.0:
-        raise ValueError(f"{name} is implemented for nonnegative arguments")
-    if zf == 0.0 and not allow_zero:
-        raise PoleError(f"{name} is singular at z = 0")
-    if zf > ARGUMENT_ENVELOPE:
-        raise AccuracyError(
-            f"{name} accuracy envelope ends at z = {ARGUMENT_ENVELOPE:g}")
-    return zf
+# name -> (allow_zero, series of one float, asymptotic kernel of an array)
+_EVALUATORS = {
+    "bessel_J1": (True, partial(_series_J, 1), lambda z: _asymptotic_JY(1, z)[0]),
+    "bessel_Y1": (False, partial(_series_Y, 1), lambda z: _asymptotic_JY(1, z)[1]),
+    "bessel_K1": (False, _series_K1, _asymptotic_K1),
+    "bessel_J0": (True, partial(_series_J, 0), lambda z: _asymptotic_JY(0, z)[0]),
+    "bessel_Y0": (False, partial(_series_Y, 0), lambda z: _asymptotic_JY(0, z)[1]),
+}
 
 
-def _check_arguments(z: np.ndarray, name: str, *, allow_zero: bool) -> None:
-    """_check_argument on each element outside (0, ARGUMENT_ENVELOPE], in order."""
-    for zf in z[~((z > 0.0) & (z <= ARGUMENT_ENVELOPE))].tolist():
-        _check_argument(zf, name, allow_zero=allow_zero)
+def _evaluate(name: str, z):
+    """name's function of a float, or elementwise of an array of floats.
+
+    Elements outside (0, ARGUMENT_ENVELOPE] are checked in order, so an
+    array raises the error of its first bad element.  Elements at or below
+    the switch take the pure-Python series one at a time (a float there
+    nothing else); those above it take the asymptotic kernel together.
+    """
+    allow_zero, series, asymptotic = _EVALUATORS[name]
+    if np.ndim(z) == 0 and 0.0 < float(z) <= ASYMPTOTIC_SWITCH:
+        return series(float(z))
+    zs = np.array(z, dtype=np.float64, ndmin=1)
+    for zf in zs[~((zs > 0.0) & (zs <= ARGUMENT_ENVELOPE))].tolist():
+        if math.isnan(zf) or math.isinf(zf):
+            raise ValueError(f"{name} needs a finite argument")
+        if zf < 0.0:
+            raise ValueError(f"{name} is implemented for nonnegative arguments")
+        if zf == 0.0 and not allow_zero:
+            raise PoleError(f"{name} is singular at z = 0")
+        if zf > ARGUMENT_ENVELOPE:
+            raise AccuracyError(
+                f"{name} accuracy envelope ends at z = {ARGUMENT_ENVELOPE:g}")
+    out = np.empty_like(zs)
+    far = zs > ASYMPTOTIC_SWITCH
+    out[far] = asymptotic(zs[far])
+    out[~far] = [series(zf) for zf in zs[~far].tolist()]
+    return out if np.ndim(z) else float(out[0])
 
 
-def bessel_J1(z) -> float:
-    """J_1(z); absolute error <= 1e-10 for z <= 1e4, ulp-level beyond."""
-    zf = _check_argument(z, "bessel_J1", allow_zero=True)
-    if zf == 0.0:
-        return 0.0
-    if zf <= ASYMPTOTIC_SWITCH:
-        return _series_J(1, zf)
-    return float(_asymptotic_JY(1, np.array([zf]))[0][0])
+def bessel_J1(z):
+    """J_1 of a float or an array: absolute error <= 1e-10 for z <= 1e4, ulp-level beyond."""
+    return _evaluate("bessel_J1", z)
 
 
-def bessel_Y1(z) -> float:
-    """Y_1(z), z > 0; absolute error <= 1e-10 for z <= 1e4, ulp-level beyond."""
-    zf = _check_argument(z, "bessel_Y1", allow_zero=False)
-    if zf <= ASYMPTOTIC_SWITCH:
-        return _series_Y(1, zf)
-    return float(_asymptotic_JY(1, np.array([zf]))[1][0])
+def bessel_Y1(z):
+    """Y_1, z > 0, of a float or an array; error as for bessel_J1."""
+    return _evaluate("bessel_Y1", z)
 
 
-def bessel_K1(z) -> float:
-    """K_1(z), z > 0; absolute error <= 1e-10 for z <= 1e4, ulp-level beyond."""
-    zf = _check_argument(z, "bessel_K1", allow_zero=False)
-    if zf <= ASYMPTOTIC_SWITCH:
-        return _series_K1(zf)
-    return float(_asymptotic_K1(np.array([zf]))[0])
+def bessel_K1(z):
+    """K_1, z > 0, of a float or an array; error as for bessel_J1."""
+    return _evaluate("bessel_K1", z)
 
 
-def _bessel_J0(z) -> float:
-    """J_0, kept for the Wronskian recurrence J1' = J0 - J1/z in tests."""
-    zf = _check_argument(z, "bessel_J0", allow_zero=True)
-    if zf <= ASYMPTOTIC_SWITCH:
-        return _series_J(0, zf)
-    return float(_asymptotic_JY(0, np.array([zf]))[0][0])
+def _bessel_J0(z):
+    """J_0, kept for the Wronskian J1 Y0 - J0 Y1 = 2/(pi z) in the checks."""
+    return _evaluate("bessel_J0", z)
 
 
-def _bessel_Y0(z) -> float:
-    """Y_0, kept for the Wronskian recurrence Y1' = Y0 - Y1/z in tests."""
-    zf = _check_argument(z, "bessel_Y0", allow_zero=False)
-    if zf <= ASYMPTOTIC_SWITCH:
-        return _series_Y(0, zf)
-    return float(_asymptotic_JY(0, np.array([zf]))[1][0])
+def _bessel_Y0(z):
+    """Y_0, kept for the Wronskian J1 Y0 - J0 Y1 = 2/(pi z) in the checks."""
+    return _evaluate("bessel_Y0", z)
 
 
 # ---------------------------------------------------------------------------
 # summation formulas
 # ---------------------------------------------------------------------------
+
+# kind -> (walk rule of a(n), the c of the argument c sqrt(nx), kernel of an
+# array of arguments, refusal past DIVISOR_SIEVE_MAX terms).  The envelope
+# checked is that of the kernel's first evaluator, on the a(n) != 0 terms.
+# Kernels call _evaluate, not the public names, which the traced benchmark
+# (perfbench/trace_boot.py) rebinds to counters that take one float.
+_DIVISOR_TERMS_REFUSAL = "divisor table limit {n} exceeds {cap}"
+_SERIES = {
+    "full": ("d", 4.0 * math.pi,
+             lambda z: _evaluate("bessel_K1", z) + 0.5 * math.pi * _evaluate("bessel_Y1", z),
+             _DIVISOR_TERMS_REFUSAL),
+    "sierpinski": ("r2", 2.0 * math.pi, partial(_evaluate, "bessel_J1"),
+                   "sierpinski series: {n} terms exceed {cap}"),
+}
+
 
 def _require_noninteger(x, name: str) -> float:
     xf = float(x)
@@ -331,7 +339,7 @@ def default_terms(kind: str, x) -> int:
         return cap
     if kind == "truncated":
         return min(cap, math.ceil(xf) - 1)
-    scale = (4.0 if kind == "full" else 2.0) * math.pi * math.sqrt(xf)
+    scale = _SERIES[kind][1] * math.sqrt(xf)  # c sqrt(x)
     n = min(cap, int((ARGUMENT_ENVELOPE / scale) ** 2) + 1)
     while n > 0 and scale * math.sqrt(n) > ARGUMENT_ENVELOPE:
         n -= 1
@@ -341,10 +349,33 @@ def default_terms(kind: str, x) -> int:
     return n
 
 
-def _chunk_bounds(n_terms: int, size: int = SERIES_CHUNK):
-    """(lo, hi) for n in [1, n_terms], size values of n at a time."""
-    return ((lo, min(lo + size, n_terms + 1))
-            for lo in range(1, n_terms + 1, size))
+def _bessel_series(kind: str, xf: float, n_terms: int) -> tuple[float, float]:
+    """sum_{n<=N} a(n)/sqrt(n) kernel(c sqrt(nx)) of _SERIES[kind], and its last term.
+
+    a(n) = 0 terms are skipped.  Each chunk walks for its own a(n); a walk
+    loops over the primes up to sqrt(hi), so past 64 chunks they grow.
+    """
+    rule, c, kernel, too_many = _SERIES[kind]
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    if n_terms > DIVISOR_SIEVE_MAX:
+        raise ResourceLimitError(too_many.format(n=n_terms, cap=DIVISOR_SIEVE_MAX))
+    scale = c * math.sqrt(xf)
+    size = max(SERIES_CHUNK, n_terms // 64)
+    last = 0.0
+
+    def chunks():
+        nonlocal last
+        for lo in range(1, n_terms + 1, size):
+            coef = _segment_values(rule, lo, min(lo + size, n_terms + 1))
+            keep = np.flatnonzero(coef)
+            root = np.sqrt(keep + lo)
+            terms = (coef[keep] / root * kernel(scale * root)).tolist()
+            last = terms[-1] if terms else last
+            yield terms
+
+    total = math.fsum(chain.from_iterable(chunks()))
+    return total, last
 
 
 def voronoi_full(x, n_terms: int | None = None) -> TruncatedSeriesValue:
@@ -359,26 +390,7 @@ def voronoi_full(x, n_terms: int | None = None) -> TruncatedSeriesValue:
         raise ValueError("voronoi_full needs x > 1")
     if n_terms is None:
         n_terms = default_terms("full", xf)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    d = divisor_count_sieve(n_terms)
-    four_pi_sqrt_x = 4.0 * math.pi * math.sqrt(xf)
-    last = 0.0
-
-    def chunks():
-        nonlocal last
-        for lo, hi in _chunk_bounds(n_terms):
-            root = np.sqrt(np.arange(lo, hi, dtype=np.float64))
-            arg = four_pi_sqrt_x * root
-            _check_arguments(arg, "bessel_K1", allow_zero=False)
-            k1 = _on_branches(arg, _series_K1, _asymptotic_K1)
-            y1 = _on_branches(arg, partial(_series_Y, 1),
-                              lambda far: _asymptotic_JY(1, far)[1])
-            chunk = (d[lo:hi] / root * (k1 + 0.5 * math.pi * y1)).tolist()
-            last = chunk[-1]
-            yield chunk
-
-    series = math.fsum(chain.from_iterable(chunks()))
+    series, last = _bessel_series("full", xf, n_terms)
     value = (0.25 + divisor_main_term(xf)
              - (2.0 * math.sqrt(xf) / math.pi) * series)
     last_term = abs(last) * 2.0 * math.sqrt(xf) / math.pi
@@ -399,12 +411,15 @@ def voronoi_truncated(x, n_terms: int) -> float:
         raise ValueError("n_terms must be >= 2")
     if n_terms >= xf:
         raise ValueError("n_terms must stay below x")
-    d = divisor_count_sieve(n_terms)
+    if n_terms > DIVISOR_SIEVE_MAX:
+        raise ResourceLimitError(
+            _DIVISOR_TERMS_REFUSAL.format(n=n_terms, cap=DIVISOR_SIEVE_MAX))
+    d = _segment_values("d", 1, n_terms + 1).tolist()
     four_pi_sqrt_x = 4.0 * math.pi * math.sqrt(xf)
     terms = []
     for n in range(1, n_terms + 1):
         phase = four_pi_sqrt_x * math.sqrt(n) - 0.25 * math.pi
-        terms.append(float(d[n]) * n ** -0.75 * math.cos(phase))
+        terms.append(float(d[n - 1]) * n ** -0.75 * math.cos(phase))
     return xf ** 0.25 / (math.pi * math.sqrt(2.0)) * math.fsum(terms)
 
 
@@ -435,24 +450,4 @@ def sierpinski_sum(x, n_terms: int | None = None) -> float:
         raise ValueError("sierpinski_sum needs x > 0")
     if n_terms is None:
         n_terms = default_terms("sierpinski", xf)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if n_terms > DIVISOR_SIEVE_MAX:
-        raise ResourceLimitError(
-            f"sierpinski series: {n_terms} terms exceed {DIVISOR_SIEVE_MAX}")
-    two_pi_sqrt_x = 2.0 * math.pi * math.sqrt(xf)
-
-    def chunks():
-        # r2 by the brute walk's rule, one walk per chunk; a walk loops over
-        # the primes up to sqrt(hi), so past 64 chunks the chunks grow instead
-        for lo, hi in _chunk_bounds(n_terms, max(SERIES_CHUNK, n_terms // 64)):
-            r2 = _segment_values("r2", lo, hi)
-            keep = np.flatnonzero(r2)
-            root = np.sqrt(keep + lo)
-            arg = two_pi_sqrt_x * root
-            _check_arguments(arg, "bessel_J1", allow_zero=True)
-            j1 = _on_branches(arg, partial(_series_J, 1),
-                              lambda far: _asymptotic_JY(1, far)[0])
-            yield (r2[keep] / root * j1).tolist()
-
-    return math.pi * xf + math.sqrt(xf) * math.fsum(chain.from_iterable(chunks()))
+    return math.pi * xf + math.sqrt(xf) * _bessel_series("sierpinski", xf, n_terms)[0]

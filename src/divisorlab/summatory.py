@@ -75,8 +75,13 @@ SEGMENT_SIZE = 1 << 21
 # Segment length of the scans whose values are Python ints (object dtype).
 OBJECT_SEGMENT_SIZE = 1 << 18
 
-# Chunk length for compensated float accumulation (see compensated_sum).
+# Chunk length of exact float accumulation: one fsum per chunk of this
+# many terms counted from the first, then one fsum of the chunk sums.
 SUM_CHUNK = 1 << 16
+
+# Largest x circle_lattice_sum counts; its pure-Python column loop takes
+# ~3 s at the cap on 2 CPUs and grows like sqrt(x).
+CIRCLE_MAX = 10 ** 14
 
 ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel",
               "lattice")
@@ -120,7 +125,7 @@ class APSpec:
 
 
 # ---------------------------------------------------------------------------
-# x handling and float accumulation helpers
+# x handling
 # ---------------------------------------------------------------------------
 
 def floor_to_int(x) -> int:
@@ -140,25 +145,6 @@ def floor_to_int(x) -> int:
         f = Fraction(x)
         return f.numerator // f.denominator
     raise TypeError(f"unsupported x type {type(x).__name__}")
-
-
-def compensated_sum(values) -> float:
-    """Exactly-rounded sum of an iterable of floats, in fixed 2^16 chunks.
-
-    math.fsum tracks all rounding error, so the chunking is only there to
-    bound memory; the result does not depend on the chunk boundaries or on
-    how a caller distributed the terms across processes.
-    """
-    partials = []
-    chunk = []
-    for v in values:
-        chunk.append(v)
-        if len(chunk) == SUM_CHUNK:
-            partials.append(math.fsum(chunk))
-            chunk = []
-    if chunk:
-        partials.append(math.fsum(chunk))
-    return math.fsum(partials)
 
 
 def _bounded_floor(x, limit: int, what: str) -> int:
@@ -642,16 +628,26 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
 # harmonic, fractional, circle, AP, shifted, auxiliary sums
 # ---------------------------------------------------------------------------
 
+def _progression(m: int, ap: APSpec | None):
+    """The n <= m with n = a (mod q) (every n without ap), SUM_CHUNK a time, as int64."""
+    a, q = (1, 1) if ap is None else (ap.a, ap.q)
+    for lo in range(a, m + 1, q * SUM_CHUNK):
+        yield np.arange(lo, min(lo + q * SUM_CHUNK, m + 1), q, dtype=np.int64)
+
+
+def _quotient_sum(m: int, ap: APSpec | None) -> int:
+    """sum floor(m/n) over the progression's n <= m, exactly."""
+    return sum(int((m // n).sum()) for n in _progression(m, ap))
+
+
 def harmonic_sum(x, ap: APSpec | None = None, *,
                  bound: int = ORACLE_BOUND_DEFAULT) -> float:
     """sum 1/n over n <= x, optionally restricted to n = a (mod q).
 
-    A linear loop, so x is refused past bound.
+    A linear pass, so x is refused past bound.
     """
     m = _bounded_floor(x, bound, "oracle bound")
-    if ap is None:
-        return compensated_sum(1.0 / n for n in range(1, m + 1))
-    return compensated_sum(1.0 / n for n in range(ap.a, m + 1, ap.q))
+    return math.fsum(math.fsum((1.0 / n).tolist()) for n in _progression(m, ap))
 
 
 def harmonic_main_term(x, ap: APSpec | None = None) -> float:
@@ -666,23 +662,14 @@ def fractional_part_sum(x, ap: APSpec | None = None, *,
                         bound: int = ORACLE_BOUND_DEFAULT) -> float:
     """sum {x/n} over n <= x (optionally n = a mod q), via {y} = y - floor(y).
 
-    The floor part is exact integer arithmetic on the rational value of x;
-    only the final x/n terms are floating point, accumulated with chunked
-    exact summation.  A linear loop, so x is refused past bound.
+    The floor part is exact integer arithmetic, floor(x/n) = floor(m/n) for
+    m = floor(x); only the x/n terms are floating point, accumulated with
+    chunked exact summation.  A linear pass, so x is refused past bound.
     """
     m = _bounded_floor(x, bound, "oracle bound")
-    fx = Fraction(x)
-    num, den = fx.numerator, fx.denominator
     xf = float(x)
-    if ap is None:
-        ns = range(1, m + 1)
-    else:
-        ns = range(ap.a, m + 1, ap.q)
-    floor_total = 0
-    for n in ns:
-        floor_total += num // (den * n)
-    frac = compensated_sum(xf / n for n in ns)
-    return frac - floor_total
+    frac = math.fsum(math.fsum((xf / n).tolist()) for n in _progression(m, ap))
+    return frac - _quotient_sum(m, ap)
 
 
 def fractional_main_term(x, ap: APSpec | None = None) -> float:
@@ -695,13 +682,16 @@ def circle_lattice_sum(x) -> int:
     """Number of integer lattice points with 0 < a^2 + b^2 <= x.
 
     Column counting: for each a the b-range has 2*isqrt(x - a^2) + 1 points,
-    summed over |a| <= sqrt(x), minus the origin.
+    summed over |a| <= sqrt(x), minus the origin.  x past CIRCLE_MAX is
+    refused before the loop.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
     m = floor_to_int(x)
     if m < 1:
         return 0
+    if m > CIRCLE_MAX:
+        raise ResourceLimitError(f"x={m} exceeds the circle limit {CIRCLE_MAX}")
     r = math.isqrt(m)
     total = 2 * r + 1
     for a in range(1, r + 1):
@@ -715,13 +705,8 @@ def ap_divisor_sum(x, ap: APSpec, *,
     if not isinstance(ap, APSpec):
         raise TypeError("ap must be an APSpec")
     m = _bounded_floor(x, bound, "oracle bound")
-    ds = np.arange(ap.a, m + 1, ap.q, dtype=np.int64)
-    if ds.size:
-        total = int(np.sum(m // ds, dtype=np.int64))
-    else:
-        total = 0
     return SummatoryResult(x=float(x), fn=f"d_restricted_{ap.q}_{ap.a}",
-                           value=total, algorithm="lattice")
+                           value=_quotient_sum(m, ap), algorithm="lattice")
 
 
 def ap_main_term(x, ap: APSpec) -> float:

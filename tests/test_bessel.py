@@ -5,6 +5,7 @@ representations is the from-scratch oracle for the anchor points.  The
 summation formulas are checked against exact lattice counts.
 """
 
+import itertools
 import math
 import random
 
@@ -75,14 +76,13 @@ def test_scipy_sweep():
     zs = [rng.uniform(1e-3, float(DOCUMENTED_ENVELOPE)) for _ in range(400)]
     zs += [rng.uniform(0.01, 30.0) for _ in range(400)]
     zs += [ASYMPTOTIC_SWITCH - 1e-9, ASYMPTOTIC_SWITCH + 1e-9, 1e-6, 9999.5]
-    worst = 0.0
-    for z in zs:
-        worst = max(worst, abs(bessel_J1(z) - float(sps.j1(z))))
-        worst = max(worst, abs(bessel_Y1(z) - float(sps.y1(z))))
-        kv = float(sps.k1(z))
-        if math.isfinite(kv):
-            # compare K1 absolutely; it underflows to 0 beyond z ~ 700
-            worst = max(worst, abs(bessel_K1(z) - kv))
+    z = np.array(zs)
+    kv = sps.k1(z)
+    finite = np.isfinite(kv)
+    worst = max(np.max(np.abs(bessel_J1(z) - sps.j1(z))),
+                np.max(np.abs(bessel_Y1(z) - sps.y1(z))),
+                # compare K1 absolutely; it underflows to 0 beyond z ~ 700
+                np.max(np.abs(bessel_K1(z)[finite] - kv[finite])))
     assert worst <= 1e-10, worst
 
 
@@ -214,6 +214,43 @@ def test_scalar_evaluators_match_the_scalar_loop():
         assert repr((bessel_J1(zf), bessel_Y1(zf), bessel_K1(zf))) == repr(
             (j1, y1, scalar_K1(zf)))
         assert repr((_bessel_J0(zf), _bessel_Y0(zf))) == repr((j0, y0))
+
+
+EVALUATORS = (bessel_J1, bessel_Y1, bessel_K1, _bessel_J0, _bessel_Y0)
+
+
+def first_scalar_error(fn, zs):
+    for z in zs:
+        try:
+            fn(z)
+        except Exception as exc:  # noqa: BLE001 -- any error is the oracle
+            return exc
+    return None
+
+
+def test_array_calls_match_scalar_calls():
+    zs = [1e-300, 1e-6, 0.5, 3.0, ASYMPTOTIC_SWITCH, 12.5, 745.5, 746.0]
+    zs += kernel_arguments()[::5]
+    zs += [random.Random(1313).uniform(0.0, ASYMPTOTIC_SWITCH) for _ in range(200)]
+    for fn in EVALUATORS:
+        got = fn(np.array(zs))
+        assert isinstance(got, np.ndarray) and got.shape == (len(zs),)
+        assert list(map(repr, got.tolist())) == [repr(fn(z)) for z in zs]
+        assert isinstance(fn(np.float64(13.0)), float)
+    assert repr(bessel_J1(np.array([0.0, -0.0])).tolist()) == repr(
+        [bessel_J1(0.0), bessel_J1(-0.0)])
+    # an array raises the scalar error of its first bad element, in order
+    bad = (0.0, -1.0, math.nan, math.inf, 2.0 * ARGUMENT_ENVELOPE)
+    for fn in EVALUATORS:
+        for order in itertools.permutations(bad, 3):
+            zs = [3.0, 13.0, *order[:2], 5.0, order[2]]
+            want = first_scalar_error(fn, zs)
+            if want is None:
+                assert np.all(np.isfinite(fn(np.array(zs))))
+                continue
+            with pytest.raises(type(want)) as got:
+                fn(np.array(zs))
+            assert str(got.value) == str(want)
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,17 @@ def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
     assert '"exact":15518' in out
 
 
+@pytest.mark.parametrize("command", ["delta", "fit"])
+def test_exit_resource_dense_grid_refuses_quickly(capsys, command):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, command, "--target", "d", "--grid-lo", "1",
+                       "--grid-hi", "100", "--ratio", "1.0000000000000002")
+    assert time.perf_counter() - t0 < 0.05
+    assert rc == 4
+    assert out == ""
+    assert "steps" in err
+
+
 def test_exit_resource_fit_above_oracle_bound(capsys):
     rc, out, err = run(capsys, "fit", "--target", "two_omega_over_n",
                        "--grid-lo", "1", "--grid-hi", "2000",

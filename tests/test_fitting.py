@@ -8,14 +8,16 @@ diffing depends on it.
 import json
 import math
 import random
+import time
 
 import pytest
 
 from divisorlab import (DeltaSample, delta_error, divisor_sum_hyperbola,
                         emit_report, exponent_fit, render_csv, render_json)
-from divisorlab.fitting import (LANDMARK_EXPONENTS, MainConstantFit,
-                                delta_samples, fit_main_constant,
-                                half_integer_grid)
+from divisorlab.errors import ResourceLimitError
+from divisorlab.fitting import (GRID_STEPS_MAX, LANDMARK_EXPONENTS,
+                                MainConstantFit, delta_samples,
+                                fit_main_constant, half_integer_grid)
 from divisorlab.reports import (DELTA_CSV_HEADER, SUM_CSV_HEADER,
                                 format_number, read_delta_csv, row_dict)
 
@@ -44,6 +46,21 @@ def test_half_integer_grid_errors():
         half_integer_grid(100, 10)
     with pytest.raises(ValueError):
         half_integer_grid(10, 100, ratio=1.0)
+
+
+def test_half_integer_grid_refuses_too_many_steps_quickly():
+    # 1.0000000000000002 moves lo by one ulp per step: ~2.7e16 steps
+    lo, hi = 1.0, 100.0
+    just_past = math.exp(math.log(4.0 * hi / lo) / (GRID_STEPS_MAX + 10))
+    for ratio in (1.0000000000000002, just_past):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=str(GRID_STEPS_MAX)):
+            half_integer_grid(lo, hi, ratio)
+        assert time.perf_counter() - t0 < 0.05
+    with pytest.raises(ResourceLimitError):
+        half_integer_grid(1, math.inf)
+    # a grid inside the cap is unchanged: the benchmark's densest takes ~1e4
+    assert len(half_integer_grid(110, 1e8, 1.0015)) > 8000
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
 from divisorlab.arith import divisors, eval_arithmetic, shared_factor_table
 from divisorlab.errors import ResourceLimitError
 from divisorlab.fitting import half_integer_grid
-from divisorlab.summatory import (_segment_values, _walk_segment_values,
-                                  _worker_primes, compensated_sum,
+from divisorlab.summatory import (CIRCLE_MAX, SUM_CHUNK, _segment_values,
+                                  _walk_segment_values, _worker_primes,
                                   floor_to_int)
 
 EULER_GAMMA = 0.5772156649015329
@@ -82,10 +82,69 @@ def test_floor_to_int_near_integers(k, ulps, den):
     assert floor_to_int(frac) == (k - 1 if ulps < 0 else k)
 
 
-def test_compensated_sum_matches_fsum():
-    rng = random.Random(404)
-    vals = [rng.uniform(-1, 1) * 10 ** rng.randrange(-8, 8) for _ in range(5000)]
-    assert compensated_sum(vals) == pytest.approx(math.fsum(vals), abs=0.0, rel=1e-15)
+# the per-n loops the three progression sums ran before they went to int64
+# chunks, kept here as their oracle
+
+def compensated_sum(values):
+    partials = []
+    chunk = []
+    for v in values:
+        chunk.append(v)
+        if len(chunk) == SUM_CHUNK:
+            partials.append(math.fsum(chunk))
+            chunk = []
+    if chunk:
+        partials.append(math.fsum(chunk))
+    return math.fsum(partials)
+
+
+def loop_harmonic(x, ap):
+    ns = range(1, floor_to_int(x) + 1) if ap is None else range(
+        ap.a, floor_to_int(x) + 1, ap.q)
+    return compensated_sum(1.0 / n for n in ns)
+
+
+def loop_fractional(x, ap):
+    fx = Fraction(x)
+    num, den = fx.numerator, fx.denominator
+    xf = float(x)
+    ns = range(1, floor_to_int(x) + 1) if ap is None else range(
+        ap.a, floor_to_int(x) + 1, ap.q)
+    floor_total = 0
+    for n in ns:
+        floor_total += num // (den * n)
+    return compensated_sum(xf / n for n in ns) - floor_total
+
+
+def loop_ap_divisor(x, ap):
+    m = floor_to_int(x)
+    return sum(m // d for d in range(ap.a, m + 1, ap.q))
+
+
+PROGRESSIONS = [None, APSpec(3, 1), APSpec(3, 2), APSpec(4, 1), APSpec(4, 3),
+                APSpec(97, 1), APSpec(97, 45)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(PROGRESSIONS), st.integers(0, 2), st.integers(-1, 1),
+       st.sampled_from([0.0, 0.25, 0.5]))
+@example(None, 1, -1, 0.0)
+@example(None, 1, 1, 0.5)
+@example(APSpec(3, 1), 1, 0, 0.0)
+@example(APSpec(4, 3), 2, 1, 0.5)
+@example(APSpec(97, 45), 1, -1, 0.25)
+def test_progression_sums_match_the_per_n_loop(ap, k, step, frac):
+    # x at a + q 2^16 k + step: one term before, at and after a chunk edge
+    a, q = (1, 1) if ap is None else (ap.a, ap.q)
+    x = max(1, a + q * SUM_CHUNK * k + step) + frac
+    assert repr(harmonic_sum(x, ap)) == repr(loop_harmonic(x, ap))
+    assert repr(fractional_part_sum(x, ap)) == repr(loop_fractional(x, ap))
+    if ap is not None:
+        assert ap_divisor_sum(x, ap).value == loop_ap_divisor(x, ap)
+    # the chunk sums change no more than the last bits of one fsum
+    ns = range(a, math.floor(x) + 1, q)
+    assert harmonic_sum(x, ap) == pytest.approx(
+        math.fsum(1.0 / n for n in ns), abs=0.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +590,17 @@ def test_circle_lattice_vs_r2_partial_sums():
     assert circle_lattice_sum(100) == 316
     assert circle_lattice_sum(1000) == 3148
     assert circle_lattice_sum(0) == 0
+
+
+def test_circle_lattice_refuses_past_its_cap_quickly():
+    for x in (CIRCLE_MAX + 1, 10 ** 20, 1e300):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="circle limit"):
+            circle_lattice_sum(x)
+        assert time.perf_counter() - t0 < 0.05
+    assert circle_lattice_sum(0.5) == 0
+    with pytest.raises(ValueError):
+        circle_lattice_sum(-1)
 
 
 def test_shifted_divisor_sum_oracle():

@@ -3,13 +3,22 @@
 perfbench/trace_boot.py looks each layer's functions up with getattr when
 it installs its spans, so a renamed function breaks `run.py --trace 1`
 only at run time.  This test reads the bootstrap (without writing a
-bytecode file next to it) and checks every name it needs.
+bytecode file next to it) and checks every name it needs.  Its wrappers
+also assume call shapes (the Bessel kernels take one float), so a traced
+command must print what the untraced one prints.
 """
 
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
-BOOT = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BOOT = ROOT / "perfbench" / "trace_boot.py"
 
 
 def load_boot() -> dict:
@@ -30,3 +39,25 @@ def test_trace_boot_names_exist():
     assert isinstance(bessel.ASYMPTOTIC_SWITCH, float)
     summatory = importlib.import_module("divisorlab.summatory")
     assert callable(summatory.ProcessPoolExecutor)
+
+
+@pytest.mark.parametrize("argv", [
+    ("voronoi", "--kind", "full", "--x", "1000.5", "--terms", "4097"),
+    ("voronoi", "--kind", "sierpinski", "--x", "1000.5", "--terms", "4097"),
+    ("explicit", "--target", "two_omega", "--x", "1000.5", "--pairs", "5"),
+])
+def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    trace = tmp_path / "trace.json"
+
+    def run(*cmd):
+        return subprocess.run([sys.executable, *cmd, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    plain = run("-m", "divisorlab")
+    traced = run(str(BOOT), str(trace))
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(trace.read_text())["counters"]
