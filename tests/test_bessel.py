@@ -245,9 +245,6 @@ def test_array_calls_match_scalar_calls():
         for order in itertools.permutations(bad, 3):
             zs = [3.0, 13.0, *order[:2], 5.0, order[2]]
             want = first_scalar_error(fn, zs)
-            if want is None:
-                assert np.all(np.isfinite(fn(np.array(zs))))
-                continue
             with pytest.raises(type(want)) as got:
                 fn(np.array(zs))
             assert str(got.value) == str(want)

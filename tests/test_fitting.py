@@ -59,7 +59,7 @@ def test_half_integer_grid_refuses_too_many_steps_quickly():
         assert time.perf_counter() - t0 < 0.05
     with pytest.raises(ResourceLimitError):
         half_integer_grid(1, math.inf)
-    # a grid inside the cap is unchanged: the benchmark's densest takes ~1e4
+    # a grid inside the cap still builds: the benchmark's densest takes ~1e4
     assert len(half_integer_grid(110, 1e8, 1.0015)) > 8000
 
 
