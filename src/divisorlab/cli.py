@@ -35,8 +35,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .arith import (FnSpec, dirichlet_coefficients, divisor_count_sieve,
-                    hermite_divisor_count)
+from .arith import FnSpec, dirichlet_coefficients, hermite_divisor_count
 from .bessel import (bessel_J1, bessel_K1, bessel_Y1, _bessel_J0, _bessel_Y0,
                      default_terms, divisor_delta_reference, sierpinski_sum,
                      voronoi_full, voronoi_truncated)
@@ -502,9 +501,8 @@ def _suite_identities(args) -> list[tuple[str, bool, str]]:
                    f"sigma_1 sigma_2 coefficients, n <= 2000, {bad} mismatches"))
 
     m = 20000
-    counts = divisor_count_sieve(m)
-    bad = sum(1 for n in range(1, m + 1)
-              if hermite_divisor_count(n) != int(counts[n]))
+    bad = sum(1 for n, d in enumerate(walk(FnSpec("d"), m).tolist(), 1)
+              if hermite_divisor_count(n) != d)
     checks.append(("hermite", bad == 0,
                    f"floor-sum divisor count, n <= {m}, {bad} mismatches"))
 

@@ -9,11 +9,11 @@ Two independent routes to every headline quantity:
 * sublinear algorithms -- the hyperbola method for D(x), the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2), its convolution inverse, and direct
   lattice counts for the circle problem.  The first three run in int64
-  numpy chunks.  The kernel and the convolution take D(k) and S_2w(k) for
-  small arguments k <= PREFIX_TABLE_LIMIT from one pair of prefix tables,
-  sieved on their first call (D from the divisor-count sieve, S_2w from
-  2^omega(n) = sum_{e^2 | n} mu(e) d(n/e^2)); the hyperbola never builds
-  them.
+  numpy chunks.  The kernel and the convolution share one square split:
+  sum over d <= sqrt(x) of w(d) F(x // d^2), with F from a sublinear route
+  while x // d^2 > PREFIX_TABLE_LIMIT and from a prefix table of D or S_2w
+  below.  The prefix tables and the kernel's mu(d) come from the brute
+  walk on their first call; the hyperbola never builds them.
 
 Every counting sum over n <= x depends only on m = floor(x).  Real inputs are
 reduced to m through exact rational arithmetic (floats convert via Fraction),
@@ -39,7 +39,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import FnSpec, divisor_count_sieve, primes_up_to, sigma
+from .arith import FnSpec, primes_up_to, sigma
 from .errors import ResourceLimitError
 from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 
@@ -54,9 +54,10 @@ POINTWISE_MAX = 3 * 10 ** 6
 
 # Largest x each sublinear route takes; larger x is refused before any loop
 # or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17, Moebius
-# kernel ~4 s at 1e15, convolution ~5 s at 5e13.  HYPERBOLA_MAX also
-# bounds the int64 chunk sums: a chunk of KERNEL_CHUNK quotients m // n sums
-# to at most m (1 + ln KERNEL_CHUNK) ~ 2.1e18 < 2^63.
+# kernel ~4.8 s at 1e15 (~2 s of it walking mu to 3.2e7), convolution
+# ~5.1 s at 5e13.  HYPERBOLA_MAX also bounds the int64 chunk sums: a chunk
+# of KERNEL_CHUNK quotients m // n sums to at most m (1 + ln KERNEL_CHUNK)
+# ~ 2.1e18 < 2^63.
 HYPERBOLA_MAX = 2 * 10 ** 17
 MOEBIUS_KERNEL_MAX = 10 ** 15
 CONVOLUTION_MAX = 5 * 10 ** 13
@@ -64,8 +65,8 @@ CONVOLUTION_MAX = 5 * 10 ** 13
 # Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
 PREFIX_TABLE_LIMIT = 1 << 16
 
-# Length of the int64 chunks of the sublinear routes, and the shortest chunk
-# of the Moebius sieve.
+# Length of the int64 chunks of the sublinear routes and of the walks that
+# build the prefix tables, and the shortest walk of the mu table.
 KERNEL_CHUNK = 1 << 14
 
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
@@ -249,7 +250,13 @@ def _rule(f, dtype=np.int64):
 
 
 def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Values of f(n) for n in [lo, hi) via the prime-exponent walk."""
+    """Values of f(n) for n in [lo, hi) via the prime-exponent walk.
+
+    lo must be at least 1: at n = 0 every p^k divides n, so the exponent
+    loop would never end.
+    """
+    if lo < 1:
+        raise ValueError(f"the walk starts at n >= 1 (got lo={lo})")
     dtype = np.int64 if _numpy_walk_ok(f, hi - 1) else object
     start_value, fold, factor = _rule(f, dtype)
     size = hi - lo
@@ -505,36 +512,31 @@ def floor_sum(x) -> int:
     return total
 
 
+def _walk_into(out: np.ndarray, f, lo: int, chunk: int) -> None:
+    """out[n] = f(n) for lo <= n < out.size, one walk per chunk of n."""
+    for a in range(lo, out.size, chunk):
+        b = min(a + chunk, out.size)
+        out[a:b] = _segment_values(f, a, b)
+
+
 _MU_TABLE = np.zeros(1, dtype=np.int8)
 
 
 def _mobius_sieve(limit: int) -> np.ndarray:
     """mu(0..n) as int8 for some n >= limit, from one table that only grows.
 
-    Sieved in chunks by the primes up to sqrt(n) only: rad collects the
-    product of those dividing each entry k, and a squarefree k with
-    rad < k has one more prime factor, above sqrt(n).  Each chunk loops
-    over all those primes, so a table has at most 64 chunks past
-    64 KERNEL_CHUNK entries.
+    A growth at least doubles the table and walks only its new entries,
+    in at most 64 walks of at least KERNEL_CHUNK entries each; the entries
+    already there are copied.  Walking mu to 3.2e7 (the kernel at 1e15)
+    takes ~2 s on 2 CPUs.
     """
     global _MU_TABLE
-    if _MU_TABLE.size <= limit:
-        n = max(limit, 2 * _MU_TABLE.size)
-        mu = np.ones(n + 1, dtype=np.int8)
-        small = primes_up_to(math.isqrt(n))
-        chunk = max(KERNEL_CHUNK, (n + 1) // 64)
-        for lo in range(0, n + 1, chunk):
-            seg = mu[lo:lo + chunk]
-            rad = np.ones(seg.size, dtype=np.int64)
-            for p in small:
-                s = (-lo) % p
-                seg[s::p] *= -1
-                rad[s::p] *= p
-                sq = p * p
-                seg[(-lo) % sq::sq] = 0
-            big = rad != np.arange(lo, lo + seg.size, dtype=np.int64)
-            np.negative(seg, out=seg, where=big)
-        mu[0] = 0
+    old = _MU_TABLE.size
+    if old <= limit:
+        n = max(limit, 2 * old)
+        mu = np.empty(n + 1, dtype=np.int8)
+        mu[:old] = _MU_TABLE
+        _walk_into(mu, "mu", old, max(KERNEL_CHUNK, -(-(n + 1) // 64)))
         _MU_TABLE = mu
     return _MU_TABLE
 
@@ -543,20 +545,17 @@ def _mobius_sieve(limit: int) -> np.ndarray:
 def _prefix_tables() -> tuple[np.ndarray, np.ndarray]:
     """D(0..L) and S_2w(0..L) as read-only int32 prefix sums.
 
-    2^omega(n) = sum_{e^2 | n} mu(e) d(n/e^2) is sieved by adding mu(e)
-    d(k) at n = k e^2, the kernel's identity at coefficient level.
+    Each is the cumsum of the walk's d or two_omega values over 1..L,
+    behind a 0 at n = 0.
     """
-    d = divisor_count_sieve(PREFIX_TABLE_LIMIT)
-    two_omega = np.zeros_like(d)
-    mu = _mobius_sieve(math.isqrt(PREFIX_TABLE_LIMIT))
-    for e in range(1, math.isqrt(PREFIX_TABLE_LIMIT) + 1):
-        if mu[e]:
-            sq = e * e
-            two_omega[sq::sq] += int(mu[e]) * d[1:PREFIX_TABLE_LIMIT // sq + 1]
-    tables = (np.cumsum(d, dtype=np.int32), np.cumsum(two_omega, dtype=np.int32))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+    tables = []
+    for tag in ("d", "two_omega"):
+        vals = np.zeros(PREFIX_TABLE_LIMIT + 1, dtype=np.int32)
+        _walk_into(vals, tag, 1, KERNEL_CHUNK)
+        table = np.cumsum(vals, dtype=np.int32)
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
 
 
 def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
@@ -576,25 +575,26 @@ def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
     return total
 
 
-def _table_split(m: int) -> int:
-    """t = isqrt(m // (L+1)): m // d^2 exceeds L exactly when d <= t."""
-    return math.isqrt(m // (PREFIX_TABLE_LIMIT + 1))
+def _square_split(m: int, inner, table: np.ndarray,
+                  mu: np.ndarray | None = None) -> int:
+    """sum_{d <= sqrt(m)} w(d) F(m // d^2), with w = mu (1 without mu).
+
+    F is inner while m // d^2 exceeds L, that is for d <= t = isqrt(m //
+    (L+1)), and the prefix table above t.
+    """
+    t = math.isqrt(m // (PREFIX_TABLE_LIMIT + 1))
+    total = 0
+    for d in range(1, t + 1):
+        w = 1 if mu is None else int(mu[d])
+        if w:
+            total += w * inner(m // (d * d))
+    return total + _table_gather(table, m, t + 1, math.isqrt(m), mu)
 
 
 def _squarefree_divisor_sum_int(m: int) -> int:
-    """S_2w(m) = sum_{d <= sqrt(m)} mu(d) * D(m // d^2).
-
-    D comes from the hyperbola for d <= t and from the prefix table above.
-    """
-    r = math.isqrt(m)
-    mu = _mobius_sieve(max(r, 16))
-    t = _table_split(m)
-    total = 0
-    for d in range(1, t + 1):
-        md = int(mu[d])
-        if md:
-            total += md * _divisor_sum_int(m // (d * d))
-    return total + _table_gather(_prefix_tables()[0], m, t + 1, r, mu)
+    """S_2w(m) = sum_{d <= sqrt(m)} mu(d) * D(m // d^2), D by the hyperbola."""
+    mu = _mobius_sieve(max(math.isqrt(m), 16))
+    return _square_split(m, _divisor_sum_int, _prefix_tables()[0], mu)
 
 
 def squarefree_divisor_sum(x) -> SummatoryResult:
@@ -616,10 +616,7 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
     most CONVOLUTION_MAX.
     """
     m = _bounded_floor(x, CONVOLUTION_MAX, "convolution limit")
-    t = _table_split(m)
-    total = _table_gather(_prefix_tables()[1], m, t + 1, math.isqrt(m))
-    for d in range(1, t + 1):
-        total += _squarefree_divisor_sum_int(m // (d * d))
+    total = _square_split(m, _squarefree_divisor_sum_int, _prefix_tables()[1])
     return SummatoryResult(x=float(x), fn="d", value=total,
                            algorithm="convolution_kernel")
 
@@ -718,7 +715,7 @@ def ap_main_term(x, ap: APSpec) -> float:
 
 def shifted_divisor_sum(x, m_shift: int, *,
                         bound: int = ORACLE_BOUND_DEFAULT) -> int:
-    """sum_{n<=x} d(n) d(n+m) from a sieved divisor-count table."""
+    """sum_{n<=x} d(n) d(n+m), one walk of SEGMENT_SIZE + m values a segment."""
     if m_shift < 1:
         raise ValueError("shift must be >= 1")
     m = floor_to_int(x)
@@ -727,11 +724,13 @@ def shifted_divisor_sum(x, m_shift: int, *,
     if m + m_shift > bound:
         raise ResourceLimitError(
             f"x + m = {m + m_shift} exceeds the oracle bound {bound}")
-    d = divisor_count_sieve(m + m_shift)
-    a = d[1:m + 1].astype(np.int64)
-    b = d[1 + m_shift:m + m_shift + 1].astype(np.int64)
-    prod = a * b
-    return _exact_array_sum(prod, int(prod.max()))
+    total = 0
+    for lo in range(1, m + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, m + 1)
+        d = _segment_values("d", lo, hi + m_shift)
+        prod = d[:hi - lo] * d[m_shift:]
+        total += _exact_array_sum(prod, int(prod.max()))
+    return total
 
 
 def shifted_main_term(x, m_shift: int) -> float:

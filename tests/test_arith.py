@@ -330,3 +330,14 @@ def test_only_arith_names_the_pointwise_engine():
     for path in modules:
         text = path.read_text(encoding="utf-8")
         assert [n for n in names if n in text] == [], path.name
+
+
+def test_only_arith_names_the_divisor_count_sieve():
+    # every d(n) the program uses comes from the walk; the sieve is the
+    # tests' oracle, re-exported by the package
+    package = pathlib.Path(divisorlab.__file__).parent
+    modules = sorted(p for p in package.rglob("*.py")
+                     if p.name not in ("arith.py", "__init__.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        assert "divisor_count_sieve" not in path.read_text(encoding="utf-8"), path.name

@@ -14,6 +14,7 @@ import time
 from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
                         omega_distinct, restricted_divisor_count,
                         shifted_divisor_sum, squarefree_divisor_sum,
                         two_squares_count)
-from divisorlab.arith import divisors, eval_arithmetic, shared_factor_table
+from divisorlab.arith import (divisor_count_sieve, divisors, eval_arithmetic,
+                              shared_factor_table)
 from divisorlab.errors import ResourceLimitError
 from divisorlab.fitting import half_integer_grid
 from divisorlab.summatory import (CIRCLE_MAX, SUM_CHUNK, _segment_values,
@@ -219,6 +221,14 @@ def test_prefix_tables_match_the_brute_oracle():
     for tag, table in (("d", d_table), ("two_omega", s_table)):
         want = [r.value for r in brute_force_profile(FnSpec(tag), xs)]
         assert [int(table[x]) for x in xs] == want
+    # the tables and the brute oracle both come from the walk; check them
+    # against the divisor-count sieve and the factor table too
+    sieved = np.cumsum(divisor_count_sieve(L), dtype=np.int64)
+    assert [int(d_table[x]) for x in xs] == [int(sieved[x]) for x in xs]
+    factors, two_omega = shared_factor_table(), FnSpec("two_omega")
+    pointwise = list(accumulate(
+        (eval_arithmetic(two_omega, n, factors) for n in range(1, L + 1)), initial=0))
+    assert [int(s_table[x]) for x in xs] == [pointwise[x] for x in xs]
 
 
 def test_mobius_sieve_matches_pointwise():
@@ -230,20 +240,31 @@ def test_mobius_sieve_matches_pointwise():
 
 
 def test_mobius_sieve_matches_pointwise_across_table_sized_chunks(monkeypatch):
-    # past 64 KERNEL_CHUNK entries a fresh table is sieved in 64 chunks of
-    # (n + 1) // 64; check both sides of every chunk edge pointwise, and
-    # the whole table against the prime-exponent walk
+    # grow a fresh table in three steps, the last past 64 KERNEL_CHUNK
+    # entries (walks of more than KERNEL_CHUNK); each growth walks only the
+    # new entries, in at most 64 walks, and both sides of every walk's edges
+    # match the pointwise mu
     monkeypatch.setattr(summatory, "_MU_TABLE", np.zeros(1, dtype=np.int8))
-    n = 64 * summatory.KERNEL_CHUNK + 4321
-    mu = summatory._mobius_sieve(n)
-    assert mu.size == n + 1
-    chunk = (n + 1) // 64
-    assert chunk > summatory.KERNEL_CHUNK
-    edges = {k for lo in range(chunk, n + 1, chunk)
-             for k in range(lo - 3, min(lo + 3, n + 1))}
-    edges |= {n - 1, n}
-    assert {k: int(mu[k]) for k in edges} == {k: mobius(k) for k in edges}
-    assert np.array_equal(mu[1:], _segment_values("mu", 1, n + 1))
+    walks = []
+
+    def spy(f, lo, hi):
+        walks.append((lo, hi))
+        return _segment_values(f, lo, hi)
+
+    monkeypatch.setattr(summatory, "_segment_values", spy)
+    chunk = summatory.KERNEL_CHUNK
+    for n in (17, 3 * chunk + 5, 64 * chunk + 4321):
+        old = summatory._MU_TABLE.size
+        walks.clear()
+        mu = summatory._mobius_sieve(n)
+        assert mu.size == n + 1 and mu[0] == 0
+        assert 1 <= len(walks) <= 64
+        assert walks[0][0] == old and walks[-1][1] == n + 1
+        assert all(a[1] == b[0] for a, b in zip(walks, walks[1:]))
+        edges = {k for lo, hi in walks for e in (lo, hi - 1)
+                 for k in range(max(1, e - 3), min(e + 4, n + 1))}
+        assert {k: int(mu[k]) for k in edges} == {k: mobius(k) for k in edges}
+    assert max(hi - lo for lo, hi in walks) > chunk
 
 
 def test_first_hyperbola_chunk_sum_fits_int64():
@@ -355,6 +376,17 @@ def test_exact_array_sum_of_python_ints():
     arr = np.array(values, dtype=object)
     assert summatory._exact_array_sum(arr, max(map(abs, values))) == sum(values)
     assert summatory._exact_array_sum(arr[:0], 1) == 0
+
+
+@pytest.mark.parametrize("lo", [0, -5])
+def test_walk_refuses_a_start_below_one_quickly(lo):
+    # at n = 0 every p^k divides n, so the exponent loop would never end
+    for walk in (lambda: _segment_values("d", lo, 5),
+                 lambda: _walk_segment_values(FnSpec("mu"), lo, 5, _worker_primes(5))):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="n >= 1"):
+            walk()
+        assert time.perf_counter() - t0 < 0.05
 
 
 WEIGHTED_KINDS = {"d_over_n": "d", "two_omega_over_n": "two_omega",
@@ -603,12 +635,16 @@ def test_circle_lattice_refuses_past_its_cap_quickly():
         circle_lattice_sum(-1)
 
 
-def test_shifted_divisor_sum_oracle():
+def test_shifted_divisor_sum_oracle(monkeypatch):
+    # x = 500 in one segment, then in five 100-long segments, where a
+    # shift of 250 reaches past the next two
     x = 500
-    for shift in (1, 2, 6):
-        want = sum(divisor_count(n) * divisor_count(n + shift)
-                   for n in range(1, x + 1))
-        assert shifted_divisor_sum(x, shift) == want
+    for size, shifts in ((summatory.SEGMENT_SIZE, (1, 2, 6)), (100, (1, 2, 6, 250))):
+        monkeypatch.setattr(summatory, "SEGMENT_SIZE", size)
+        for shift in shifts:
+            want = sum(divisor_count(n) * divisor_count(n + shift)
+                       for n in range(1, x + 1))
+            assert shifted_divisor_sum(x, shift) == want, (size, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def test_trace_boot_names_exist():
     ("voronoi", "--kind", "full", "--x", "1000.5", "--terms", "4097"),
     ("voronoi", "--kind", "sierpinski", "--x", "1000.5", "--terms", "4097"),
     ("explicit", "--target", "two_omega", "--x", "1000.5", "--pairs", "5"),
+    ("sum", "--algorithm", "moebius_kernel", "--fn", "two_omega", "--x", "1e11"),
+    ("sum", "--algorithm", "convolution_kernel", "--x", "1e9"),
+    ("delta", "--target", "two_omega", "--grid-lo", "100", "--grid-hi", "1e8",
+     "--ratio", "2"),
 ])
 def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
