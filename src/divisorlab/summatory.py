@@ -65,8 +65,9 @@ CONVOLUTION_MAX = 5 * 10 ** 13
 # Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
 PREFIX_TABLE_LIMIT = 1 << 16
 
-# Length of the int64 chunks of the sublinear routes and of the walks that
-# build the prefix tables, and the shortest walk of the mu table.
+# Length of the int64 chunks of the sublinear routes, and the shortest walk
+# that fills the mu and prefix tables: one walk of all 2^16 prefix entries
+# peaks ~1.4 MiB higher than four of these.
 KERNEL_CHUNK = 1 << 14
 
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
@@ -546,13 +547,13 @@ def _prefix_tables() -> tuple[np.ndarray, np.ndarray]:
     """D(0..L) and S_2w(0..L) as read-only int32 prefix sums.
 
     Each is the cumsum of the walk's d or two_omega values over 1..L,
-    behind a 0 at n = 0.
+    walked in KERNEL_CHUNK pieces, behind a 0 at n = 0.
     """
     tables = []
     for tag in ("d", "two_omega"):
-        vals = np.zeros(PREFIX_TABLE_LIMIT + 1, dtype=np.int32)
-        _walk_into(vals, tag, 1, KERNEL_CHUNK)
-        table = np.cumsum(vals, dtype=np.int32)
+        table = np.zeros(PREFIX_TABLE_LIMIT + 1, dtype=np.int32)
+        _walk_into(table, tag, 1, KERNEL_CHUNK)
+        np.cumsum(table, out=table)
         table.setflags(write=False)
         tables.append(table)
     return tuple(tables)
@@ -715,7 +716,11 @@ def ap_main_term(x, ap: APSpec) -> float:
 
 def shifted_divisor_sum(x, m_shift: int, *,
                         bound: int = ORACLE_BOUND_DEFAULT) -> int:
-    """sum_{n<=x} d(n) d(n+m), one walk of SEGMENT_SIZE + m values a segment."""
+    """sum_{n<=x} d(n) d(n+m), walking [lo, hi) and [lo + m, hi + m) a segment.
+
+    Two walks of at most SEGMENT_SIZE values each keep the memory bounded
+    for every x and shift.
+    """
     if m_shift < 1:
         raise ValueError("shift must be >= 1")
     m = floor_to_int(x)
@@ -727,8 +732,8 @@ def shifted_divisor_sum(x, m_shift: int, *,
     total = 0
     for lo in range(1, m + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, m + 1)
-        d = _segment_values("d", lo, hi + m_shift)
-        prod = d[:hi - lo] * d[m_shift:]
+        prod = _segment_values("d", lo, hi) * _segment_values(
+            "d", lo + m_shift, hi + m_shift)
         total += _exact_array_sum(prod, int(prod.max()))
     return total
 

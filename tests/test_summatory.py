@@ -264,6 +264,8 @@ def test_mobius_sieve_matches_pointwise_across_table_sized_chunks(monkeypatch):
         edges = {k for lo, hi in walks for e in (lo, hi - 1)
                  for k in range(max(1, e - 3), min(e + 4, n + 1))}
         assert {k: int(mu[k]) for k in edges} == {k: mobius(k) for k in edges}
+        # the copied entries and the stitched walks, against one whole walk
+        assert np.array_equal(mu[1:], _segment_values("mu", 1, n + 1))
     assert max(hi - lo for lo, hi in walks) > chunk
 
 
@@ -637,14 +639,24 @@ def test_circle_lattice_refuses_past_its_cap_quickly():
 
 def test_shifted_divisor_sum_oracle(monkeypatch):
     # x = 500 in one segment, then in five 100-long segments, where a
-    # shift of 250 reaches past the next two
+    # shift of 250 reaches past the next two; no walk is longer than a
+    # segment, whatever the shift
     x = 500
+    walks = []
+
+    def spy(f, lo, hi):
+        walks.append(hi - lo)
+        return _segment_values(f, lo, hi)
+
+    monkeypatch.setattr(summatory, "_segment_values", spy)
     for size, shifts in ((summatory.SEGMENT_SIZE, (1, 2, 6)), (100, (1, 2, 6, 250))):
         monkeypatch.setattr(summatory, "SEGMENT_SIZE", size)
         for shift in shifts:
             want = sum(divisor_count(n) * divisor_count(n + shift)
                        for n in range(1, x + 1))
+            walks.clear()
             assert shifted_divisor_sum(x, shift) == want, (size, shift)
+            assert max(walks) <= min(size, x), (size, shift)
 
 
 # ---------------------------------------------------------------------------
