@@ -66,8 +66,7 @@ CONVOLUTION_MAX = 5 * 10 ** 13
 PREFIX_TABLE_LIMIT = 1 << 16
 
 # Length of the int64 chunks of the sublinear routes, and the shortest walk
-# that fills the mu and prefix tables: one walk of all 2^16 prefix entries
-# peaks ~1.4 MiB higher than four of these.
+# of the mu and prefix tables (one 2^16-long walk peaks ~1.4 MiB higher).
 KERNEL_CHUNK = 1 << 14
 
 # Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
@@ -716,11 +715,7 @@ def ap_main_term(x, ap: APSpec) -> float:
 
 def shifted_divisor_sum(x, m_shift: int, *,
                         bound: int = ORACLE_BOUND_DEFAULT) -> int:
-    """sum_{n<=x} d(n) d(n+m), walking [lo, hi) and [lo + m, hi + m) a segment.
-
-    Two walks of at most SEGMENT_SIZE values each keep the memory bounded
-    for every x and shift.
-    """
+    """sum_{n<=x} d(n) d(n+m); memory bounded by two walks of a segment."""
     if m_shift < 1:
         raise ValueError("shift must be >= 1")
     m = floor_to_int(x)
