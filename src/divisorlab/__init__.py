@@ -8,12 +8,12 @@ Bessel-series summation formulas (bessel), error-exponent fitting
 command line (cli).
 """
 
-from .arith import (FnSpec, GrowthReport, divisor_count, divisor_count_k,
+from .arith import (FnSpec, divisor_count, divisor_count_k,
                     divisor_count_sieve, dirichlet_coefficients, divisors,
-                    factorize, growth_bound_check, hermite_divisor_count,
+                    factorize, hermite_divisor_count,
                     mobius, omega_distinct, omega_total, primes_up_to,
                     restricted_divisor_count, sigma, two_squares_count)
-from .bessel import (BesselAccuracy, TruncatedSeriesValue, bessel_J1,
+from .bessel import (TruncatedSeriesValue, bessel_J1,
                      bessel_K1, bessel_Y1, divisor_delta_reference,
                      sierpinski_sum, voronoi_full, voronoi_truncated)
 from .errors import (AccuracyError, PoleError, ResourceLimitError,
@@ -32,7 +32,6 @@ from .summatory import (APSpec, SummatoryResult, ap_divisor_sum, ap_main_term,
                         divisor_main_term, divisor_sum_from_squarefree,
                         divisor_sum_hyperbola, floor_sum, fractional_main_term,
                         fractional_part_sum, harmonic_main_term, harmonic_sum,
-                        shifted_divisor_sum, shifted_main_term,
                         squarefree_divisor_sum, squarefree_main_term)
 from .zeta import (ZeroTable, ZetaConstants, bernoulli_number,
                    default_zero_table, digamma, generalized_euler_constant,

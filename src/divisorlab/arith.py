@@ -24,8 +24,8 @@ from .errors import ResourceLimitError
 # Hard cap on sieve size: a uint32 entry per integer, 4 GiB of table.
 TABLE_LIMIT_MAX = 1 << 30
 
-# Cap on the divisor-count sieve: the default oracle bound plus room for
-# the shift of the shifted correlation sum.
+# Cap on the divisor-count sieve (the tests' d(n) oracle) and on the term
+# counts of the Bessel series; both refuse past it.
 DIVISOR_SIEVE_MAX = 10 ** 8 + 10 ** 6
 
 
@@ -399,17 +399,8 @@ def dirichlet_coefficients(identity: str, n_max: int, *, k: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# divisor growth bounds
+# divisor-count sieve and the shared factor table
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthReport:
-    n_max: int
-    epsilon: float
-    upper_violations: tuple[int, ...]   # n where d(n) >= 2^((1+eps) log n / log log n)
-    lower_count: int                    # n where d(n) >  2^((1-eps) log n / log log n)
-    band_fraction: float                # fraction of 16..n_max inside both bounds
-
 
 def divisor_count_sieve(n_max: int) -> np.ndarray:
     """d(n) for 0 <= n <= n_max as int32; d[0] = 0."""
@@ -423,33 +414,7 @@ def divisor_count_sieve(n_max: int) -> np.ndarray:
     return d
 
 
-def growth_bound_check(n_max: int, epsilon: float) -> GrowthReport:
-    """Check d(n) against 2^((1 +- eps) log n / log log n) on 16 <= n <= n_max."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if n_max < 16:
-        raise ValueError("n_max must be >= 16")
-    d = divisor_count_sieve(n_max)[16:].astype(np.float64)
-    n = np.arange(16, n_max + 1, dtype=np.float64)
-    theta = np.log(n) / np.log(np.log(n))
-    log2d = np.log2(d)
-    over = log2d >= (1.0 + epsilon) * theta
-    under_ok = log2d > (1.0 - epsilon) * theta
-    inside = (~over) & under_ok
-    return GrowthReport(
-        n_max=n_max,
-        epsilon=epsilon,
-        upper_violations=tuple(int(v) for v in (np.nonzero(over)[0] + 16)[:100]),
-        lower_count=int(under_ok.sum()),
-        band_fraction=float(inside.mean()),
-    )
-
-
 @lru_cache(maxsize=8)
-def _cached_table(limit: int) -> FactorTable:
-    return build_factor_table(limit)
-
-
 def shared_factor_table(limit: int = 10 ** 6) -> FactorTable:
-    """Process-wide factor table, built once per distinct limit."""
-    return _cached_table(limit)
+    """Process-wide factor table, cached per argument spelling (the tests pass none)."""
+    return build_factor_table(limit)

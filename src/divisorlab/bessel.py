@@ -52,22 +52,6 @@ SERIES_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
-class BesselAccuracy:
-    """Documented accuracy envelope of the order-one Bessel evaluators.
-
-    target_abs_error holds for arguments up to DOCUMENTED_ENVELOPE (1e4);
-    measured accuracy stays at machine level out to the hard boundary.
-    """
-
-    series_cutoff_terms: int = SERIES_CUTOFF
-    asymptotic_switch_point: float = ASYMPTOTIC_SWITCH
-    target_abs_error: float = 1.0e-10
-
-
-DEFAULT_ACCURACY = BesselAccuracy()
-
-
-@dataclass(frozen=True)
 class TruncatedSeriesValue:
     """Value of a truncated series plus its last-term magnitude.
 

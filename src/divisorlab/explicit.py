@@ -181,10 +181,10 @@ class FormulaEvaluation:
 
     x: float
     target: str
-    main_term: float
     constant_term: float
-    zero_sum_partials: tuple[tuple[int, float], ...]
+    main_term: float
     trivial_tail: float
+    zero_sum_partials: tuple[tuple[int, float], ...]
     exact: float | None = None
     averaged: bool = False
     zero_table_validated: bool = True

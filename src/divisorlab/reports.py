@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 
-from .explicit import DeltaSample, FormulaEvaluation
+from .explicit import DeltaSample
 
 DELTA_CSV_HEADER = "x,exact,predicted,delta,delta_over_x14,delta_over_x12"
 SUM_CSV_HEADER = "x,fn,value,algorithm"
@@ -83,18 +83,6 @@ def _to_json(v) -> str:
 
 def row_dict(row) -> dict:
     """Flatten a report row into an ordered plain dict."""
-    if isinstance(row, FormulaEvaluation):
-        return {
-            "x": row.x,
-            "target": row.target,
-            "constant_term": row.constant_term,
-            "main_term": row.main_term,
-            "trivial_tail": row.trivial_tail,
-            "zero_sum_partials": [[n, v] for n, v in row.zero_sum_partials],
-            "exact": row.exact,
-            "averaged": row.averaged,
-            "zero_table_validated": row.zero_table_validated,
-        }
     if is_dataclass(row):
         return {f.name: getattr(row, f.name) for f in fields(row)}
     if isinstance(row, dict):

@@ -39,7 +39,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .arith import FnSpec, primes_up_to, sigma
+from .arith import FnSpec, primes_up_to
 from .errors import ResourceLimitError
 from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
 
@@ -84,8 +84,7 @@ SUM_CHUNK = 1 << 16
 # ~3 s at the cap on 2 CPUs and grows like sqrt(x).
 CIRCLE_MAX = 10 ** 14
 
-ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel",
-              "lattice")
+ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +621,7 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
 
 
 # ---------------------------------------------------------------------------
-# harmonic, fractional, circle, AP, shifted, auxiliary sums
+# harmonic, fractional, circle and AP sums
 # ---------------------------------------------------------------------------
 
 def _progression(m: int, ap: APSpec | None):
@@ -703,7 +702,7 @@ def ap_divisor_sum(x, ap: APSpec, *,
         raise TypeError("ap must be an APSpec")
     m = _bounded_floor(x, bound, "oracle bound")
     return SummatoryResult(x=float(x), fn=f"d_restricted_{ap.q}_{ap.a}",
-                           value=_quotient_sum(m, ap), algorithm="lattice")
+                           value=_quotient_sum(m, ap), algorithm="brute")
 
 
 def ap_main_term(x, ap: APSpec) -> float:
@@ -711,32 +710,6 @@ def ap_main_term(x, ap: APSpec) -> float:
     xf = float(x)
     g_aq = generalized_euler_constant(ap.a, ap.q)
     return xf * math.log(xf) / ap.q + (g_aq - (1.0 - EULER_GAMMA) / ap.q) * xf
-
-
-def shifted_divisor_sum(x, m_shift: int, *,
-                        bound: int = ORACLE_BOUND_DEFAULT) -> int:
-    """sum_{n<=x} d(n) d(n+m); memory bounded by two walks of a segment."""
-    if m_shift < 1:
-        raise ValueError("shift must be >= 1")
-    m = floor_to_int(x)
-    if m < 1:
-        raise ValueError("x must be >= 1")
-    if m + m_shift > bound:
-        raise ResourceLimitError(
-            f"x + m = {m + m_shift} exceeds the oracle bound {bound}")
-    total = 0
-    for lo in range(1, m + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, m + 1)
-        prod = _segment_values("d", lo, hi) * _segment_values(
-            "d", lo + m_shift, hi + m_shift)
-        total += _exact_array_sum(prod, int(prod.max()))
-    return total
-
-
-def shifted_main_term(x, m_shift: int) -> float:
-    """Leading term (6/pi^2) (sigma(m)/m) x log^2 x of the shifted correlation."""
-    xf = float(x)
-    return (6.0 / math.pi ** 2) * sigma(m_shift, 1) / m_shift * xf * math.log(xf) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -223,10 +223,10 @@ def zeta(s) -> complex:
     w = 1 - s
     ln_pref = (s * math.log(2) + (s - 1) * math.log(math.pi)
                + _lgamma_complex(w))
-    sin_half = cmath.sin(math.pi * s / 2) if abs(s.imag) <= 20 else None
-    if sin_half is not None and sin_half == 0:
-        return complex(0.0)
-    if sin_half is not None and abs(s.imag) <= 20:
+    if abs(s.imag) <= 20:
+        sin_half = cmath.sin(math.pi * s / 2)
+        if sin_half == 0:
+            return complex(0.0)
         return cmath.exp(ln_pref) * sin_half * _zeta_em_pair(w)[0]
     ln_total = ln_pref + _log_sin(math.pi * s / 2)
     return cmath.exp(ln_total) * _zeta_em_pair(w)[0]

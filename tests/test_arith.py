@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import divisorlab
 from divisorlab import (FnSpec, dirichlet_coefficients, divisor_count,
                         divisor_count_k, divisor_count_sieve, divisors,
-                        factorize, growth_bound_check,
-                        hermite_divisor_count, mobius, omega_distinct,
+                        factorize, hermite_divisor_count, mobius, omega_distinct,
                         omega_total, primes_up_to, restricted_divisor_count,
                         sigma, two_squares_count)
 from divisorlab.arith import (TABLE_LIMIT_MAX, build_factor_table,
@@ -295,24 +294,6 @@ def test_dirichlet_sigma_product_pointwise():
     coef = dirichlet_coefficients("sigma_product", n_max, a=1, b=2)
     for n in range(1, n_max + 1):
         assert coef[n] == sigma(n, 1, table) * sigma(n, 2, table)
-
-
-# ---------------------------------------------------------------------------
-# growth bound scan
-# ---------------------------------------------------------------------------
-
-def test_growth_bound_report():
-    rep = growth_bound_check(10 ** 4, 0.5)
-    assert rep.n_max == 10 ** 4
-    # at this scale nothing breaches the generous upper band, most of the
-    # range beats the lower one, and a solid majority sits inside both
-    assert rep.upper_violations == ()
-    assert rep.lower_count > 0
-    assert 0.5 < rep.band_fraction <= 1.0
-    with pytest.raises(ValueError):
-        growth_bound_check(10 ** 4, 1.5)
-    with pytest.raises(ValueError):
-        growth_bound_check(8, 0.5)
 
 
 # ---------------------------------------------------------------------------
