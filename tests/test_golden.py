@@ -57,6 +57,13 @@ COMMANDS = (
        ("ap", "--kind", "fractional", "--q", "4", "--a", "3", "--x", "300000.5"),
        ("voronoi", "--kind", "full", "--x", "1300.5", "--terms", "43000"),
        ("voronoi", "--kind", "sierpinski", "--x", "5500.5", "--terms", "20000")]
+    # the cosine sum: 4999 terms cross a 2^12-term chunk edge, 123456.5 takes
+    # the default count and 200000 terms run 49 chunks
+    + [("voronoi", "--kind", "truncated", "--x", x, *terms)
+       for x, terms in (("1000.5", ("--terms", "999")),
+                        ("5000.25", ("--terms", "4999")),
+                        ("123456.5", ()),
+                        ("300000.5", ("--terms", "200000")))]
 )
 
 
