@@ -1,8 +1,9 @@
 """Order-one Bessel functions and the oscillatory lattice-sum formulas.
 
 Hand-rolled J1, Y1, K1 in double precision: ascending series below the
-switch point, large-argument asymptotic expansions above it, sharing one
-coefficient recurrence a_m -> a_m * (4 - (2m-1)^2) / (8 m z).  One
+switch point (one loop for J and I1, one psi-weighted loop for Y1 and K1),
+large-argument asymptotic expansions above it, sharing one coefficient
+recurrence a_m -> a_m * (4 - (2m-1)^2) / (8 m z).  One
 table-driven _evaluate serves them (and J0, Y0) for a float or an array:
 the series per element in pure Python, the expansions as numpy kernels in
 which each element stops where its own scalar recurrence would and adds
@@ -17,11 +18,13 @@ On top of them sit three summation formulas for a non-integer x:
     voronoi_truncated (x^{1/4}/(pi sqrt 2)) sum_{n<=N} d(n) n^{-3/4} cos(4 pi sqrt(nx) - pi/4)
     sierpinski_sum    pi x + sqrt(x) sum_{n<=N} r2(n)/sqrt(n) J1(2 pi sqrt(nx))
 
-voronoi_full and sierpinski_sum are two rows of one chunk loop.  Each
-chunk (about 64 at most) takes d(n) or r2(n) from its own prime-exponent
-walk, forms its terms as arrays and feeds every term, in ascending n, to
-one math.fsum, which rounds the exact sum once: the chunking cannot move a
-bit.  No acceleration tricks, reproducibility first.
+The three are rows of one chunk loop.  Each chunk (64 at most) takes d(n)
+or r2(n) from its own prime-exponent walk, forms its terms (the Bessel
+rows as arrays, the cosine row one Python float at a time) and feeds every
+term, in ascending n, to one math.fsum, which rounds the exact sum once:
+the chunking cannot move a bit, and only one chunk's terms are held at a
+time, so the truncated sum's memory does not grow with N.  No
+acceleration tricks, reproducibility first.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .arith import DIVISOR_SIEVE_MAX
 from .errors import AccuracyError, PoleError, ResourceLimitError
-from .summatory import _segment_values, divisor_main_term, divisor_sum_hyperbola
+from .summatory import _walk_chunks, divisor_main_term, divisor_sum_hyperbola
 from .zeta import EULER_GAMMA
 
 ASYMPTOTIC_SWITCH = 12.0
@@ -46,8 +49,8 @@ ASYMPTOTIC_SWITCH = 12.0
 DOCUMENTED_ENVELOPE = 1.0e4
 ARGUMENT_ENVELOPE = 1.0e5
 SERIES_CUTOFF = 60
-# Lattice-sum terms are formed this many at a time (n_terms // 64 once that
-# is more), which bounds the arrays.
+# Series terms are formed this many at a time (ceil((n_terms + 1) / 64) once
+# that is more), which bounds the arrays.
 SERIES_CHUNK = 1 << 12
 
 
@@ -68,14 +71,12 @@ class TruncatedSeriesValue:
 # ascending series (small z)
 # ---------------------------------------------------------------------------
 
-def _series_J(nu: int, z: float) -> float:
-    """J_nu by the ascending power series, nu in {0, 1}.
+def _ascending(nu: int, q: float, term: float) -> float:
+    """sum_k term_k with term_k = term_{k-1} (-q) / (k (k + nu)), nu in {0, 1}.
 
-    term_k = (-1)^k (z/2)^{2k+nu} / (k! (k+nu)!); the ratio form below
-    keeps everything in one multiply per term.
+    With term_0 = (z/2)^nu / nu!, q = z^2/4 gives J_nu and q = -z^2/4 gives
+    I_nu.
     """
-    q = 0.25 * z * z
-    term = (0.5 * z) ** nu / math.factorial(nu)
     total = term
     for k in range(1, SERIES_CUTOFF + 1):
         term *= -q / (k * (k + nu))
@@ -85,17 +86,29 @@ def _series_J(nu: int, z: float) -> float:
     return total
 
 
-def _series_I1(z: float) -> float:
-    """I_1 ascending series (all-plus twin of the J_1 series)."""
-    q = 0.25 * z * z
-    term = 0.5 * z
-    total = term
+def _series_J(nu: int, z: float) -> float:
+    """J_nu by the ascending power series, nu in {0, 1}."""
+    return _ascending(nu, 0.25 * z * z, (0.5 * z) ** nu / math.factorial(nu))
+
+
+def _psi_weighted(q: float, term: float) -> float:
+    """sum_k term_k (psi(k+1) + psi(k+2)), term_k = term_{k-1} (-q) / (k (k+1)).
+
+    psi(k+1) = -gamma + H_k.  This is the log-series tail of Y_1 (q = z^2/4,
+    term_0 = z/2) and of K_1 (q = -z^2/4, term_0 = 1).
+    """
+    h_k = 0.0
+    h_k1 = 1.0
+    acc = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
     for k in range(1, SERIES_CUTOFF + 1):
-        term *= q / (k * (k + 1))
-        total += term
-        if term < 1e-18 * total:
+        term *= -q / (k * (k + 1))
+        h_k += 1.0 / k
+        h_k1 += 1.0 / (k + 1)
+        piece = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
+        acc += piece
+        if abs(piece) < 1e-18 * (1.0 + abs(acc)):
             break
-    return total
+    return acc
 
 
 def _series_Y(nu: int, z: float) -> float:
@@ -118,38 +131,15 @@ def _series_Y(nu: int, z: float) -> float:
     # nu = 1:
     #   (2/pi) log(z/2) J1 - 2/(pi z)
     #   - (1/pi) sum_{k>=0} (psi(k+1) + psi(k+2)) (-1)^k (z/2)^{2k+1} / (k! (k+1)!)
-    # with psi(k+1) = -gamma + H_k.
-    term = 0.5 * z
-    h_k = 0.0
-    h_k1 = 1.0
-    acc = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
-    for k in range(1, SERIES_CUTOFF + 1):
-        term *= -q / (k * (k + 1))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        piece = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
-        acc += piece
-        if abs(piece) < 1e-18 * (1.0 + abs(acc)):
-            break
-    return (2.0 / math.pi) * lg * _series_J(1, z) - 2.0 / (math.pi * z) - acc / math.pi
+    return ((2.0 / math.pi) * lg * _series_J(1, z) - 2.0 / (math.pi * z)
+            - _psi_weighted(q, 0.5 * z) / math.pi)
 
 
 def _series_K1(z: float) -> float:
     """K_1 ascending series: 1/z + log(z/2) I1 - (z/4) sum ... ."""
-    q = 0.25 * z * z
-    term = 1.0
-    h_k = 0.0
-    h_k1 = 1.0
-    acc = -2.0 * EULER_GAMMA + h_k + h_k1
-    for k in range(1, SERIES_CUTOFF + 1):
-        term *= q / (k * (k + 1))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        piece = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
-        acc += piece
-        if abs(piece) < 1e-18 * (1.0 + abs(acc)):
-            break
-    return 1.0 / z + math.log(0.5 * z) * _series_I1(z) - 0.25 * z * acc
+    q = -0.25 * z * z
+    return (1.0 / z + math.log(0.5 * z) * _ascending(1, q, 0.5 * z)
+            - 0.25 * z * _psi_weighted(q, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +275,37 @@ def _bessel_Y0(z):
 # summation formulas
 # ---------------------------------------------------------------------------
 
-# kind -> (walk rule of a(n), the c of the argument c sqrt(nx), kernel of an
-# array of arguments, refusal past DIVISOR_SIEVE_MAX terms).  The envelope
-# checked is that of the kernel's first evaluator, on the a(n) != 0 terms.
-# Kernels call _evaluate, not the public names, which the traced benchmark
-# (perfbench/trace_boot.py) rebinds to counters that take one float.
+def _bessel_terms(kernel, a: np.ndarray, n: np.ndarray, scale: float) -> list[float]:
+    """The chunk's terms a(n)/sqrt(n) kernel(scale sqrt(n)), formed as arrays."""
+    root = np.sqrt(n)
+    return (a / root * kernel(scale * root)).tolist()
+
+
+def _cosine_terms(a: np.ndarray, n: np.ndarray, scale: float) -> list[float]:
+    """The chunk's terms a(n) n^{-3/4} cos(scale sqrt(n) - pi/4).
+
+    One Python float at a time: np.power(n, -0.75) is not n ** -0.75 in
+    every bit.
+    """
+    return [float(d) * k ** -0.75 * math.cos(scale * math.sqrt(k) - 0.25 * math.pi)
+            for d, k in zip(a.tolist(), n.tolist())]
+
+
+# kind -> (walk rule of a(n), the c of the scale c sqrt(x), the chunk's terms
+# of (a(n), n, scale) over its a(n) != 0, refusal past DIVISOR_SIEVE_MAX
+# terms).  The Bessel envelope checked is that of the kernel's first
+# evaluator.  Kernels call _evaluate, not the public names, which the traced
+# benchmark (perfbench/trace_boot.py) rebinds to counters that take one float.
 _DIVISOR_TERMS_REFUSAL = "divisor table limit {n} exceeds {cap}"
 _SERIES = {
     "full": ("d", 4.0 * math.pi,
-             lambda z: _evaluate("bessel_K1", z) + 0.5 * math.pi * _evaluate("bessel_Y1", z),
+             partial(_bessel_terms, lambda z: _evaluate("bessel_K1", z)
+                     + 0.5 * math.pi * _evaluate("bessel_Y1", z)),
              _DIVISOR_TERMS_REFUSAL),
-    "sierpinski": ("r2", 2.0 * math.pi, partial(_evaluate, "bessel_J1"),
+    "sierpinski": ("r2", 2.0 * math.pi,
+                   partial(_bessel_terms, partial(_evaluate, "bessel_J1")),
                    "sierpinski series: {n} terms exceed {cap}"),
+    "truncated": ("d", 4.0 * math.pi, _cosine_terms, _DIVISOR_TERMS_REFUSAL),
 }
 
 
@@ -334,27 +343,24 @@ def default_terms(kind: str, x) -> int:
 
 
 def _bessel_series(kind: str, xf: float, n_terms: int) -> tuple[float, float]:
-    """sum_{n<=N} a(n)/sqrt(n) kernel(c sqrt(nx)) of _SERIES[kind], and its last term.
+    """sum_{n<=N} of _SERIES[kind]'s terms at scale c sqrt(x), and its last term.
 
-    a(n) = 0 terms are skipped.  Each chunk walks for its own a(n); a walk
-    loops over the primes up to sqrt(hi), so past 64 chunks they grow.
+    a(n) = 0 terms are skipped.  The chunks of _walk_chunks (SERIES_CHUNK
+    at least) each walk for their own a(n).
     """
-    rule, c, kernel, too_many = _SERIES[kind]
+    rule, c, chunk_terms, too_many = _SERIES[kind]
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     if n_terms > DIVISOR_SIEVE_MAX:
         raise ResourceLimitError(too_many.format(n=n_terms, cap=DIVISOR_SIEVE_MAX))
     scale = c * math.sqrt(xf)
-    size = max(SERIES_CHUNK, n_terms // 64)
     last = 0.0
 
     def chunks():
         nonlocal last
-        for lo in range(1, n_terms + 1, size):
-            coef = _segment_values(rule, lo, min(lo + size, n_terms + 1))
+        for lo, coef in _walk_chunks(rule, 1, n_terms + 1, SERIES_CHUNK):
             keep = np.flatnonzero(coef)
-            root = np.sqrt(keep + lo)
-            terms = (coef[keep] / root * kernel(scale * root)).tolist()
+            terms = chunk_terms(coef[keep], keep + lo, scale)
             last = terms[-1] if terms else last
             yield terms
 
@@ -395,16 +401,8 @@ def voronoi_truncated(x, n_terms: int) -> float:
         raise ValueError("n_terms must be >= 2")
     if n_terms >= xf:
         raise ValueError("n_terms must stay below x")
-    if n_terms > DIVISOR_SIEVE_MAX:
-        raise ResourceLimitError(
-            _DIVISOR_TERMS_REFUSAL.format(n=n_terms, cap=DIVISOR_SIEVE_MAX))
-    d = _segment_values("d", 1, n_terms + 1).tolist()
-    four_pi_sqrt_x = 4.0 * math.pi * math.sqrt(xf)
-    terms = []
-    for n in range(1, n_terms + 1):
-        phase = four_pi_sqrt_x * math.sqrt(n) - 0.25 * math.pi
-        terms.append(float(d[n - 1]) * n ** -0.75 * math.cos(phase))
-    return xf ** 0.25 / (math.pi * math.sqrt(2.0)) * math.fsum(terms)
+    series = _bessel_series("truncated", xf, n_terms)[0]
+    return xf ** 0.25 / (math.pi * math.sqrt(2.0)) * series
 
 
 def divisor_delta_reference(x, *, include_quarter: bool = True) -> float:

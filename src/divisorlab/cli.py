@@ -48,7 +48,7 @@ from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv, render_json)
 from .summatory import (ORACLE_BOUND_DEFAULT, SEGMENT_SIZE, APSpec,
-                        _segment_values, ap_divisor_sum,
+                        _segment_values, _walk_chunks, ap_divisor_sum,
                         ap_main_term, brute_force_profile, brute_force_sum,
                         circle_lattice_sum, divisor_sum_from_squarefree,
                         divisor_sum_hyperbola, floor_sum, fractional_main_term,
@@ -337,9 +337,8 @@ def _cmd_sieve(args) -> int:
             f"{SIEVE_ROWS_MAX} row cap")
     label = spec.label()
     rows = [{"n": n, "fn": label, "value": v}
-            for lo in range(1, limit + 1, SEGMENT_SIZE)
-            for n, v in enumerate(_segment_values(
-                spec, lo, min(lo + SEGMENT_SIZE, limit + 1)).tolist(), lo)]
+            for lo, values in _walk_chunks(spec, 1, limit + 1, SEGMENT_SIZE)
+            for n, v in enumerate(values.tolist(), lo)]
     return _write_rows(rows, _report_format(args), args.output)
 
 

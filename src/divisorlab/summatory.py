@@ -511,11 +511,21 @@ def floor_sum(x) -> int:
     return total
 
 
-def _walk_into(out: np.ndarray, f, lo: int, chunk: int) -> None:
-    """out[n] = f(n) for lo <= n < out.size, one walk per chunk of n."""
-    for a in range(lo, out.size, chunk):
-        b = min(a + chunk, out.size)
-        out[a:b] = _segment_values(f, a, b)
+def _walk_chunks(f, lo: int, hi: int, shortest: int):
+    """(a, f(a..b-1)) for the chunks [a, b) that tile [lo, hi), in order.
+
+    Each chunk but the last is max(shortest, ceil(hi / 64)) long: at most
+    64 walks, since each walk loops over the primes up to sqrt(b).
+    """
+    size = max(shortest, -(-hi // 64))
+    for a in range(lo, hi, size):
+        yield a, _segment_values(f, a, min(a + size, hi))
+
+
+def _walk_into(out: np.ndarray, f, lo: int, shortest: int) -> None:
+    """out[n] = f(n) for lo <= n < out.size, walked by _walk_chunks."""
+    for a, values in _walk_chunks(f, lo, out.size, shortest):
+        out[a:a + values.size] = values
 
 
 _MU_TABLE = np.zeros(1, dtype=np.int8)
@@ -525,9 +535,9 @@ def _mobius_sieve(limit: int) -> np.ndarray:
     """mu(0..n) as int8 for some n >= limit, from one table that only grows.
 
     A growth at least doubles the table and walks only its new entries,
-    in at most 64 walks of at least KERNEL_CHUNK entries each; the entries
-    already there are copied.  Walking mu to 3.2e7 (the kernel at 1e15)
-    takes ~2 s on 2 CPUs.
+    in the chunks of _walk_chunks (at least KERNEL_CHUNK entries each); the
+    entries already there are copied.  Walking mu to 3.2e7 (the kernel at
+    1e15) takes ~2 s on 2 CPUs.
     """
     global _MU_TABLE
     old = _MU_TABLE.size
@@ -535,7 +545,7 @@ def _mobius_sieve(limit: int) -> np.ndarray:
         n = max(limit, 2 * old)
         mu = np.empty(n + 1, dtype=np.int8)
         mu[:old] = _MU_TABLE
-        _walk_into(mu, "mu", old, max(KERNEL_CHUNK, -(-(n + 1) // 64)))
+        _walk_into(mu, "mu", old, KERNEL_CHUNK)
         _MU_TABLE = mu
     return _MU_TABLE
 

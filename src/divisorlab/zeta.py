@@ -151,7 +151,7 @@ def _lgamma_complex(z: complex) -> complex:
 
 
 def _log_sin(z: complex) -> complex:
-    """log sin z, stable for large |Im z|.
+    """log sin z, stable for large |Im z|; an exact zero of sin gives -inf.
 
     Past |Im z| > 20 the neglected correction log(1 -+ e^{+-2iz}) is below
     e^-40, smaller than double rounding, so the asymptotic branch is exact
@@ -159,7 +159,8 @@ def _log_sin(z: complex) -> complex:
     """
     b = z.imag
     if abs(b) <= 20.0:
-        return cmath.log(cmath.sin(z))
+        sv = cmath.sin(z)
+        return complex(-math.inf, 0.0) if sv == 0 else cmath.log(sv)
     if b > 0:
         # sin z ~ e^{-iz} * i/2
         return -1j * z + complex(-math.log(2), math.pi / 2)
@@ -243,21 +244,11 @@ def zeta_derivative(s) -> complex:
     w = 1 - s
     ln_pref = (s * math.log(2) + (s - 1) * math.log(math.pi)
                + _lgamma_complex(w))
-    a_sin = cmath.exp(ln_pref + _log_sin_or_zero(math.pi * s / 2))
+    a_sin = cmath.exp(ln_pref + _log_sin(math.pi * s / 2))
     a_cos = cmath.exp(ln_pref + _log_cos(math.pi * s / 2))
     zw, zwp = _zeta_em_pair(w)
     coef = math.log(2 * math.pi) - _digamma_complex(w)
     return (coef * a_sin + (math.pi / 2) * a_cos) * zw - a_sin * zwp
-
-
-def _log_sin_or_zero(z: complex) -> complex:
-    """log sin z, mapping an exact zero of sin to -inf (so exp gives 0)."""
-    if abs(z.imag) <= 20:
-        sv = cmath.sin(z)
-        if sv == 0:
-            return complex(-math.inf, 0.0)
-        return cmath.log(sv)
-    return _log_sin(z)
 
 
 # ---------------------------------------------------------------------------

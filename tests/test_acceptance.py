@@ -6,16 +6,13 @@ captured stdout.  Every numeric target here was recomputed from scratch
 with an independent oracle before being frozen into the assertions.
 """
 
-import json
 import math
 import random
 import time
 
-import pytest
-
 from divisorlab import (APSpec, FnSpec, TruncationConfig, bessel_J1,
                         bessel_K1, bessel_Y1, brute_force_profile,
-                        brute_force_sum, circle_lattice_sum, default_zero_table, delta_error,
+                        circle_lattice_sum, default_zero_table, delta_error,
                         divisor_count, divisor_count_k, divisor_count_sieve,
                         divisor_delta_reference, divisor_sum_from_squarefree,
                         divisor_sum_hyperbola, divisors, evaluate_explicit,

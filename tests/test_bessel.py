@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from divisorlab import summatory
 from divisorlab import (bessel_J1, bessel_K1, bessel_Y1, circle_lattice_sum,
                         divisor_count_sieve, divisor_delta_reference,
                         divisor_main_term, divisor_sum_hyperbola,
@@ -24,6 +25,7 @@ from divisorlab.bessel import (ARGUMENT_ENVELOPE, ASYMPTOTIC_SWITCH,
                                _asymptotic_K1, _bessel_J0, _bessel_Y0,
                                default_terms)
 from divisorlab.errors import AccuracyError, PoleError
+from divisorlab.summatory import _segment_values
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +294,24 @@ def test_voronoi_truncated_tracks_delta():
     r1000 = abs(voronoi_truncated(x, 1000) - ref)
     assert r1000 < r10
     assert r1000 <= 20.0 * x ** 0.25
+
+
+def test_voronoi_truncated_walks_series_chunks(monkeypatch):
+    # the cosine sum takes d(n) chunk by chunk, as the Bessel series do, so
+    # its memory does not grow with N
+    walks = []
+
+    def spy(f, lo, hi):
+        walks.append((lo, hi))
+        return _segment_values(f, lo, hi)
+
+    monkeypatch.setattr(summatory, "_segment_values", spy)
+    n_terms = 3 * SERIES_CHUNK + 5
+    voronoi_truncated(20000.5, n_terms)
+    assert walks and walks[0][0] == 1 and walks[-1][1] == n_terms + 1
+    assert all(a[1] == b[0] for a, b in zip(walks, walks[1:]))
+    longest = max(SERIES_CHUNK, -(-(n_terms + 1) // 64))
+    assert all(hi - lo <= longest for lo, hi in walks)
 
 
 def test_divisor_delta_reference_consistent():

@@ -7,7 +7,6 @@ frozen one-off evaluations that were verified by hand.
 """
 
 import math
-import warnings
 
 import pytest
 

@@ -7,7 +7,6 @@ diffing depends on it.
 
 import json
 import math
-import random
 import time
 
 import pytest

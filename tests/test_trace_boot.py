@@ -53,6 +53,7 @@ def test_trace_boot_names_exist():
     ("sum", "--algorithm", "brute", "--fn", "mu", "--x", "4500000", "--workers", "2"),
     ("fit", "--target", "two_omega", "--grid-lo", "110", "--grid-hi", "1000000",
      "--ratio", "1.05"),
+    ("voronoi", "--kind", "truncated", "--x", "5000.25", "--terms", "4999"),
 ])
 def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
