@@ -64,6 +64,10 @@ COMMANDS = (
                         ("5000.25", ("--terms", "4999")),
                         ("123456.5", ()),
                         ("300000.5", ("--terms", "200000")))]
+    # x = 2 * 2^21 + 1: each brute scan crosses two segment edges
+    + [("sum", "--algorithm", "brute", "--workers", "2", "--fn", fn,
+        "--x", "4194305")
+       for fn in ("d", "omega", "big_omega", "mu_squared", "two_big_omega")]
 )
 
 
