@@ -323,14 +323,18 @@ def default_terms(kind: str, x) -> int:
 
     full and sierpinski keep every Bessel argument c sqrt(x) sqrt(n)
     (c = 4 pi, 2 pi) within ARGUMENT_ENVELOPE, by the series' own float
-    expression; truncated keeps the count below x.  x outside (0, inf) gets
-    the cap, for the series to refuse with its own message.
+    expression; truncated keeps the count below x, and refuses x <= 2,
+    where no count fits.  x outside (0, inf) gets the cap, for the series to
+    refuse with its own message.
     """
     cap = 10 ** 3 if kind == "truncated" else 10 ** 4
     xf = float(x)
     if not 0.0 < xf < math.inf:
         return cap
     if kind == "truncated":
+        if xf <= 2.0:
+            raise ValueError(f"the truncated sum takes N terms with 2 <= N < x; "
+                             f"none fits x = {xf}")
         return min(cap, math.ceil(xf) - 1)
     scale = _SERIES[kind][1] * math.sqrt(xf)  # c sqrt(x)
     n = min(cap, int((ARGUMENT_ENVELOPE / scale) ** 2) + 1)
@@ -397,10 +401,9 @@ def voronoi_truncated(x, n_terms: int) -> float:
     delta_error drops the 1/4 and both conventions are exposed.
     """
     xf = _require_noninteger(x, "voronoi_truncated")
-    if n_terms < 2:
-        raise ValueError("n_terms must be >= 2")
-    if n_terms >= xf:
-        raise ValueError("n_terms must stay below x")
+    if not 2 <= n_terms < xf:
+        raise ValueError(f"the truncated sum takes N terms with 2 <= N < x; "
+                         f"N = {n_terms} does not fit x = {xf}")
     series = _bessel_series("truncated", xf, n_terms)[0]
     return xf ** 0.25 / (math.pi * math.sqrt(2.0)) * series
 

@@ -3,8 +3,8 @@
 Two independent routes to every headline quantity:
 
 * brute force -- a linear, segmented scan whose prime-exponent walk builds
-  each segment's values as an array (int64, or object where int64 could
-  overflow) and accumulates exact integers.  This is the oracle everything
+  each segment's values as an array (int32 below 2^31, int64 above, or
+  object where int64 could overflow) and accumulates exact integers.  This is the oracle everything
   else is checked against.
 * sublinear algorithms -- the hyperbola method for D(x), the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2), its convolution inverse, and direct
@@ -69,8 +69,9 @@ PREFIX_TABLE_LIMIT = 1 << 16
 # of the mu and prefix tables (one 2^16-long walk peaks ~1.4 MiB higher).
 KERNEL_CHUNK = 1 << 14
 
-# Segment length for the streaming scans.  2^21 int64 entries is 16 MiB per
-# working array, small enough to stay cache-friendly with several workers.
+# Segment length for the streaming scans.  2^21 entries is 8 MiB per int32
+# working array (16 MiB in int64), small enough to stay cache-friendly with
+# several workers.
 SEGMENT_SIZE = 1 << 21
 
 # Segment length of the scans whose values are Python ints (object dtype).
@@ -179,10 +180,12 @@ def _as_spec(f) -> FnSpec:
 # _RULES (d_k and sigma build theirs from their parameter in _rule): a start
 # value, the fold, and the local factor at a prime power.  Rules take p as
 # an int inside the walk; the leftover fold passes the whole array of
-# quotients with e = 1.  The values are int64 unless they could overflow
-# at the segment's top (_numpy_walk_ok); then they are exact Python ints in
-# an object array.  d_restricted is not multiplicative and has a count of
-# its own (_restricted_segment_counts).
+# quotients with e = 1.  The dtype comes from the segment's top (_walk_dtype):
+# int32 while n < 2^31 for the _RULES rows, whose values, p^e and n all fit;
+# int64 above that and for d_k and sigma; exact Python ints in an object
+# array where int64 could overflow.  ext, e and the leftover arange take the
+# integer dtype of the rung (int64 under object values).  d_restricted is
+# not multiplicative and has a count of its own (_restricted_segment_counts).
 # ---------------------------------------------------------------------------
 
 def _r2_factor(p, e):
@@ -256,10 +259,11 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """
     if lo < 1:
         raise ValueError(f"the walk starts at n >= 1 (got lo={lo})")
-    dtype = np.int64 if _numpy_walk_ok(f, hi - 1) else object
+    dtype = _walk_dtype(f, hi - 1)
     start_value, fold, factor = _rule(f, dtype)
+    index = np.int64 if dtype is object else dtype
     size = hi - lo
-    ext = np.ones(size, dtype=np.int64)
+    ext = np.ones(size, dtype=index)
     out = np.full(size, start_value, dtype=dtype)
     for p in primes:
         p = int(p)
@@ -268,7 +272,7 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         start = (-lo) % p
         if start >= size:
             continue
-        e = np.ones((size - 1 - start) // p + 1, dtype=np.int64)
+        e = np.ones((size - 1 - start) // p + 1, dtype=index)
         seg = ext[start::p]
         seg *= p
         step = p
@@ -287,7 +291,7 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     # what the primes below sqrt(hi) leave of n is 1 or one prime above it;
     # its factor goes in as identity + (factor - identity) * [rem > 1], as
     # a where= mask makes the fold several times slower
-    rem = np.floor_divide(np.arange(lo, hi, dtype=np.int64), ext,
+    rem = np.floor_divide(np.arange(lo, hi, dtype=index), ext,
                           out=ext).astype(dtype, copy=False)
     unit = fold.identity
     lead = np.multiply(rem > 1, factor(rem, 1) - unit, out=rem)
@@ -324,7 +328,7 @@ def _segment_values(f, lo: int, hi: int) -> np.ndarray:
 
 
 def _exact_array_sum(arr: np.ndarray, bound: int) -> int:
-    """Sum an int64 array exactly, chunking so no partial can overflow.
+    """Sum an integer array exactly in int64, chunking so no partial can overflow.
 
     bound is at least max |arr|; callers measure it once per array they
     split, not once per piece, which costs more than the sums themselves.
@@ -343,16 +347,17 @@ def _exact_array_sum(arr: np.ndarray, bound: int) -> int:
     return total
 
 
-def _numpy_walk_ok(f, m: int) -> bool:
+def _walk_dtype(f, m: int):
+    """The value dtype of a walk whose largest n is m: int32, int64 or object."""
+    if isinstance(f, str) or f.tag in _RULES:
+        return np.int32 if m < 1 << 31 else np.int64
     # every intermediate the rules form must stay below 2^62
-    if isinstance(f, str):
-        return True
     if f.tag == "sigma":
-        return (m ** f.a) * 4 < (1 << 62)
+        return np.int64 if (m ** f.a) * 4 < (1 << 62) else object
     if f.tag == "d_k":
         # the binomials C(e + k - 1, k - 1), e < 64, of _rule fit int64
-        return f.k <= 21
-    return True
+        return np.int64 if f.k <= 21 else object
+    return np.int64
 
 
 def _segment_task(args):
@@ -378,7 +383,8 @@ def _segment_task(args):
             partial = math.fsum(w[j * SUM_CHUNK:m + 1 - lo])
             at.append(before[j] + Fraction(partial))
         return at, before[-1]
-    bound = int(np.abs(vals).max())
+    # an int64 sum of SEGMENT_SIZE int32 values cannot overflow
+    bound = 1 << 31 if vals.dtype == np.int32 else int(np.abs(vals).max())
     cuts = [lo, *(m + 1 for m in marks), hi]
     sums = list(accumulate(_exact_array_sum(vals[a - lo:b - lo], bound)
                            for a, b in zip(cuts, cuts[1:])))
@@ -409,7 +415,7 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
         raise ResourceLimitError(
             f"x={m} exceeds the oracle bound {bound}")
     size = SEGMENT_SIZE
-    if not _numpy_walk_ok(f, m):
+    if _walk_dtype(f, m) is object:
         if m > POINTWISE_MAX:
             raise ResourceLimitError(
                 f"{f.label()} outgrows int64, and its exact scans stop at "

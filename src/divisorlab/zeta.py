@@ -219,16 +219,17 @@ def zeta(s) -> complex:
     s = _check_argument(s)
     if s.real >= 0:
         return _zeta_em_pair(s)[0]
+    if s.imag == 0 and s.real % 2 == 0:
+        # a trivial zero: the float sin(pi s/2) is ~1e-16 |s| there, not 0,
+        # and Gamma(1-s) lifts that past the 1e-10 error from s = -26 on
+        return complex(0.0)
     # functional equation in log space:
     # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
     w = 1 - s
     ln_pref = (s * math.log(2) + (s - 1) * math.log(math.pi)
                + _lgamma_complex(w))
     if abs(s.imag) <= 20:
-        sin_half = cmath.sin(math.pi * s / 2)
-        if sin_half == 0:
-            return complex(0.0)
-        return cmath.exp(ln_pref) * sin_half * _zeta_em_pair(w)[0]
+        return cmath.exp(ln_pref) * cmath.sin(math.pi * s / 2) * _zeta_em_pair(w)[0]
     ln_total = ln_pref + _log_sin(math.pi * s / 2)
     return cmath.exp(ln_total) * _zeta_em_pair(w)[0]
 

@@ -450,6 +450,15 @@ def test_voronoi_default_terms_fit_the_domain(capsys, kind, x, terms):
     assert row["n_terms"] == terms
 
 
+def test_voronoi_truncated_default_refuses_x_below_two(capsys):
+    # the default count was ceil(x) - 1 = 1, refused as a bad n_terms
+    rc, out, err = run(capsys, "voronoi", "--kind", "truncated", "--x", "1.5")
+    assert rc == 2
+    assert out == ""
+    assert "2 <= N < x" in err and "x = 1.5" in err
+    assert "n_terms" not in err
+
+
 def test_exit_resource_voronoi_past_the_envelope(capsys):
     for kind, x in (("full", "63400000.5"), ("sierpinski", "253400000.5")):
         rc, out, err = run(capsys, "voronoi", "--kind", kind, "--x", x)

@@ -322,13 +322,27 @@ WALK_WINDOW = 64
 # walk returns them as Python ints in an object array: 4 n^a >= 2^62 for
 # sigma_a, every n for d_k with k > 21 (d_21's binomials C(e + 20, 20),
 # e < 64, are the last to fit int64)
-OBJECT_FROM = {FnSpec("sigma", a=3): 1 << 20, FnSpec("sigma", a=5): 1 << 12,
+OBJECT_FROM = {FnSpec("sigma", a=2): 1 << 30,
+               FnSpec("sigma", a=3): 1 << 20, FnSpec("sigma", a=5): 1 << 12,
                FnSpec("sigma", a=13): 25, FnSpec("d_k", k=21): math.inf,
                FnSpec("d_k", k=22): 1, FnSpec("d_k", k=33): 1,
                FnSpec("d_k", k=40): 1}
 # high prime powers, and the square of the largest prime walked in a
 # window that holds it (the next prime's square is past the window)
 HIGH_POWERS = (2 ** 23, 3 ** 14, 5 ** 10, 3191 ** 2)
+
+
+def walk_dtype(rule, hi):
+    """The dtype the walk of [lo, hi) returns for rule: three rungs.
+
+    object from OBJECT_FROM; int64 for d_k, sigma and d_restricted (its own
+    count); and for the other rules int32 while n < 2^31, int64 above.
+    """
+    if hi - 1 >= OBJECT_FROM.get(rule, hi):
+        return object
+    if isinstance(rule, FnSpec) and rule.tag in ("d_k", "sigma", "d_restricted"):
+        return np.int64
+    return np.int32 if hi - 1 < 1 << 31 else np.int64
 
 
 def pointwise(rule, n):
@@ -366,10 +380,21 @@ def test_walk_rules_match_pointwise(shift):
               for rule in OBJECT_FROM]
     for rule, lo, hi in cases:
         got = _segment_values(rule, lo, hi)
-        assert got.dtype == (object if hi - 1 >= OBJECT_FROM.get(rule, hi)
-                             else np.int64), (rule, lo)
+        assert got.dtype == walk_dtype(rule, hi), (rule, lo)
         assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], \
             (rule, lo)
+
+
+@pytest.mark.parametrize("lo", [(1 << 31) - WALK_WINDOW, (1 << 31) - WALK_WINDOW // 2,
+                                (1 << 31) + 11])
+def test_walk_rules_match_pointwise_at_the_int32_edge(lo):
+    # windows whose last n is 2^31 - 1 (int32), across 2^31 and above it
+    # (int64); sigma_2 is past its object edge 2^30 on all three
+    hi = lo + WALK_WINDOW
+    for rule in WALK_RULES:
+        got = _segment_values(rule, lo, hi)
+        assert got.dtype == walk_dtype(rule, hi), rule
+        assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], rule
 
 
 def test_exact_array_sum_of_python_ints():
@@ -589,7 +614,7 @@ def test_linear_loops_refuse_past_the_bound_quickly(loop):
 @pytest.mark.parametrize("spec", [FnSpec("sigma", a=3), FnSpec("d_k", k=33)])
 def test_pointwise_fallback_refuses_past_its_cap_quickly(spec):
     cap = summatory.POINTWISE_MAX
-    assert not summatory._numpy_walk_ok(spec, cap)
+    assert summatory._walk_dtype(spec, cap) is object
     t0 = time.perf_counter()
     with pytest.raises(ResourceLimitError, match=str(cap)):
         brute_force_sum(spec, cap + 1)

@@ -115,6 +115,13 @@ def test_exact_negative_odd():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [-2, -26, -40, -100])
+def test_zeta_is_exactly_zero_at_trivial_zeros(s):
+    # -40 gave 7.5 and -100 gave -4.4e62 from the rounded sin(pi s/2)
+    assert zeta(s) == 0
+    assert zeta(complex(s, 0.0)) == 0
+
+
 def test_zeta_prime_at_neg_even_closed_form():
     # zeta'(-2k) = (-1)^k zeta(2k+1) (2k)! / (2 (2 pi)^(2k))
     for k in range(1, 8):
