@@ -297,6 +297,7 @@ def _cosine_terms(a: np.ndarray, n: np.ndarray, scale: float) -> list[float]:
 # evaluator.  Kernels call _evaluate, not the public names, which the traced
 # benchmark (perfbench/trace_boot.py) rebinds to counters that take one float.
 _DIVISOR_TERMS_REFUSAL = "divisor table limit {n} exceeds {cap}"
+_TRUNCATED_TERMS = "the truncated sum takes N terms with 2 <= N < x"
 _SERIES = {
     "full": ("d", 4.0 * math.pi,
              partial(_bessel_terms, lambda z: _evaluate("bessel_K1", z)
@@ -333,8 +334,7 @@ def default_terms(kind: str, x) -> int:
         return cap
     if kind == "truncated":
         if xf <= 2.0:
-            raise ValueError(f"the truncated sum takes N terms with 2 <= N < x; "
-                             f"none fits x = {xf}")
+            raise ValueError(f"{_TRUNCATED_TERMS}; none fits x = {xf}")
         return min(cap, math.ceil(xf) - 1)
     scale = _SERIES[kind][1] * math.sqrt(xf)  # c sqrt(x)
     n = min(cap, int((ARGUMENT_ENVELOPE / scale) ** 2) + 1)
@@ -402,8 +402,7 @@ def voronoi_truncated(x, n_terms: int) -> float:
     """
     xf = _require_noninteger(x, "voronoi_truncated")
     if not 2 <= n_terms < xf:
-        raise ValueError(f"the truncated sum takes N terms with 2 <= N < x; "
-                         f"N = {n_terms} does not fit x = {xf}")
+        raise ValueError(f"{_TRUNCATED_TERMS}; N = {n_terms} does not fit x = {xf}")
     series = _bessel_series("truncated", xf, n_terms)[0]
     return xf ** 0.25 / (math.pi * math.sqrt(2.0)) * series
 

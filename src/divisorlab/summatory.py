@@ -4,8 +4,8 @@ Two independent routes to every headline quantity:
 
 * brute force -- a linear, segmented scan whose prime-exponent walk builds
   each segment's values as an array (int32 below 2^31, int64 above, or
-  object where int64 could overflow) and accumulates exact integers.  This is the oracle everything
-  else is checked against.
+  object where int64 could overflow) and accumulates exact integers.  This
+  is the oracle everything else is checked against.
 * sublinear algorithms -- the hyperbola method for D(x), the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2), its convolution inverse, and direct
   lattice counts for the circle problem.  The first three run in int64
@@ -383,7 +383,7 @@ def _segment_task(args):
             partial = math.fsum(w[j * SUM_CHUNK:m + 1 - lo])
             at.append(before[j] + Fraction(partial))
         return at, before[-1]
-    # an int64 sum of SEGMENT_SIZE int32 values cannot overflow
+    # |int32| <= 2^31 bounds the values without a pass over them
     bound = 1 << 31 if vals.dtype == np.int32 else int(np.abs(vals).max())
     cuts = [lo, *(m + 1 for m in marks), hi]
     sums = list(accumulate(_exact_array_sum(vals[a - lo:b - lo], bound)
