@@ -52,6 +52,9 @@ COMMANDS = (
     # each ap run crosses a q 2^16 chunk edge of its progression; the two
     # voronoi runs are shapes of the analytic_series benchmark
     + [("ap", "--kind", "divisor", "--q", "3", "--a", "1", "--x", "200000"),
+       # r = isqrt(x) = 2^14 + 1: the hyperbola runs a second chunk
+       ("ap", "--kind", "divisor", "--q", "4", "--a", "3", "--x", "268468225",
+        "--oracle-bound", "300000000"),
        ("ap", "--kind", "harmonic", "--q", "4", "--a", "1", "--x", "300000"),
        ("ap", "--kind", "fractional", "--x", "150000.5"),
        ("ap", "--kind", "fractional", "--q", "4", "--a", "3", "--x", "300000.5"),
