@@ -426,7 +426,7 @@ def _cmd_ap(args) -> int:
     if args.kind == "divisor":
         if ap is None:
             raise ValueError("--kind divisor needs --q and --a")
-        res = ap_divisor_sum(xf, ap, bound=args.oracle_bound)
+        res = ap_divisor_sum(xf, ap)
         value: float | int = res.value
         predicted = ap_main_term(xf, ap)
         label = res.fn

@@ -6,10 +6,10 @@ Two independent routes to every headline quantity:
   each segment's values as an array (int32 below 2^31, int64 above, or
   object where int64 could overflow) and accumulates exact integers.  This
   is the oracle everything else is checked against.
-* sublinear algorithms -- the hyperbola method for D(x), the Moebius-kernel
-  form of S_2w(x) = sum mu(d) D(x/d^2), its convolution inverse, and direct
-  lattice counts for the circle problem.  The first three run in int64
-  numpy chunks.  The kernel and the convolution share one square split:
+* sublinear algorithms -- one hyperbola count whose rows are D(x), the AP
+  divisor sum and the circle problem's lattice count, the Moebius-kernel
+  form of S_2w(x) = sum mu(d) D(x/d^2) and its convolution inverse, all in
+  int64 numpy chunks.  The kernel and the convolution share one square split:
   sum over d <= sqrt(x) of w(d) F(x // d^2), with F from a sublinear route
   while x // d^2 > PREFIX_TABLE_LIMIT and from a prefix table of D or S_2w
   below.  The prefix tables and the kernel's mu(d) come from the brute
@@ -53,11 +53,11 @@ ORACLE_BOUND_DEFAULT = 10 ** 8
 POINTWISE_MAX = 3 * 10 ** 6
 
 # Largest x each sublinear route takes; larger x is refused before any loop
-# or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17, Moebius
-# kernel ~4.8 s at 1e15 (~2 s of it walking mu to 3.2e7), convolution
-# ~5.1 s at 5e13.  HYPERBOLA_MAX also bounds the int64 chunk sums: a chunk
-# of KERNEL_CHUNK quotients m // n sums to at most m (1 + ln KERNEL_CHUNK)
-# ~ 2.1e18 < 2^63.
+# or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17 for D,
+# Moebius kernel ~4.8 s at 1e15 (~2 s of it walking mu to 3.2e7),
+# convolution ~5.1 s at 5e13.  HYPERBOLA_MAX also bounds the int64 chunk
+# sums of every hyperbola row, since |g| <= 1: a chunk of KERNEL_CHUNK
+# quotients m // n sums to at most m (1 + ln KERNEL_CHUNK) ~ 2.1e18 < 2^63.
 HYPERBOLA_MAX = 2 * 10 ** 17
 MOEBIUS_KERNEL_MAX = 10 ** 15
 CONVOLUTION_MAX = 5 * 10 ** 13
@@ -80,10 +80,6 @@ OBJECT_SEGMENT_SIZE = 1 << 18
 # Chunk length of exact float accumulation: one fsum per chunk of this
 # many terms counted from the first, then one fsum of the chunk sums.
 SUM_CHUNK = 1 << 16
-
-# Largest x circle_lattice_sum counts; its pure-Python column loop takes
-# ~3 s at the cap on 2 CPUs and grows like sqrt(x).
-CIRCLE_MAX = 10 ** 14
 
 ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel")
 
@@ -383,8 +379,8 @@ def _segment_task(args):
             partial = math.fsum(w[j * SUM_CHUNK:m + 1 - lo])
             at.append(before[j] + Fraction(partial))
         return at, before[-1]
-    # |int32| <= 2^31 bounds the values without a pass over them
-    bound = 1 << 31 if vals.dtype == np.int32 else int(np.abs(vals).max())
+    # only int64 values need a pass: |int32| <= 2^31, object sums ignore it
+    bound = int(np.abs(vals).max()) if vals.dtype == np.int64 else 1 << 31
     cuts = [lo, *(m + 1 for m in marks), hi]
     sums = list(accumulate(_exact_array_sum(vals[a - lo:b - lo], bound)
                            for a, b in zip(cuts, cuts[1:])))
@@ -477,24 +473,38 @@ def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
 # sublinear exact algorithms
 # ---------------------------------------------------------------------------
 
-def _divisor_sum_int(m: int) -> int:
-    """D(m) by the hyperbola method: 2*sum_{n<=sqrt(m)} floor(m/n) - floor(sqrt m)^2.
+def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
+    """sum_{ab <= m} g(a), g q-periodic: w at n = i (mod q) for (i, w) in g.
 
-    Each int64 chunk of quotients is summed in numpy (exact for m <=
-    HYPERBOLA_MAX) and added into a Python int.
+    g lists the classes 1 <= i <= q where g is not 0, |w| <= 1.  With r =
+    isqrt(m) and G(t) = g(1) + ... + g(t) it is sum_{a<=r} g(a) floor(m/a) +
+    sum_{b<=r} G(floor(m/b)) - G(r) r; class i adds (t - i) // q + 1 to
+    G(t).  Each int64 chunk sum is exact for m <= HYPERBOLA_MAX.  q = 1 is
+    D's g = 1, whose two sums are one: 2 sum floor(m/n) - r^2.
     """
+    if q > m:
+        # an n <= m is i (mod q) only when n = i, as it is modulo m + 1
+        q, g = m + 1, tuple((i, w) for i, w in g if i <= m)
     r = math.isqrt(m)
     s = 0
     for lo in range(1, r + 1, KERNEL_CHUNK):
         n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=np.int64)
-        s += int(np.floor_divide(m, n, out=n).sum())
-    return 2 * s - r * r
+        quot = np.floor_divide(m, n, out=n)
+        if q == 1:
+            s += int(quot.sum())
+            continue
+        for i, w in g:
+            s += w * (int(quot[(i - lo) % q::q].sum())
+                      + int(((quot + (q - i)) // q).sum()))
+    if q == 1:
+        return 2 * s - r * r
+    return s - r * sum(w * ((r - i) // q + 1) for i, w in g)
 
 
 def divisor_sum_hyperbola(x) -> SummatoryResult:
     """Exact D(x) in O(sqrt x) integer operations, for x <= HYPERBOLA_MAX."""
     m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
-    return SummatoryResult(x=float(x), fn="d", value=_divisor_sum_int(m),
+    return SummatoryResult(x=float(x), fn="d", value=_hyperbola_count(m),
                            algorithm="hyperbola")
 
 
@@ -609,7 +619,7 @@ def _square_split(m: int, inner, table: np.ndarray,
 def _squarefree_divisor_sum_int(m: int) -> int:
     """S_2w(m) = sum_{d <= sqrt(m)} mu(d) * D(m // d^2), D by the hyperbola."""
     mu = _mobius_sieve(max(math.isqrt(m), 16))
-    return _square_split(m, _divisor_sum_int, _prefix_tables()[0], mu)
+    return _square_split(m, _hyperbola_count, _prefix_tables()[0], mu)
 
 
 def squarefree_divisor_sum(x) -> SummatoryResult:
@@ -647,11 +657,6 @@ def _progression(m: int, ap: APSpec | None):
         yield np.arange(lo, min(lo + q * SUM_CHUNK, m + 1), q, dtype=np.int64)
 
 
-def _quotient_sum(m: int, ap: APSpec | None) -> int:
-    """sum floor(m/n) over the progression's n <= m, exactly."""
-    return sum(int((m // n).sum()) for n in _progression(m, ap))
-
-
 def harmonic_sum(x, ap: APSpec | None = None, *,
                  bound: int = ORACLE_BOUND_DEFAULT) -> float:
     """sum 1/n over n <= x, optionally restricted to n = a (mod q).
@@ -674,14 +679,15 @@ def fractional_part_sum(x, ap: APSpec | None = None, *,
                         bound: int = ORACLE_BOUND_DEFAULT) -> float:
     """sum {x/n} over n <= x (optionally n = a mod q), via {y} = y - floor(y).
 
-    The floor part is exact integer arithmetic, floor(x/n) = floor(m/n) for
-    m = floor(x); only the x/n terms are floating point, accumulated with
-    chunked exact summation.  A linear pass, so x is refused past bound.
+    The floor part, floor(x/n) = floor(m/n) for m = floor(x), is the exact
+    hyperbola count of the progression; only the x/n terms are floating
+    point, in chunked exact summation.  A linear pass, so x is refused past bound.
     """
     m = _bounded_floor(x, bound, "oracle bound")
     xf = float(x)
     frac = math.fsum(math.fsum((xf / n).tolist()) for n in _progression(m, ap))
-    return frac - _quotient_sum(m, ap)
+    a, q = (1, 1) if ap is None else (ap.a, ap.q)
+    return frac - _hyperbola_count(m, q, ((a, 1),))
 
 
 def fractional_main_term(x, ap: APSpec | None = None) -> float:
@@ -693,32 +699,26 @@ def fractional_main_term(x, ap: APSpec | None = None) -> float:
 def circle_lattice_sum(x) -> int:
     """Number of integer lattice points with 0 < a^2 + b^2 <= x.
 
-    Column counting: for each a the b-range has 2*isqrt(x - a^2) + 1 points,
-    summed over |a| <= sqrt(x), minus the origin.  x past CIRCLE_MAX is
+    That is sum_{n<=x} r2(n) = 4 sum_{ab<=x} chi_4(a), the hyperbola row of
+    chi_4 (1 at n = 1, -1 at n = 3 mod 4).  x past HYPERBOLA_MAX is
     refused before the loop.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    m = floor_to_int(x)
-    if m < 1:
+    if x < 1:
         return 0
-    if m > CIRCLE_MAX:
-        raise ResourceLimitError(f"x={m} exceeds the circle limit {CIRCLE_MAX}")
-    r = math.isqrt(m)
-    total = 2 * r + 1
-    for a in range(1, r + 1):
-        total += 2 * (2 * math.isqrt(m - a * a) + 1)
-    return total - 1
+    m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
+    return 4 * _hyperbola_count(m, 4, ((1, 1), (3, -1)))
 
 
-def ap_divisor_sum(x, ap: APSpec, *,
-                   bound: int = ORACLE_BOUND_DEFAULT) -> SummatoryResult:
-    """sum_{n<=x} d(n, q, a) by counting pairs: each d = a (mod q) contributes floor(x/d)."""
+def ap_divisor_sum(x, ap: APSpec) -> SummatoryResult:
+    """sum_{n<=x} d(n, q, a), the hyperbola row of d = a (mod q), for x <= HYPERBOLA_MAX."""
     if not isinstance(ap, APSpec):
         raise TypeError("ap must be an APSpec")
-    m = _bounded_floor(x, bound, "oracle bound")
+    m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
     return SummatoryResult(x=float(x), fn=f"d_restricted_{ap.q}_{ap.a}",
-                           value=_quotient_sum(m, ap), algorithm="brute")
+                           value=_hyperbola_count(m, ap.q, ((ap.a, 1),)),
+                           algorithm="hyperbola")
 
 
 def ap_main_term(x, ap: APSpec) -> float:
