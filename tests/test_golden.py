@@ -71,6 +71,18 @@ COMMANDS = (
     + [("sum", "--algorithm", "brute", "--workers", "2", "--fn", fn,
         "--x", "4194305")
        for fn in ("d", "omega", "big_omega", "mu_squared", "two_big_omega")]
+    # a fine d grid up to the 1e8 oracle bound; hyperbola sums on both sides
+    # of the largest m whose chunk sums of quotients stay below 2^53 in
+    # floats (11 m < 2^53) and of m = 2^53 (2^53 + 1 reads as 2^53, so
+    # 2^53 + 2); 12 two_omega_over_n points, 6 in one SUM_CHUNK, across the
+    # chunk edge at n = 2^17
+    + [("delta", "--target", "d", "--grid-lo", "99990000", "--grid-hi",
+        "100000000", "--ratio", "1.000001")]
+    + [("sum", "--algorithm", "hyperbola", "--x", str(x))
+       for x in (818836295885544, 818836295885545, 2 ** 53 - 1, 2 ** 53,
+                 2 ** 53 + 2)]
+    + [("delta", "--target", "two_omega_over_n", "--grid-lo", "130900",
+        "--grid-hi", "131200", "--ratio", "1.0002")]
 )
 
 
