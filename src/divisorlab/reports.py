@@ -36,8 +36,11 @@ def format_number(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    f = float(v)
-    if math.isnan(f) or math.isinf(f):
+    return _format_float(float(v))
+
+
+def _format_float(f: float) -> str:
+    if not math.isfinite(f):
         raise ValueError("reports do not serialize non-finite numbers")
     text = format(f, ".15g")
     if abs(f) > 1e308 and math.isinf(float(text)):
@@ -91,6 +94,8 @@ def row_dict(row) -> dict:
 
 
 def _csv_cell(v) -> str:
+    if type(v) is float:
+        return _format_float(v)
     if isinstance(v, str):
         if "," in v or '"' in v or "\n" in v:
             raise ValueError("report strings must stay free of CSV metacharacters")
@@ -101,20 +106,31 @@ def _csv_cell(v) -> str:
 
 
 def render_csv(rows) -> str:
-    """CSV text for a homogeneous list of rows, delta header frozen."""
-    dicts = [row_dict(r) for r in rows]
-    keys = list(dicts[0].keys())
-    for d in dicts[1:]:
-        if list(d.keys()) != keys:
+    """CSV text for a homogeneous list of rows, delta header frozen.
+
+    The first row's columns are looked up once; later rows of its
+    dataclass are read by attribute, other rows through row_dict.
+    """
+    first = rows[0]
+    keys = list(row_dict(first))
+    cls = type(first) if is_dataclass(first) else None
+    values = []
+    for r in rows:
+        if type(r) is cls:
+            values.append([getattr(r, k) for k in keys])
+            continue
+        d = row_dict(r)
+        if list(d) != keys:
             raise ValueError("CSV rows must share one column set")
-    if any(isinstance(v, (list, tuple)) for v in dicts[0].values()):
+        values.append(d.values())
+    if any(isinstance(v, (list, tuple)) for v in values[0]):
         raise ValueError("nested rows cannot go to CSV; use json")
     header = ",".join(keys)
-    if isinstance(rows[0], DeltaSample) and header != DELTA_CSV_HEADER:
+    if isinstance(first, DeltaSample) and header != DELTA_CSV_HEADER:
         raise AssertionError("delta CSV header drifted from the contract")
     lines = [header]
-    for d in dicts:
-        lines.append(",".join(_csv_cell(v) for v in d.values()))
+    for vals in values:
+        lines.append(",".join(map(_csv_cell, vals)))
     return "\n".join(lines) + "\n"
 
 

@@ -15,22 +15,29 @@ Two independent routes to every headline quantity:
   below.  The prefix tables and the kernel's mu(d) come from the brute
   walk on their first call; the hyperbola never builds them.
 
-Every counting sum over n <= x depends only on m = floor(x).  Real inputs are
-reduced to m through exact rational arithmetic (floats convert via Fraction),
-and the identity floor(x/n) = floor(floor(x)/n) for integer n >= 1 keeps all
-quotients in integer arithmetic.  No floating floor is taken anywhere near an
-integer boundary.
+Every counting sum over n <= x depends only on m = floor(x), the exact
+floor of the int, Fraction or float given, and floor(x/n) = floor(m/n) for
+integer n >= 1.  The chunks take floor(m/n) as the float64 floor of m / n
+while m < 2^53, which is exact: if n divides m the quotient is an integer
+below 2^53, so representable; otherwise floor(m/n) + 1 - m/n >= 1/n, which
+exceeds half an ulp of m/n (at most m 2^-53 / n), so the rounded quotient
+never reaches the next integer.  The same holds for a negative numerator.
+From 2^53 on the quotients are int64 floor divisions.
 
 Real-valued sums (harmonic, fractional-part, the 1/n-weighted auxiliary
-sums) use chunked exact summation: math.fsum over fixed chunks of 2^16
-terms, then an fsum of the chunk totals.  The result is independent of how
-work was split across processes.
+sums) are chunked: the correctly rounded sum of each chunk of 2^16 terms,
+then the correctly rounded sum of the chunk sums.  math.fsum's result is
+the correctly rounded exact sum, so any correctly rounded sum gives its
+bits; _rounded_sums adds each chunk's 53-bit mantissas exactly per binary
+exponent and rounds once.  The result is independent of how work was
+split across processes.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +69,13 @@ HYPERBOLA_MAX = 2 * 10 ** 17
 MOEBIUS_KERNEL_MAX = 10 ** 15
 CONVOLUTION_MAX = 5 * 10 ** 13
 
+# The hyperbola chunks divide in float64 while m < FLOAT_DIVISION_LIMIT (see
+# the module docstring).  A chunk of KERNEL_CHUNK quotients sums to at most
+# m H(KERNEL_CHUNK) < 11 m, so its float sums are exact integers while m <=
+# FLOAT_SUM_MAX; larger m sums the quotients in int64.
+FLOAT_DIVISION_LIMIT = 1 << 53
+FLOAT_SUM_MAX = (1 << 53) // 11
+
 # Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
 PREFIX_TABLE_LIMIT = 1 << 16
 
@@ -77,8 +91,8 @@ SEGMENT_SIZE = 1 << 21
 # Segment length of the scans whose values are Python ints (object dtype).
 OBJECT_SEGMENT_SIZE = 1 << 18
 
-# Chunk length of exact float accumulation: one fsum per chunk of this
-# many terms counted from the first, then one fsum of the chunk sums.
+# Chunk length of exact float accumulation: one correctly rounded sum per
+# chunk of this many terms counted from the first, then one of the chunk sums.
 SUM_CHUNK = 1 << 16
 
 ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel")
@@ -128,19 +142,17 @@ class APSpec:
 def floor_to_int(x) -> int:
     """Exact floor of x for int, Fraction, or float input.
 
-    Floats are converted through Fraction first, so the floor is taken on
-    the exact binary value the caller supplied rather than on a rounded
-    quotient.
+    math.floor of a finite float is exact: it floors the binary value the
+    caller supplied.
     """
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("x must be finite")
+        return math.floor(x)
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
-        f = Fraction(x)
-        return f.numerator // f.denominator
     raise TypeError(f"unsupported x type {type(x).__name__}")
 
 
@@ -356,29 +368,71 @@ def _walk_dtype(f, m: int):
     return np.int64
 
 
+def _rounded_sums(w: np.ndarray, ends) -> list[float]:
+    """The correctly rounded sums of w[:e] for each e in ends, ascending.
+
+    w is a finite float64 array of at most 2^26 entries (callers pass
+    SUM_CHUNK).  Each term is (h + l) 2^(e-27) with frexp's exponent e, an
+    integer |h| <= 2^27 and l in [0, 1) a multiple of 2^-26; one bincount
+    per part sums them per exponent and per piece between ends, exactly in
+    float64 at that length, and the pieces' cumulative sums join into one
+    integer per end, divided once.  Each sum equals math.fsum's wherever
+    fsum returns (fsum refuses an intermediate overflow).
+    """
+    mant, exp = np.frexp(w)
+    mant *= 1 << 27
+    whole = np.floor(mant)
+    mant -= whole
+    bottom = int(exp.min()) if exp.size else 0
+    width = int(exp.max()) - bottom + 1 if exp.size else 1
+    key = exp.astype(np.intp)
+    key -= bottom
+    if len(ends) > 1:
+        key += np.repeat(np.arange(0, len(ends) * width, width),
+                         np.diff(ends, prepend=0))
+    highs, lows = (np.bincount(key, weights=part, minlength=len(ends) * width)
+                   .reshape(len(ends), width).cumsum(axis=0).tolist()
+                   for part in (whole, mant))
+    out = []
+    for high, low in zip(highs, lows):
+        total = 0
+        for b in range(width - 1, -1, -1):
+            total = (total << 1) + (int(high[b]) << 26) + int(low[b] * (1 << 26))
+        shift = bottom - 53
+        out.append(float(total << shift) if shift >= 0 else total / (1 << -shift))
+    return out
+
+
+def _rounded_sum(w: np.ndarray) -> float:
+    """The correctly rounded sum of w: math.fsum's float, by _rounded_sums."""
+    return _rounded_sums(w, [w.size])[0]
+
+
 def _segment_task(args):
     """Worker body: f (or f(n)/n) summed over [lo, hi), to each checkpoint.
 
     Returns (the sums from lo to each checkpoint, the segment's sum).
     Integer sums are exact.  A scan to n alone takes the float sum to n as
-    fsum of the fsums of the SUM_CHUNK chunks before n's chunk, counted
-    from the segment start, and of n's chunk up to n.  The chunk fsums are
-    added here as exact Fractions, so each checkpoint rounds once, to that
-    same float, whatever other checkpoints the scan has.
+    the rounded sum of the rounded sums of the SUM_CHUNK chunks before n's
+    chunk, counted from the segment start, and of n's chunk up to n.  The
+    chunk sums are added here as exact Fractions, so each checkpoint rounds
+    once, to that same float, whatever other checkpoints the scan has.
+    f(n)/n is formed one chunk at a time.
     """
     f, lo, hi, marks, weighted = args
     vals = _segment_values(f, lo, hi)
     if weighted:
-        w = vals / np.arange(lo, hi, dtype=np.float64)
-        before = list(accumulate(
-            (Fraction(math.fsum(w[i:i + SUM_CHUNK]))
-             for i in range(0, w.size, SUM_CHUNK)), initial=0))
-        at = []
-        for m in marks:
-            j = (m - lo) // SUM_CHUNK
-            partial = math.fsum(w[j * SUM_CHUNK:m + 1 - lo])
-            at.append(before[j] + Fraction(partial))
-        return at, before[-1]
+        at, before, j = [], Fraction(0), 0
+        for a in range(lo, hi, SUM_CHUNK):
+            n = np.arange(a, min(a + SUM_CHUNK, hi), dtype=np.float64)
+            w = np.divide(vals[a - lo:a - lo + n.size], n, out=n)
+            k = bisect_left(marks, a + n.size, j)
+            *parts, chunk = _rounded_sums(w, [m + 1 - a for m in marks[j:k]]
+                                          + [w.size])
+            at += [before + Fraction(p) for p in parts]
+            before += Fraction(chunk)
+            j = k
+        return at, before
     # only int64 values need a pass: |int32| <= 2^31, object sums ignore it
     bound = int(np.abs(vals).max()) if vals.dtype == np.int64 else 1 << 31
     cuts = [lo, *(m + 1 for m in marks), hi]
@@ -473,29 +527,51 @@ def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
 # sublinear exact algorithms
 # ---------------------------------------------------------------------------
 
+def _floor_div(a, b, out: np.ndarray) -> np.ndarray:
+    """floor(a / b) into out, for integers a and b >= 1.
+
+    A float64 out takes the float floor of the float quotient, exact while
+    |a| < 2^53 and b <= 2^53 (see the module docstring); an int64 out takes
+    int64 floor division.
+    """
+    if out.dtype == np.float64:
+        return np.floor(np.divide(a, b, out=out), out=out)
+    return np.floor_divide(a, b, out=out)
+
+
+def _quotient_dtype(m: int):
+    """float64 while floor(m / n) is exact by float division, else int64."""
+    return np.float64 if m < FLOAT_DIVISION_LIMIT else np.int64
+
+
 def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
     """sum_{ab <= m} g(a), g q-periodic: w at n = i (mod q) for (i, w) in g.
 
     g lists the classes 1 <= i <= q where g is not 0, |w| <= 1.  With r =
     isqrt(m) and G(t) = g(1) + ... + g(t) it is sum_{a<=r} g(a) floor(m/a) +
     sum_{b<=r} G(floor(m/b)) - G(r) r; class i adds (t - i) // q + 1 to
-    G(t).  Each int64 chunk sum is exact for m <= HYPERBOLA_MAX.  q = 1 is
-    D's g = 1, whose two sums are one: 2 sum floor(m/n) - r^2.
+    G(t).  The chunk sums are exact in float64 for m <= FLOAT_SUM_MAX and
+    in int64 for m <= HYPERBOLA_MAX.  q = 1 is D's g = 1, whose two sums are
+    one: 2 sum floor(m/n) - r^2.
     """
     if q > m:
         # an n <= m is i (mod q) only when n = i, as it is modulo m + 1
         q, g = m + 1, tuple((i, w) for i, w in g if i <= m)
     r = math.isqrt(m)
+    dtype = _quotient_dtype(m)
     s = 0
     for lo in range(1, r + 1, KERNEL_CHUNK):
-        n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=np.int64)
-        quot = np.floor_divide(m, n, out=n)
+        n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=dtype)
+        quot = _floor_div(m, n, out=n)
+        if m > FLOAT_SUM_MAX:
+            quot = quot.astype(np.int64, copy=False)
         if q == 1:
             s += int(quot.sum())
             continue
         for i, w in g:
+            t = quot - i
             s += w * (int(quot[(i - lo) % q::q].sum())
-                      + int(((quot + (q - i)) // q).sum()))
+                      + int(_floor_div(t, q, out=t).sum()) + t.size)
     if q == 1:
         return 2 * s - r * r
     return s - r * sum(w * ((r - i) // q + 1) for i, w in g)
@@ -590,10 +666,11 @@ def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
     Every m // d^2 must be at most PREFIX_TABLE_LIMIT.
     """
     total = 0
+    dtype = _quotient_dtype(m)
     for a in range(lo, hi + 1, KERNEL_CHUNK):
-        d = np.arange(a, min(a + KERNEL_CHUNK, hi + 1), dtype=np.int64)
+        d = np.arange(a, min(a + KERNEL_CHUNK, hi + 1), dtype=dtype)
         np.multiply(d, d, out=d)
-        vals = table[np.floor_divide(m, d, out=d)]
+        vals = table[_floor_div(m, d, out=d).astype(np.intp, copy=False)]
         if mu is not None:
             vals *= mu[a:a + vals.size]
         total += int(vals.sum(dtype=np.int64))
@@ -664,7 +741,7 @@ def harmonic_sum(x, ap: APSpec | None = None, *,
     A linear pass, so x is refused past bound.
     """
     m = _bounded_floor(x, bound, "oracle bound")
-    return math.fsum(math.fsum((1.0 / n).tolist()) for n in _progression(m, ap))
+    return math.fsum(_rounded_sum(1.0 / n) for n in _progression(m, ap))
 
 
 def harmonic_main_term(x, ap: APSpec | None = None) -> float:
@@ -685,7 +762,7 @@ def fractional_part_sum(x, ap: APSpec | None = None, *,
     """
     m = _bounded_floor(x, bound, "oracle bound")
     xf = float(x)
-    frac = math.fsum(math.fsum((xf / n).tolist()) for n in _progression(m, ap))
+    frac = math.fsum(_rounded_sum(xf / n) for n in _progression(m, ap))
     a, q = (1, 1) if ap is None else (ap.a, ap.q)
     return frac - _hyperbola_count(m, q, ((a, 1),))
 

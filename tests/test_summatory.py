@@ -83,6 +83,15 @@ def test_floor_to_int_near_integers(k, ulps, den):
     assert floor_to_int(frac) == (k - 1 if ulps < 0 else k)
 
 
+@pytest.mark.parametrize("x", (
+    2.0 ** 52 - 0.5, 2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5, -(2.0 ** 52) + 0.5,
+    math.nextafter(2.0 ** 52, 0), 2.0 ** 53 - 1, 1e300, -1e300, -0.5, -0.0,
+    5e-324, -5e-324))
+def test_floor_to_int_matches_the_fraction_floor(x):
+    exact = Fraction(x)
+    assert floor_to_int(x) == exact.numerator // exact.denominator
+
+
 # the per-n loops the three progression sums ran before they went to int64
 # chunks, kept here as their oracle
 
@@ -293,6 +302,108 @@ def test_first_hyperbola_chunk_sum_fits_int64():
     exact = sum(m // k for k in range(1, summatory.KERNEL_CHUNK + 1))
     assert exact < 2 ** 63
     assert int(np.floor_divide(m, n).sum()) == exact
+
+
+# ---------------------------------------------------------------------------
+# the float kernels: float-division quotients and correctly rounded sums
+# ---------------------------------------------------------------------------
+
+HYPERBOLA_ROWS = {"d": (1, ((1, 1),)), "ap_4_3": (4, ((3, 1),)),
+                  "chi4": (4, ((1, 1), (3, -1)))}
+# prime factors of the m where a row gains its step across a switch
+STEP_FACTORS = {2 ** 53: (2,) * 53,
+                2 ** 53 + 1: (3, 107, 28059810762433),
+                (1 << 53) // 11 + 1: (5, 7, 1187, 19709623201)}
+
+
+def int64_hyperbola(monkeypatch, m, q, g):
+    with monkeypatch.context() as patch:
+        patch.setattr(summatory, "FLOAT_DIVISION_LIMIT", 0)
+        patch.setattr(summatory, "FLOAT_SUM_MAX", -1)
+        return summatory._hyperbola_count(m, q, g)
+
+
+def divisors_of(primes):
+    out = {1}
+    for p in primes:
+        out |= {d * p for d in out}
+    return out
+
+
+def test_float_switches_sit_where_the_exactness_arguments_end():
+    assert summatory.FLOAT_DIVISION_LIMIT == 2 ** 53
+    sum_max = summatory.FLOAT_SUM_MAX
+    assert 11 * sum_max < 2 ** 53 <= 11 * (sum_max + 1)
+    # the worst chunk, the first, sums to less than 11 m
+    harmonic = sum(Fraction(1, n) for n in range(1, summatory.KERNEL_CHUNK + 1))
+    assert harmonic < 11
+
+
+@pytest.mark.parametrize("row", HYPERBOLA_ROWS)
+def test_hyperbola_rows_across_the_float_switches(row, monkeypatch):
+    # float sums at FLOAT_SUM_MAX, float quotients with int64 sums one above
+    # and at 2^53 - 1, int64 from 2^53; below 2^53 against the int64 path,
+    # and each step across a switch adds sum_{d | m} g(d)
+    q, g = HYPERBOLA_ROWS[row]
+    sum_max = summatory.FLOAT_SUM_MAX
+    points = (sum_max, sum_max + 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1)
+    count = {m: summatory._hyperbola_count(m, q, g) for m in points}
+    for m in points[:3]:
+        assert count[m] == int64_hyperbola(monkeypatch, m, q, g), m
+    weight = dict(g)
+    for m, primes in STEP_FACTORS.items():
+        step = sum(weight.get((d - 1) % q + 1, 0) for d in divisors_of(primes))
+        assert count[m] - count[m - 1] == step, m
+
+
+@pytest.mark.parametrize("m", (19_999, 20_000, 20_001, 39_999, 40_000, 40_001))
+def test_hyperbola_rows_on_both_sides_of_moved_switches(m, monkeypatch):
+    # the switches moved down to where the literal counts are quick
+    monkeypatch.setattr(summatory, "FLOAT_DIVISION_LIMIT", 40_000)
+    monkeypatch.setattr(summatory, "FLOAT_SUM_MAX", 20_000)
+    count = summatory._hyperbola_count
+    assert count(m) == literal_hyperbola(m)
+    assert count(m, *HYPERBOLA_ROWS["ap_4_3"]) == loop_ap_divisor(m, APSpec(4, 3))
+    assert 4 * count(m, *HYPERBOLA_ROWS["chi4"]) == column_lattice_count(m)
+
+
+def fsum_bits(values):
+    """math.fsum's float as hex, or None where fsum overflows on the way."""
+    try:
+        return math.fsum(values).hex()
+    except OverflowError:
+        return None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+       st.integers(0, SUM_CHUNK + 1),
+       st.one_of(st.just(-1074), st.integers(-1074, 1023)),
+       st.integers(0, 2100), st.integers(0, 2 ** 32 - 1))
+@example([], 0, 0, 0, 0)
+@example([0.0, -0.0], 3, -1074, 0, 1)
+@example([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308], SUM_CHUNK + 1,
+         -1074, 60, 2)
+@example([1.7976931348623157e308, -1.7976931348623157e308, 1.0], SUM_CHUNK,
+         -1074, 2100, 3)
+@example([1.0, 2.0 ** -53, 2.0 ** -105], 3, 0, 0, 4)  # a tie, broken below
+def test_rounded_sum_is_fsum(drawn, n, low, span, seed):
+    # n terms with random signs and exponents in [low, low + span] (clipped
+    # at the top of the range; subnormals at the bottom), about one in 16 a
+    # zero of either sign, and the drawn floats at random places
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(low, min(low + span, 1024), n, endpoint=True)
+    terms = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n), exps)
+    zero = rng.random(n) < 1 / 16
+    terms[zero] = np.copysign(0.0, terms[zero])
+    spots = rng.choice(n, min(n, len(drawn)), replace=False)
+    terms[spots] = drawn[:spots.size]
+    ends = sorted(rng.integers(0, n, 3, endpoint=True).tolist()) + [n]
+    want = [fsum_bits(terms[:e]) for e in ends]
+    if None in want:
+        return
+    assert summatory._rounded_sum(terms).hex() == want[-1]
+    assert [v.hex() for v in summatory._rounded_sums(terms, ends)] == want
 
 
 def test_prefix_tables_are_lazy():
