@@ -9,7 +9,7 @@ Two independent routes to every headline quantity:
 * sublinear algorithms -- one hyperbola count whose rows are D(x), the AP
   divisor sum and the circle problem's lattice count, the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2) and its convolution inverse, all in
-  int64 numpy chunks.  The kernel and the convolution share one square split:
+  exact numpy chunks (float64 below 2^53, int64 above).  The kernel and the convolution share one square split:
   sum over d <= sqrt(x) of w(d) F(x // d^2), with F from a sublinear route
   while x // d^2 > PREFIX_TABLE_LIMIT and from a prefix table of D or S_2w
   below.  The prefix tables and the kernel's mu(d) come from the brute
