@@ -384,8 +384,7 @@ def fsum_bits(values):
 @example([0.0, -0.0], 3, -1074, 0, 1)
 @example([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308], SUM_CHUNK + 1,
          -1074, 60, 2)
-@example([1.7976931348623157e308, -1.7976931348623157e308, 1.0], SUM_CHUNK,
-         -1074, 2100, 3)
+@example([1.7976931348623157e308, -1.7976931348623157e308, 1.0], 3, 0, 0, 3)
 @example([1.0, 2.0 ** -53, 2.0 ** -105], 3, 0, 0, 4)  # a tie, broken below
 def test_rounded_sum_is_fsum(drawn, n, low, span, seed):
     # n terms with random signs and exponents in [low, low + span] (clipped
