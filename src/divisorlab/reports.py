@@ -106,31 +106,20 @@ def _csv_cell(v) -> str:
 
 
 def render_csv(rows) -> str:
-    """CSV text for a homogeneous list of rows, delta header frozen.
-
-    The first row's columns are looked up once; later rows of its
-    dataclass are read by attribute, other rows through row_dict.
-    """
-    first = rows[0]
-    keys = list(row_dict(first))
-    cls = type(first) if is_dataclass(first) else None
-    values = []
-    for r in rows:
-        if type(r) is cls:
-            values.append([getattr(r, k) for k in keys])
-            continue
-        d = row_dict(r)
-        if list(d) != keys:
+    """CSV text for a homogeneous list of rows, delta header frozen."""
+    dicts = [row_dict(r) for r in rows]
+    keys = list(dicts[0].keys())
+    for d in dicts[1:]:
+        if list(d.keys()) != keys:
             raise ValueError("CSV rows must share one column set")
-        values.append(d.values())
-    if any(isinstance(v, (list, tuple)) for v in values[0]):
+    if any(isinstance(v, (list, tuple)) for v in dicts[0].values()):
         raise ValueError("nested rows cannot go to CSV; use json")
     header = ",".join(keys)
-    if isinstance(first, DeltaSample) and header != DELTA_CSV_HEADER:
+    if isinstance(rows[0], DeltaSample) and header != DELTA_CSV_HEADER:
         raise AssertionError("delta CSV header drifted from the contract")
     lines = [header]
-    for vals in values:
-        lines.append(",".join(map(_csv_cell, vals)))
+    for d in dicts:
+        lines.append(",".join(_csv_cell(v) for v in d.values()))
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,8 @@ Two independent routes to every headline quantity:
 * sublinear algorithms -- one hyperbola count whose rows are D(x), the AP
   divisor sum and the circle problem's lattice count, the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2) and its convolution inverse, all in
-  exact numpy chunks (float64 below 2^53, int64 above).  The kernel and the convolution share one square split:
+  exact numpy chunks (float64 where that is exact, int64 above).  The
+  kernel and the convolution share one square split:
   sum over d <= sqrt(x) of w(d) F(x // d^2), with F from a sublinear route
   while x // d^2 > PREFIX_TABLE_LIMIT and from a prefix table of D or S_2w
   below.  The prefix tables and the kernel's mu(d) come from the brute
@@ -17,12 +18,14 @@ Two independent routes to every headline quantity:
 
 Every counting sum over n <= x depends only on m = floor(x), the exact
 floor of the int, Fraction or float given, and floor(x/n) = floor(m/n) for
-integer n >= 1.  The chunks take floor(m/n) as the float64 floor of m / n
-while m < 2^53, which is exact: if n divides m the quotient is an integer
-below 2^53, so representable; otherwise floor(m/n) + 1 - m/n >= 1/n, which
-exceeds half an ulp of m/n (at most m 2^-53 / n), so the rounded quotient
-never reaches the next integer.  The same holds for a negative numerator.
-From 2^53 on the quotients are int64 floor divisions.
+integer n >= 1.  The float64 floor of m / n is floor(m/n) while m < 2^53:
+if n divides m the quotient is an integer below 2^53, so representable;
+otherwise floor(m/n) + 1 - m/n >= 1/n, which exceeds half an ulp of m/n
+(at most m 2^-53 / n), so the rounded quotient never reaches the next
+integer.  The same holds for a negative numerator.  The hyperbola divides
+and sums in float64 while m <= FLOAT_SUM_MAX, where its chunk sums are
+exact integers as well, and in int64 above; the prefix-table gathers,
+whose m is at most MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
 
 Real-valued sums (harmonic, fractional-part, the 1/n-weighted auxiliary
 sums) are chunked: the correctly rounded sum of each chunk of 2^16 terms,
@@ -69,11 +72,10 @@ HYPERBOLA_MAX = 2 * 10 ** 17
 MOEBIUS_KERNEL_MAX = 10 ** 15
 CONVOLUTION_MAX = 5 * 10 ** 13
 
-# The hyperbola chunks divide in float64 while m < FLOAT_DIVISION_LIMIT (see
-# the module docstring).  A chunk of KERNEL_CHUNK quotients sums to at most
-# m H(KERNEL_CHUNK) < 11 m, so its float sums are exact integers while m <=
-# FLOAT_SUM_MAX; larger m sums the quotients in int64.
-FLOAT_DIVISION_LIMIT = 1 << 53
+# The hyperbola chunks divide and sum in float64 while m <= FLOAT_SUM_MAX,
+# in int64 above.  The float quotients are exact below 2^53 (see the module
+# docstring), and a chunk of KERNEL_CHUNK quotients sums to at most
+# m H(KERNEL_CHUNK) < 11 m, so its float sums are exact integers too.
 FLOAT_SUM_MAX = (1 << 53) // 11
 
 # Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
@@ -539,11 +541,6 @@ def _floor_div(a, b, out: np.ndarray) -> np.ndarray:
     return np.floor_divide(a, b, out=out)
 
 
-def _quotient_dtype(m: int):
-    """float64 while floor(m / n) is exact by float division, else int64."""
-    return np.float64 if m < FLOAT_DIVISION_LIMIT else np.int64
-
-
 def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
     """sum_{ab <= m} g(a), g q-periodic: w at n = i (mod q) for (i, w) in g.
 
@@ -558,13 +555,11 @@ def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
         # an n <= m is i (mod q) only when n = i, as it is modulo m + 1
         q, g = m + 1, tuple((i, w) for i, w in g if i <= m)
     r = math.isqrt(m)
-    dtype = _quotient_dtype(m)
+    dtype = np.float64 if m <= FLOAT_SUM_MAX else np.int64
     s = 0
     for lo in range(1, r + 1, KERNEL_CHUNK):
         n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=dtype)
         quot = _floor_div(m, n, out=n)
-        if m > FLOAT_SUM_MAX:
-            quot = quot.astype(np.int64, copy=False)
         if q == 1:
             s += int(quot.sum())
             continue
@@ -663,12 +658,12 @@ def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
                   mu: np.ndarray | None = None) -> int:
     """sum_{lo <= d <= hi} table[m // d^2], times mu(d) if mu is given.
 
-    Every m // d^2 must be at most PREFIX_TABLE_LIMIT.
+    Every m // d^2 must be at most PREFIX_TABLE_LIMIT.  The quotients are
+    float64 floors, exact since m <= MOEBIUS_KERNEL_MAX < 2^53.
     """
     total = 0
-    dtype = _quotient_dtype(m)
     for a in range(lo, hi + 1, KERNEL_CHUNK):
-        d = np.arange(a, min(a + KERNEL_CHUNK, hi + 1), dtype=dtype)
+        d = np.arange(a, min(a + KERNEL_CHUNK, hi + 1), dtype=np.float64)
         np.multiply(d, d, out=d)
         vals = table[_floor_div(m, d, out=d).astype(np.intp, copy=False)]
         if mu is not None:

@@ -310,15 +310,12 @@ def test_first_hyperbola_chunk_sum_fits_int64():
 
 HYPERBOLA_ROWS = {"d": (1, ((1, 1),)), "ap_4_3": (4, ((3, 1),)),
                   "chi4": (4, ((1, 1), (3, -1)))}
-# prime factors of the m where a row gains its step across a switch
-STEP_FACTORS = {2 ** 53: (2,) * 53,
-                2 ** 53 + 1: (3, 107, 28059810762433),
-                (1 << 53) // 11 + 1: (5, 7, 1187, 19709623201)}
+# prime factors of the first m past the float switch
+STEP_FACTORS = (5, 7, 1187, 19709623201)
 
 
 def int64_hyperbola(monkeypatch, m, q, g):
     with monkeypatch.context() as patch:
-        patch.setattr(summatory, "FLOAT_DIVISION_LIMIT", 0)
         patch.setattr(summatory, "FLOAT_SUM_MAX", -1)
         return summatory._hyperbola_count(m, q, g)
 
@@ -330,8 +327,10 @@ def divisors_of(primes):
     return out
 
 
-def test_float_switches_sit_where_the_exactness_arguments_end():
-    assert summatory.FLOAT_DIVISION_LIMIT == 2 ** 53
+def test_float_switch_sits_where_the_exactness_arguments_end():
+    # the prefix-table gathers always divide in float64
+    assert summatory.MOEBIUS_KERNEL_MAX < 2 ** 53
+    assert summatory.CONVOLUTION_MAX < 2 ** 53
     sum_max = summatory.FLOAT_SUM_MAX
     assert 11 * sum_max < 2 ** 53 <= 11 * (sum_max + 1)
     # the worst chunk, the first, sums to less than 11 m
@@ -340,26 +339,21 @@ def test_float_switches_sit_where_the_exactness_arguments_end():
 
 
 @pytest.mark.parametrize("row", HYPERBOLA_ROWS)
-def test_hyperbola_rows_across_the_float_switches(row, monkeypatch):
-    # float sums at FLOAT_SUM_MAX, float quotients with int64 sums one above
-    # and at 2^53 - 1, int64 from 2^53; below 2^53 against the int64 path,
-    # and each step across a switch adds sum_{d | m} g(d)
+def test_hyperbola_rows_across_the_float_switch(row, monkeypatch):
+    # float64 at FLOAT_SUM_MAX against the int64 path, and the step to the
+    # int64 count one above adds sum_{d | m} g(d)
     q, g = HYPERBOLA_ROWS[row]
-    sum_max = summatory.FLOAT_SUM_MAX
-    points = (sum_max, sum_max + 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1)
-    count = {m: summatory._hyperbola_count(m, q, g) for m in points}
-    for m in points[:3]:
-        assert count[m] == int64_hyperbola(monkeypatch, m, q, g), m
+    m = summatory.FLOAT_SUM_MAX
+    below = summatory._hyperbola_count(m, q, g)
+    assert below == int64_hyperbola(monkeypatch, m, q, g)
     weight = dict(g)
-    for m, primes in STEP_FACTORS.items():
-        step = sum(weight.get((d - 1) % q + 1, 0) for d in divisors_of(primes))
-        assert count[m] - count[m - 1] == step, m
+    step = sum(weight.get((d - 1) % q + 1, 0) for d in divisors_of(STEP_FACTORS))
+    assert summatory._hyperbola_count(m + 1, q, g) - below == step
 
 
-@pytest.mark.parametrize("m", (19_999, 20_000, 20_001, 39_999, 40_000, 40_001))
-def test_hyperbola_rows_on_both_sides_of_moved_switches(m, monkeypatch):
-    # the switches moved down to where the literal counts are quick
-    monkeypatch.setattr(summatory, "FLOAT_DIVISION_LIMIT", 40_000)
+@pytest.mark.parametrize("m", (19_999, 20_000, 20_001))
+def test_hyperbola_rows_on_both_sides_of_a_moved_switch(m, monkeypatch):
+    # the switch moved down to where the literal counts are quick
     monkeypatch.setattr(summatory, "FLOAT_SUM_MAX", 20_000)
     count = summatory._hyperbola_count
     assert count(m) == literal_hyperbola(m)
