@@ -21,22 +21,20 @@ from .errors import (AccuracyError, PoleError, ResourceLimitError,
 from .explicit import (DeltaSample, FormulaEvaluation, OmegaScanReport,
                        TruncationConfig, delta_error, evaluate_explicit,
                        main_term, nontrivial_zero_sum, omega_scan,
-                       polynomial_residue, trivial_zero_tail,
-                       zero_coefficient_partial_sum)
+                       trivial_zero_tail)
 from .fitting import (ExponentFit, MainConstantFit, delta_samples,
                       exponent_fit, fit_main_constant, half_integer_grid)
 from .reports import emit_report, read_delta_csv, render_csv, render_json
 from .summatory import (APSpec, SummatoryResult, ap_divisor_sum, ap_main_term,
-                        auxiliary_main_term, auxiliary_sums, brute_force_profile,
-                        brute_force_sum, circle_lattice_sum,
-                        divisor_main_term, divisor_sum_from_squarefree,
-                        divisor_sum_hyperbola, floor_sum, fractional_main_term,
-                        fractional_part_sum, harmonic_main_term, harmonic_sum,
+                        auxiliary_sums, brute_force_profile, brute_force_sum,
+                        circle_lattice_sum, divisor_main_term,
+                        divisor_sum_from_squarefree, divisor_sum_hyperbola,
+                        floor_sum, fractional_main_term, fractional_part_sum,
+                        harmonic_main_term, harmonic_sum,
                         squarefree_divisor_sum, squarefree_main_term)
-from .zeta import (ZeroTable, ZetaConstants, bernoulli_number,
-                   default_zero_table, digamma, generalized_euler_constant,
-                   load_zero_table, stieltjes, zeta, zeta_constants,
-                   zeta_derivative, zeta_exact_negative_odd,
+from .zeta import (ZeroTable, bernoulli_number, default_zero_table, digamma,
+                   generalized_euler_constant, load_zero_table, stieltjes,
+                   zeta, zeta_derivative, zeta_exact_negative_odd,
                    zeta_negative_special)
 
 __version__ = "0.1.0"

@@ -395,10 +395,9 @@ def voronoi_truncated(x, n_terms: int) -> float:
     """Cosine-sum approximation to the divisor error term.
 
     Returns (x^{1/4}/(pi sqrt 2)) sum_{n<=N} d(n) n^{-3/4}
-    cos(4 pi sqrt(nx) - pi/4).  Compare against
-    divisor_delta_reference(x, include_quarter=True), i.e.
-    D(x) - (log x + 2 gamma - 1) x - 1/4; the bare delta of
-    delta_error drops the 1/4 and both conventions are exposed.
+    cos(4 pi sqrt(nx) - pi/4).  Compare against divisor_delta_reference(x),
+    i.e. D(x) - (log x + 2 gamma - 1) x - 1/4; the bare delta of
+    delta_error drops the 1/4.
     """
     xf = _require_noninteger(x, "voronoi_truncated")
     if not 2 <= n_terms < xf:
@@ -407,19 +406,16 @@ def voronoi_truncated(x, n_terms: int) -> float:
     return xf ** 0.25 / (math.pi * math.sqrt(2.0)) * series
 
 
-def divisor_delta_reference(x, *, include_quarter: bool = True) -> float:
-    """Exact D(floor x) minus the main term, the cosine sum's comparison side.
+def divisor_delta_reference(x) -> float:
+    """Exact D(floor x) minus the main term and 1/4, the cosine sum's comparison side.
 
-    include_quarter subtracts the extra 1/4 used by the truncated
-    expansion's convention; False gives the bare error term.
+    The 1/4 is the truncated expansion's convention; delta_error(...).delta
+    is the bare error term.
     """
     xf = float(x)
     if xf < 1.0:
         raise ValueError("needs x >= 1")
-    ref = float(divisor_sum_hyperbola(xf).value) - divisor_main_term(xf)
-    if include_quarter:
-        ref -= 0.25
-    return ref
+    return float(divisor_sum_hyperbola(xf).value) - divisor_main_term(xf) - 0.25
 
 
 def sierpinski_sum(x, n_terms: int | None = None) -> float:

@@ -34,14 +34,14 @@ from .errors import ResourceLimitError
 from .summatory import (
     ORACLE_BOUND_DEFAULT,
     TWO_OMEGA_OVER_N_CONSTANT,
-    auxiliary_profile,
+    auxiliary_sums,
     divisor_main_term,
     divisor_sum_hyperbola,
     squarefree_divisor_sum,
     squarefree_main_term,
     two_omega_over_n_main_term,
 )
-from .zeta import ZeroTable, zeta, zeta_constants, zeta_derivative, zeta_negative_special
+from .zeta import ZeroTable, zeta, zeta_derivative, zeta_negative_special
 
 TAIL_VARIANTS = ("residue", "printed")
 
@@ -95,8 +95,7 @@ _TARGET_SPECS = {
     "two_omega_over_n_sum": _TargetSpec(
         2.0, 1, 1.0, constant=TWO_OMEGA_OVER_N_CONSTANT,
         main=two_omega_over_n_main_term,
-        exact=lambda ys, bound: auxiliary_profile(
-            "two_omega_over_n", ys, bound=bound),
+        exact=lambda ys, bound: auxiliary_sums(ys, bound=bound),
         aliases=("two_omega_over_n",)),
 }
 
@@ -257,33 +256,6 @@ def main_term(target: str, x) -> tuple[float, float]:
     return spec.constant, spec.main(_above_one(x, "main_term"))
 
 
-def polynomial_residue(k: int, x, *, form: str = "consistent") -> float:
-    """Residue polynomial P_k for the k-fold divisor main term.
-
-    P_2(x) = x + 2 gamma - 1 and P_3(x) is the matching quadratic; the
-    main term of the k-fold divisor sum up to y is y * P_k(log y).
-
-    The constant of P_3 carries the first Stieltjes constant with a
-    minus sign; that is what the residue expansion gives and what the
-    exact 3-fold divisor sums confirm (the plus-sign variant leaks a
-    linear term of size 6|gamma_1| x).  form="printed" keeps the
-    plus-sign variant available for comparison runs; it is not asserted
-    anywhere.
-    """
-    if form not in ("consistent", "printed"):
-        raise ValueError("form must be 'consistent' or 'printed'")
-    cs = zeta_constants()
-    g = cs.euler_gamma
-    xf = float(x)
-    if k == 2:
-        return xf + 2.0 * g - 1.0
-    if k == 3:
-        g1 = cs.stieltjes_gamma1 if form == "printed" else -cs.stieltjes_gamma1
-        return (xf * xf / 2.0 + (3.0 * g - 1.0) * xf
-                + 3.0 * g * g - 3.0 * g + 3.0 * g1 + 1.0)
-    raise ValueError("polynomial_residue covers k = 2 and k = 3 only")
-
-
 # ---------------------------------------------------------------------------
 # nontrivial-zero sum
 # ---------------------------------------------------------------------------
@@ -325,14 +297,6 @@ def _pair_terms(spec: _TargetSpec, x: float, zeros: ZeroTable,
     return out
 
 
-def _check_pairs(zeros: ZeroTable, num_pairs: int) -> None:
-    if num_pairs < 0:
-        raise ValueError("num_pairs must be >= 0")
-    if num_pairs > len(zeros):
-        raise ValueError(
-            f"requested {num_pairs} zero pairs but the table holds {len(zeros)}")
-
-
 def _running_sums(terms) -> list[tuple[int, float]]:
     """[(1, t_1), (2, t_1 + t_2), ...], accumulated in order."""
     out = []
@@ -356,7 +320,11 @@ def _zero_partials(spec: _TargetSpec, points: tuple[float, ...],
     a RuntimeWarning (attributed to the public caller's caller) but still
     evaluates.
     """
-    _check_pairs(zeros, num_pairs)
+    if num_pairs < 0:
+        raise ValueError("num_pairs must be >= 0")
+    if num_pairs > len(zeros):
+        raise ValueError(
+            f"requested {num_pairs} zero pairs but the table holds {len(zeros)}")
     if not zeros.validated:
         warnings.warn(
             "zero table failed residual validation; zero-sum values may be unreliable",
@@ -377,18 +345,6 @@ def nontrivial_zero_sum(target: str, x, zeros: ZeroTable,
     spec = _require_target(target)
     xf = _above_one(x, "nontrivial_zero_sum")
     return _zero_partials(spec, _midpoints(xf, 0.5), zeros, num_pairs)
-
-
-def zero_coefficient_partial_sum(zeros: ZeroTable,
-                                 num_pairs: int) -> list[tuple[int, float]]:
-    """Partial sums of the bare coefficient series zeta(rho/2)^2/(rho zeta'(rho)).
-
-    Conjugate pairs are combined into twice the real part, so every
-    increment is real.  Used to inspect the empirical boundedness of the
-    coefficient series; no convergence is asserted.
-    """
-    _check_pairs(zeros, num_pairs)
-    return _running_sums(2.0 * w.real for w in _pair_weights(zeros, num_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ and sums in float64 while m <= FLOAT_SUM_MAX, where its chunk sums are
 exact integers as well, and in int64 above; the prefix-table gathers,
 whose m is at most MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
 
-Real-valued sums (harmonic, fractional-part, the 1/n-weighted auxiliary
-sums) are chunked: the correctly rounded sum of each chunk of 2^16 terms,
-then the correctly rounded sum of the chunk sums.  math.fsum's result is
+Real-valued sums (harmonic, fractional-part, T(x) = sum 2^w(n)/n) are
+chunked: the correctly rounded sum of each chunk of 2^16 terms, then the
+correctly rounded sum of the chunk sums.  math.fsum's result is
 the correctly rounded exact sum, so any correctly rounded sum gives its
 bits; _rounded_sums adds each chunk's 53-bit mantissas exactly per binary
 exponent and rounds once.  The result is independent of how work was
@@ -51,7 +51,7 @@ import numpy as np
 
 from .arith import FnSpec, primes_up_to
 from .errors import ResourceLimitError
-from .zeta import EULER_GAMMA, generalized_euler_constant, zeta_constants
+from .zeta import EULER_GAMMA, ZETA_PRIME_2, generalized_euler_constant
 
 # Default ceiling for the linear oracle; a full scan at this size takes on
 # the order of a minute.  Callers can raise it explicitly.
@@ -221,8 +221,8 @@ def _sigma_factor(a: int, p, e):
     return g
 
 
-# tag -> (start value, fold, local factor at p^e); the three auxiliary
-# integer sums have rows of their own
+# tag -> (start value, fold, local factor at p^e); d(n^2) and d(n)^2, the
+# coefficients `verify --suite identities` checks, have rows of their own
 _RULES = {
     "d": (1, np.multiply, lambda p, e: e + 1),
     "mu": (1, np.multiply, lambda p, e: -1 * (e == 1)),
@@ -234,12 +234,11 @@ _RULES = {
     "r2": (4, np.multiply, _r2_factor),
     "d_of_square": (1, np.multiply, lambda p, e: 2 * e + 1),
     "d_squared": (1, np.multiply, lambda p, e: (e + 1) ** 2),
-    "d_on_squarefree": (1, np.multiply, lambda p, e: 2 * (e == 1)),
 }
 
 
 def _rule(f, dtype=np.int64):
-    """The _RULES row for an FnSpec or an auxiliary rule name, in dtype."""
+    """The _RULES row for an FnSpec or a _RULES name, in dtype."""
     if isinstance(f, str):
         return _RULES[f]
     if f.tag == "d_k":
@@ -452,10 +451,9 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
                 weighted: bool = False) -> dict[int, int | float]:
     """Prefix sums of f at each checkpoint, in one streaming pass.
 
-    f is an FnSpec or the name of an auxiliary rule in _RULES.  The sums
-    are exact ints, or with weighted the chunked float sums of f(n)/n (an
-    auxiliary rule only).  The pool never has more workers than segments
-    or CPUs.
+    f is an FnSpec or a _RULES name.  The sums are exact ints, or with
+    weighted the chunked float sums of f(n)/n, as auxiliary_sums takes
+    T(x).  The pool never has more workers than segments or CPUs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -801,113 +799,20 @@ def ap_main_term(x, ap: APSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary sums and their companion predictors
+# T(x) = sum_{n<=x} 2^omega(n)/n, the exact side of the over-n target
 # ---------------------------------------------------------------------------
 
-AUX_KINDS = ("d_over_n", "two_omega_over_n", "two_big_omega",
-             "two_big_omega_over_n", "d_on_squarefree", "d_of_square",
-             "d_squared")
+def auxiliary_sums(xs, *, bound: int = ORACLE_BOUND_DEFAULT) -> list[float]:
+    """T(x) at each x of xs from one weighted two_omega scan.
 
-# kind -> (walk rule, weighted by 1/n)
-_AUX_WALKS = {
-    "d_over_n": ("d", True),
-    "two_omega_over_n": ("two_omega", True),
-    "two_big_omega": ("two_big_omega", False),
-    "two_big_omega_over_n": ("two_big_omega", True),
-    "d_on_squarefree": ("d_on_squarefree", False),
-    "d_of_square": ("d_of_square", False),
-    "d_squared": ("d_squared", False),
-}
-
-
-def auxiliary_profile(kind: str, xs, *,
-                      bound: int = ORACLE_BOUND_DEFAULT) -> list[int | float]:
-    """The named companion sum (see AUX_KINDS) at several x, in one pass.
-
-    Integer-valued kinds give exact ints; the /n kinds give floats
-    accumulated with chunked exact summation, the same float at each x as
+    Each value is the chunked exact float sum, the same float at each x as
     a scan to that x alone.
     """
-    if kind not in AUX_KINDS:
-        raise ValueError(f"unknown auxiliary sum kind {kind!r}")
     ms = [floor_to_int(x) for x in xs]
     if any(m < 1 for m in ms):
         raise ValueError("x must be >= 1")
-    rule, weighted = _AUX_WALKS[kind]
-    table = _brute_scan(rule, ms, bound, weighted=weighted)
+    table = _brute_scan("two_omega", ms, bound, weighted=True)
     return [table[m] for m in ms]
-
-
-def auxiliary_sums(kind: str, x, *,
-                   bound: int = ORACLE_BOUND_DEFAULT) -> int | float:
-    """Exact evaluation of the named companion sum at one x (see AUX_KINDS)."""
-    return auxiliary_profile(kind, [x], bound=bound)[0]
-
-
-@lru_cache(maxsize=1)
-def _two_big_omega_constant() -> float:
-    """a0 = (8 log 2)^{-1} prod_{p>2} (1 + 1/(p(p-2))), primes to 1e6.
-
-    The tail beyond 1e6 contributes less than 1e-12 relative error.
-    """
-    acc = 0.0
-    for p in primes_up_to(10 ** 6):
-        if p == 2:
-            continue
-        acc += math.log1p(1.0 / (p * (p - 2)))
-    return math.exp(acc) / (8.0 * math.log(2.0))
-
-
-@lru_cache(maxsize=1)
-def _squarefree_d_constant() -> float:
-    """prod_p (1 - 3/p^2 + 2/p^3): leading constant of sum mu^2(n) d(n)."""
-    acc = 0.0
-    for p in primes_up_to(10 ** 6):
-        acc += math.log(1.0 - 3.0 / p ** 2 + 2.0 / p ** 3)
-    return math.exp(acc)
-
-
-def auxiliary_main_term(kind: str, x, *, form: str = "consistent") -> float:
-    """Asymptotic predictors paired with auxiliary_sums.
-
-    form="consistent" follows from partial summation of the order-x laws
-    and is what the data tracks.  form="printed" reproduces published
-    displayed forms that differ for two of the kinds (two_big_omega_over_n
-    and d_on_squarefree); they are kept for comparison runs and are not
-    asserted anywhere.
-    """
-    if form not in ("consistent", "printed"):
-        raise ValueError("form must be 'consistent' or 'printed'")
-    xf = float(x)
-    lx = math.log(xf)
-    g = EULER_GAMMA
-    zp2, z2 = zeta_constants().zeta_prime_2, zeta_constants().zeta2
-    if kind == "d_over_n":
-        return 0.5 * lx ** 2 + (2 * g - 1) * lx
-    if kind == "two_omega_over_n":
-        if form == "printed":
-            # displayed log coefficient uses zeta(2)^2 in the denominator
-            return (6 / math.pi ** 2) * (0.5 * lx ** 2
-                                         + (2 * g - 2 * zp2 / z2 ** 2) * lx) + 2 * g - 1
-        return two_omega_over_n_main_term(xf) + TWO_OMEGA_OVER_N_CONSTANT
-    if kind == "two_big_omega":
-        return _two_big_omega_constant() * xf * lx ** 2
-    if kind == "two_big_omega_over_n":
-        a0 = _two_big_omega_constant()
-        if form == "printed":
-            return a0 * lx ** 2
-        return a0 * lx ** 3 / 3.0
-    if kind == "d_on_squarefree":
-        if form == "printed":
-            return -2 * zp2 / z2 ** 2 * xf
-        return _squarefree_d_constant() * xf * lx
-    if kind == "d_of_square":
-        # leading coefficient only: x log^2 x / (2 zeta(2))
-        return xf * lx ** 2 / (2 * z2)
-    if kind == "d_squared":
-        # leading coefficient only: x log^3 x / (6 zeta(2))
-        return xf * lx ** 3 / (6 * z2)
-    raise ValueError(f"unknown auxiliary sum kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -923,17 +828,15 @@ def divisor_main_term(x) -> float:
 def squarefree_main_term(x) -> float:
     """(6/pi^2)(log x + 2 gamma - 1 - 2 zeta'(2)/zeta(2)) x, smooth part of S_2w."""
     xf = float(x)
-    zp2 = zeta_constants().zeta_prime_2
     return 6.0 / math.pi ** 2 * (math.log(xf) + 2.0 * EULER_GAMMA - 1.0
-                                 - 12.0 * zp2 / math.pi ** 2) * xf
+                                 - 12.0 * ZETA_PRIME_2 / math.pi ** 2) * xf
 
 
 def two_omega_over_n_main_term(x) -> float:
     """(6/pi^2)((log x)^2/2 + (2 gamma - 2 zeta'(2)/zeta(2)) log x), T(x) less its constant."""
     lx = math.log(float(x))
-    zp2 = zeta_constants().zeta_prime_2
-    return 6.0 / math.pi ** 2 * (lx * lx / 2.0
-                                 + (2.0 * EULER_GAMMA - 12.0 * zp2 / math.pi ** 2) * lx)
+    return 6.0 / math.pi ** 2 * (
+        lx * lx / 2.0 + (2.0 * EULER_GAMMA - 12.0 * ZETA_PRIME_2 / math.pi ** 2) * lx)
 
 
 TWO_OMEGA_OVER_N_CONSTANT = 2.0 * EULER_GAMMA - 1.0

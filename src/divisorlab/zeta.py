@@ -32,7 +32,7 @@ import numpy as np
 from .errors import AccuracyError, PoleError, TableFormatError
 
 # Euler's constant to full double precision and the package's one source of
-# gamma (zeta_constants() hands it on; the main terms in summatory read it).
+# gamma (the main terms in summatory read it).
 # stieltjes(0) recomputes it only as a check the test suite pins.
 EULER_GAMMA = 0.5772156649015329
 
@@ -252,6 +252,10 @@ def zeta_derivative(s) -> complex:
     return (coef * a_sin + (math.pi / 2) * a_cos) * zw - a_sin * zwp
 
 
+# zeta'(2), the one value of zeta' the main terms of S_2w and T read
+ZETA_PRIME_2 = zeta_derivative(2.0).real
+
+
 # ---------------------------------------------------------------------------
 # special values
 # ---------------------------------------------------------------------------
@@ -343,26 +347,6 @@ def stieltjes(k: int) -> float:
         b2j = _bernoulli(2 * j)
         total -= (b2j.numerator / b2j.denominator) / math.factorial(2 * j) * fval
     return total
-
-
-@dataclass(frozen=True)
-class ZetaConstants:
-    """The small bundle of constants the formula assembly keeps reaching for."""
-
-    euler_gamma: float
-    stieltjes_gamma1: float
-    zeta2: float
-    zeta_prime_2: float
-
-
-@lru_cache(maxsize=1)
-def zeta_constants() -> ZetaConstants:
-    return ZetaConstants(
-        euler_gamma=EULER_GAMMA,
-        stieltjes_gamma1=stieltjes(1),
-        zeta2=math.pi ** 2 / 6,
-        zeta_prime_2=zeta_derivative(2.0).real,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import scipy.special as sps
 
 from divisorlab import summatory
 from divisorlab import (bessel_J1, bessel_K1, bessel_Y1, circle_lattice_sum,
-                        divisor_count_sieve, divisor_delta_reference,
-                        divisor_main_term, divisor_sum_hyperbola,
+                        delta_error, divisor_count_sieve,
+                        divisor_delta_reference, divisor_main_term,
+                        divisor_sum_hyperbola,
                         sierpinski_sum, two_squares_count, voronoi_full,
                         voronoi_truncated)
 from divisorlab.bessel import (ARGUMENT_ENVELOPE, ASYMPTOTIC_SWITCH,
@@ -319,8 +320,7 @@ def test_divisor_delta_reference_consistent():
     main = (math.log(x) + 2 * 0.5772156649015329 - 1) * x
     delta = divisor_sum_hyperbola(x).value - main
     assert divisor_delta_reference(x) == pytest.approx(delta - 0.25, abs=1e-9)
-    assert divisor_delta_reference(x, include_quarter=False) == pytest.approx(
-        delta, abs=1e-9)
+    assert delta_error("divisor_sum", x).delta == pytest.approx(delta, abs=1e-9)
 
 
 def test_series_match_a_term_by_term_loop():

@@ -12,27 +12,23 @@ import pytest
 
 import divisorlab.explicit as explicit
 from divisorlab import summatory
-from divisorlab import (auxiliary_main_term, divisor_delta_reference,
-                        divisor_main_term, squarefree_main_term)
+from divisorlab import (divisor_delta_reference, divisor_main_term,
+                        squarefree_main_term)
 from divisorlab import (DeltaSample, FormulaEvaluation, TruncationConfig,
                         ZeroTable, auxiliary_sums, default_zero_table,
                         delta_error, delta_samples, divisor_sum_hyperbola,
                         evaluate_explicit, main_term, nontrivial_zero_sum,
-                        omega_scan, polynomial_residue, squarefree_divisor_sum,
-                        stieltjes, trivial_zero_tail,
-                        zero_coefficient_partial_sum)
-from divisorlab import brute_force_sum, FnSpec
+                        omega_scan, squarefree_divisor_sum, trivial_zero_tail)
 from divisorlab.errors import ResourceLimitError
 from divisorlab.explicit import TAIL_TERMS_MAX, TARGETS
 from divisorlab.fitting import half_integer_grid
-from divisorlab.summatory import (TWO_OMEGA_OVER_N_CONSTANT,
-                                  two_omega_over_n_main_term)
+from divisorlab.summatory import two_omega_over_n_main_term
 
 EULER_GAMMA = 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
-# main terms and residue polynomials
+# main terms
 # ---------------------------------------------------------------------------
 
 def test_main_term_anchors():
@@ -52,34 +48,6 @@ def test_main_term_formula_shapes():
         main_term("divisor_sum", 1.0)
     with pytest.raises(ValueError):
         main_term("partition_sum", 10.0)
-
-
-def test_polynomial_residue_p2():
-    # the quadratic main term evaluated through the shared polynomial
-    for x in (100.0, 12345.0):
-        got = x * polynomial_residue(2, math.log(x))
-        _, main = main_term("divisor_sum", x)
-        assert got == pytest.approx(main, rel=1e-14)
-
-
-def test_polynomial_residue_p3_sign_choice():
-    # frozen: sum of d_3(n) for n <= 1e6, produced by the brute oracle
-    d3 = brute_force_sum(FnSpec("d_k", k=3), 10 ** 6).value
-    assert d3 == 106030594
-    y = 10 ** 6
-    u = math.log(y)
-    resid_minus = d3 - y * polynomial_residue(3, u)
-    resid_plus = d3 - y * polynomial_residue(3, u, form="printed")
-    # the minus-sign constant leaves an o(x) residual; the plus-sign
-    # variant leaks a linear term of size about 6 |gamma_1| x
-    assert abs(resid_minus) < 10 ** 4
-    assert abs(resid_plus) > 4 * 10 ** 5
-    assert abs(resid_plus - resid_minus) == pytest.approx(
-        abs(6 * stieltjes(1)) * y, rel=1e-6)
-    with pytest.raises(ValueError):
-        polynomial_residue(4, 1.0)
-    with pytest.raises(ValueError):
-        polynomial_residue(3, 1.0, form="other")
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +85,6 @@ def test_unvalidated_table_warns():
                       source="inline", validated=False)
     with pytest.warns(RuntimeWarning):
         nontrivial_zero_sum("divisor_sum", 50.5, table, 1)
-
-
-def test_coefficient_partial_sums_bounded():
-    table = default_zero_table()
-    parts = zero_coefficient_partial_sum(table, 1000)
-    vals = [v for _, v in parts]
-    assert vals[99] == pytest.approx(0.09332631476092623, abs=1e-12)
-    assert max(abs(v) for v in vals) == pytest.approx(0.18579314709286673,
-                                                      abs=1e-12)
-    # bounded and oscillating, never settling: the partials stay positive
-    # while the increments flip sign constantly
-    assert min(vals) > 0
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    flips = sum(1 for a, b in zip(diffs, diffs[1:]) if a * b < 0)
-    assert flips > 400
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +202,7 @@ def test_evaluate_explicit_over_n_target():
     table = default_zero_table()
     cfg = TruncationConfig(num_zero_pairs=3, tail_terms=3)
     ev = evaluate_explicit("two_omega_over_n_sum", 1000.5, table, cfg)
-    want = float(auxiliary_sums("two_omega_over_n", 1000))
+    want = auxiliary_sums([1000])[0]
     assert ev.exact == pytest.approx(want, rel=1e-12)
     # the registry's constant leaves a known stable offset; just check
     # the residual is small and does not explode
@@ -324,23 +277,22 @@ def test_main_terms_have_one_home():
             assert evaluate_explicit(target, x, table, cfg).main_term == want
     assert main_term("two_omega_over_n_sum", 10)[0] == 2.0 * EULER_GAMMA - 1.0
     for x in (2.5, 100.5, 12345.5):
-        assert auxiliary_main_term("two_omega_over_n", x) == (
-            two_omega_over_n_main_term(x) + TWO_OMEGA_OVER_N_CONSTANT)
-        assert divisor_delta_reference(x, include_quarter=False) == (
-            float(divisor_sum_hyperbola(x).value) - divisor_main_term(x))
+        bare = float(divisor_sum_hyperbola(x).value) - divisor_main_term(x)
+        assert delta_error("divisor_sum", x).delta == bare
+        assert divisor_delta_reference(x) == bare - 0.25
 
 
 def test_exact_routes_take_the_bound_and_their_oracle_at_call_time(monkeypatch):
     # a rebound module attribute (as a tracer installs) is the one called
     seen = []
 
-    def oracle(kind, ys, *, bound):
-        seen.append((kind, list(ys), bound))
+    def oracle(ys, *, bound):
+        seen.append((list(ys), bound))
         return [7] * len(ys)
 
-    monkeypatch.setattr(explicit, "auxiliary_profile", oracle)
+    monkeypatch.setattr(explicit, "auxiliary_sums", oracle)
     sample = delta_error("two_omega_over_n_sum", 500.5, bound=777)
-    assert seen == [("two_omega_over_n", [500.5], 777)]
+    assert seen == [([500.5], 777)]
     assert sample.exact == 7.0
 
 
@@ -350,10 +302,10 @@ def test_one_scan_per_grid(monkeypatch):
     # value equal to that of a scan to it alone
     target = "two_omega_over_n_sum"
     grid = half_integer_grid(10, 200000, 1.4)
-    alone = [auxiliary_sums("two_omega_over_n", x) for x in grid]
+    alone = [auxiliary_sums([x])[0] for x in grid]
     table = default_zero_table()
     cfg = TruncationConfig(num_zero_pairs=2, tail_terms=2)
-    below, at = (auxiliary_sums("two_omega_over_n", y) for y in (65536, 65537))
+    below, at = (auxiliary_sums([y])[0] for y in (65536, 65537))
     scans = []
     real = summatory._brute_scan
 

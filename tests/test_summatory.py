@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from divisorlab import summatory
 from divisorlab import (APSpec, FnSpec, SummatoryResult, ap_divisor_sum,
-                        ap_main_term, auxiliary_main_term, auxiliary_sums,
+                        ap_main_term, auxiliary_sums,
                         brute_force_profile, brute_force_sum,
                         circle_lattice_sum, divisor_count,
                         divisor_main_term, divisor_sum_from_squarefree,
@@ -51,6 +51,7 @@ def test_anchor_values_rederived():
     assert brute_force_sum(FnSpec("d"), 10).value == 27
     assert brute_force_sum(FnSpec("d"), 100).value == 482
     assert brute_force_sum(FnSpec("two_omega"), 10).value == 23
+    assert brute_force_sum(FnSpec("d_k", k=3), 10 ** 6).value == 106030594
     assert divisor_sum_hyperbola(10).value == 27
     assert divisor_sum_hyperbola(100).value == 482
     assert divisor_sum_hyperbola(10 ** 6).value == 13970034
@@ -424,6 +425,7 @@ def test_brute_covers_every_tag():
         "mu": lambda n: mobius(n),
         "omega": lambda n: omega_distinct(n),
         "r2": lambda n: two_squares_count(n),
+        "two_big_omega": brute_2_big_omega,
     }
     for tag, fn in table_oracles.items():
         got = brute_force_sum(FnSpec(tag), 500).value
@@ -431,13 +433,13 @@ def test_brute_covers_every_tag():
 
 
 # every rule of the walk: the ten FnSpec tags (d_k and sigma at several
-# parameters) and the three integer auxiliary sums; and d_restricted, which
+# parameters) and the rules of d(n^2) and d(n)^2; and d_restricted, which
 # has a segment count of its own
 WALK_RULES = ([FnSpec(t) for t in ("d", "mu", "mu_squared", "omega", "big_omega",
                                    "two_omega", "two_big_omega", "r2")]
               + [FnSpec("d_k", k=k) for k in (3, 5)]
               + [FnSpec("sigma", a=a) for a in (0, 1, 2)]
-              + ["d_on_squarefree", "d_of_square", "d_squared"]
+              + ["d_of_square", "d_squared"]
               + [FnSpec("d_restricted", q=q, a=a) for q, a in ((4, 3), (7, 5))])
 WALK_WINDOW = 64
 # rules whose values outgrow int64, each with the first n from which the
@@ -468,8 +470,6 @@ def walk_dtype(rule, hi):
 
 
 def pointwise(rule, n):
-    if rule == "d_on_squarefree":
-        return mobius(n) ** 2 * divisor_count(n)
     if rule == "d_of_square":
         # d(n^2) = sum over d | n of 2^omega(d); trial-factoring n^2 is slow
         return sum(1 << omega_distinct(d) for d in divisors(n))
@@ -537,8 +537,7 @@ def test_walk_refuses_a_start_below_one_quickly(lo):
         assert time.perf_counter() - t0 < 0.05
 
 
-WEIGHTED_KINDS = {"d_over_n": "d", "two_omega_over_n": "two_omega",
-                  "two_big_omega_over_n": "two_big_omega"}
+WEIGHTED_RULES = ("d", "two_omega", "two_big_omega")
 # one segment long, so a scan to any m <= REFERENCE_TOP is one chunk list
 REFERENCE_TOP = 1_550_000
 
@@ -561,25 +560,34 @@ def chunked_fsum(rule, m):
                      for i in range(0, m, chunk))
 
 
+def weighted_scan(rule, ms):
+    """f(n)/n summed to each m of ms, from one weighted scan."""
+    table = summatory._brute_scan(rule, ms, summatory.ORACLE_BOUND_DEFAULT,
+                                  weighted=True)
+    return [table[m] for m in ms]
+
+
 @settings(derandomize=True, max_examples=6, deadline=None)
 @given(st.lists(st.integers(1, 3 * summatory.SUM_CHUNK), min_size=1, max_size=4))
 @example([1, 65535, 65536, 65537, 3 * summatory.SUM_CHUNK])
 def test_weighted_profile_is_checkpoint_invariant(xs):
     # the float at a checkpoint is the one a scan to it alone gives, and
     # that is the chunked fsum, whatever other checkpoints the scan holds
-    for kind, rule in WEIGHTED_KINDS.items():
-        profile = summatory.auxiliary_profile(kind, xs)
-        assert profile == [auxiliary_sums(kind, x) for x in xs], kind
-        assert profile == [chunked_fsum(rule, x) for x in xs], kind
+    for rule in WEIGHTED_RULES:
+        profile = weighted_scan(rule, xs)
+        assert profile == [weighted_scan(rule, [x])[0] for x in xs], rule
+        assert profile == [chunked_fsum(rule, x) for x in xs], rule
+    assert auxiliary_sums(xs) == weighted_scan("two_omega", xs)
 
 
 def test_weighted_profile_rounds_once_per_checkpoint():
     # an error_profile-shaped grid: 37 points over up to 24 chunks, where
     # adding up the chunk fsums in floats moves the last bit at some points
     grid = half_integer_grid(110, REFERENCE_TOP, 1.3)
-    for kind, rule in WEIGHTED_KINDS.items():
-        assert summatory.auxiliary_profile(kind, grid) == \
-            [chunked_fsum(rule, math.floor(x)) for x in grid], kind
+    ms = [math.floor(x) for x in grid]
+    for rule in WEIGHTED_RULES:
+        assert weighted_scan(rule, ms) == [chunked_fsum(rule, m) for m in ms], rule
+    assert auxiliary_sums(grid) == weighted_scan("two_omega", ms)
 
 
 def test_pool_never_exceeds_segments_or_cpus(monkeypatch):
@@ -793,18 +801,16 @@ def test_circle_lattice_vs_r2_partial_sums():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary sums used by the explicit-formula targets
+# T(x) and the coefficient sums of verify's identities
 # ---------------------------------------------------------------------------
 
 def test_auxiliary_sums_small_oracles():
     m = 2000
-    assert auxiliary_sums("d_of_square", m) == sum(
-        divisor_count(n * n) for n in range(1, m + 1))
-    assert auxiliary_sums("d_squared", m) == sum(
-        divisor_count(n) ** 2 for n in range(1, m + 1))
-    assert auxiliary_sums("two_big_omega", m) == sum(
-        brute_2_big_omega(n) for n in range(1, m + 1))
-    got = auxiliary_sums("two_omega_over_n", m)
+    sums = {rule: summatory._brute_scan(rule, [m], m)[m]
+            for rule in ("d_of_square", "d_squared")}
+    assert sums["d_of_square"] == sum(divisor_count(n * n) for n in range(1, m + 1))
+    assert sums["d_squared"] == sum(divisor_count(n) ** 2 for n in range(1, m + 1))
+    got, = auxiliary_sums([m])
     want = math.fsum(2.0 ** omega_distinct(n) / n for n in range(1, m + 1))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -820,29 +826,6 @@ def brute_2_big_omega(n):
     if n > 1:
         count += 1
     return 2 ** count
-
-
-def test_auxiliary_main_terms_converge():
-    # leading-order predictors: relative error shrinks as x grows
-    for kind in ("d_of_square", "d_squared", "two_big_omega"):
-        rels = []
-        for x in (10 ** 4, 10 ** 6):
-            exact = float(auxiliary_sums(kind, x))
-            rels.append(abs(exact - auxiliary_main_term(kind, x)) / exact)
-        assert rels[1] < rels[0] < 0.6, (kind, rels)
-
-
-def test_two_omega_over_n_forms():
-    # the default form keeps the registry's fixed constant term, so the
-    # residual settles on a stable offset near 0.2562; freeze that as
-    # observed behavior rather than asserting it vanishes
-    x = 10 ** 6
-    exact = float(auxiliary_sums("two_omega_over_n", x))
-    resid = exact - auxiliary_main_term("two_omega_over_n", x)
-    assert 0.25 < resid < 0.27
-    resid_printed = exact - auxiliary_main_term("two_omega_over_n", x,
-                                                form="printed")
-    assert abs(resid) < abs(resid_printed)  # log coefficient differs too
 
 
 def test_main_term_anchors():

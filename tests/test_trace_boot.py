@@ -19,6 +19,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BOOT = ROOT / "perfbench" / "trace_boot.py"
+T_GRID = ("delta", "--target", "two_omega_over_n", "--grid-lo", "110",
+          "--grid-hi", "1000000", "--ratio", "1.3")
 
 
 def load_boot() -> dict:
@@ -54,6 +56,9 @@ def test_trace_boot_names_exist():
     ("fit", "--target", "two_omega", "--grid-lo", "110", "--grid-hi", "1000000",
      "--ratio", "1.05"),
     ("voronoi", "--kind", "truncated", "--x", "5000.25", "--terms", "4999"),
+    # the Wronskian check evaluates the Bessel functions on an array
+    ("verify", "--suite", "bessel"),
+    T_GRID,
 ])
 def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
@@ -69,4 +74,8 @@ def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
     assert plain.returncode == 0, plain.stderr
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
-    assert json.loads(trace.read_text())["counters"]
+    counters = json.loads(trace.read_text())["counters"]
+    assert counters
+    if argv == T_GRID:
+        # T(x) is counted where it is computed
+        assert counters.get("summatory.aux.calls", 0) >= 1

@@ -17,9 +17,10 @@ import pytest
 
 from divisorlab import (ZeroTable, bernoulli_number, default_zero_table,
                         digamma, generalized_euler_constant, load_zero_table,
-                        stieltjes, zeta, zeta_constants, zeta_derivative,
+                        stieltjes, zeta, zeta_derivative,
                         zeta_exact_negative_odd, zeta_negative_special)
-from divisorlab.zeta import zeta_at_ordinate
+from divisorlab.zeta import EULER_GAMMA as PACKAGE_GAMMA
+from divisorlab.zeta import ZETA_PRIME_2, zeta_at_ordinate
 from divisorlab.errors import PoleError, TableFormatError
 
 mpmath.mp.dps = 30
@@ -164,11 +165,10 @@ def test_stieltjes_against_mpmath():
 
 
 def test_zeta_constants_bundle():
-    cons = zeta_constants()
-    assert cons.euler_gamma == EULER_GAMMA  # one source of gamma
-    assert cons.zeta2 == pytest.approx(math.pi ** 2 / 6, abs=1e-14)
-    assert cons.zeta_prime_2 == pytest.approx(-0.9375482543158438, abs=1e-10)
-    assert cons.stieltjes_gamma1 == pytest.approx(-0.0728158454836767, abs=1e-10)
+    assert PACKAGE_GAMMA == EULER_GAMMA  # one source of gamma
+    # zeta'(2) as the main terms read it, taken once at import
+    assert ZETA_PRIME_2 == zeta_derivative(2.0).real
+    assert ZETA_PRIME_2 == pytest.approx(-0.9375482543158438, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
