@@ -17,9 +17,8 @@ from divisorlab import summatory
 from divisorlab import (bessel_J1, bessel_K1, bessel_Y1, circle_lattice_sum,
                         delta_error, divisor_count_sieve,
                         divisor_delta_reference, divisor_main_term,
-                        divisor_sum_hyperbola,
-                        sierpinski_sum, two_squares_count, voronoi_full,
-                        voronoi_truncated)
+                        divisor_sum_hyperbola, sierpinski_sum,
+                        two_squares_count, voronoi_full, voronoi_truncated)
 from divisorlab.bessel import (ARGUMENT_ENVELOPE, ASYMPTOTIC_SWITCH,
                                DOCUMENTED_ENVELOPE, SERIES_CHUNK,
                                TruncatedSeriesValue, _asymptotic_JY,

@@ -806,10 +806,10 @@ def test_circle_lattice_vs_r2_partial_sums():
 
 def test_auxiliary_sums_small_oracles():
     m = 2000
-    sums = {rule: summatory._brute_scan(rule, [m], m)[m]
-            for rule in ("d_of_square", "d_squared")}
-    assert sums["d_of_square"] == sum(divisor_count(n * n) for n in range(1, m + 1))
-    assert sums["d_squared"] == sum(divisor_count(n) ** 2 for n in range(1, m + 1))
+    assert summatory._brute_scan("d_of_square", [m], m)[m] == sum(
+        divisor_count(n * n) for n in range(1, m + 1))
+    assert summatory._brute_scan("d_squared", [m], m)[m] == sum(
+        divisor_count(n) ** 2 for n in range(1, m + 1))
     got, = auxiliary_sums([m])
     want = math.fsum(2.0 ** omega_distinct(n) / n for n in range(1, m + 1))
     assert got == pytest.approx(want, rel=1e-12)
