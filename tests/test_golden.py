@@ -83,6 +83,20 @@ COMMANDS = (
                  2 ** 53 + 2)]
     + [("delta", "--target", "two_omega_over_n", "--grid-lo", "130900",
         "--grid-hi", "131200", "--ratio", "1.0002")]
+    # a report of each remaining shape: fit in both formats, auto and kernel
+    # sums, JSON rows of delta, voronoi and ap, and an averaged integer x
+    + [("fit", "--target", "d", "--grid-lo", "1000", "--grid-hi", "3000000",
+        "--ratio", "1.4"),
+       ("fit", "--target", "two_omega", "--grid-lo", "1000", "--grid-hi",
+        "3000000", "--ratio", "1.4", "--format", "csv"),
+       ("delta", "--target", "d", "--x", "1000.5", "--format", "json"),
+       ("sum", "--fn", "two_omega", "--x", "1000000"),
+       ("sum", "--algorithm", "convolution_kernel", "--x", "1000000000"),
+       ("voronoi", "--kind", "truncated", "--x", "1000.5", "--terms", "999",
+        "--format", "json"),
+       ("ap", "--kind", "divisor", "--q", "3", "--a", "1", "--x", "200000",
+        "--format", "json"),
+       ("explicit", "--target", "d", "--x", "100", "--pairs", "5")]
 )
 
 
