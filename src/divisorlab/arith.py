@@ -349,10 +349,6 @@ def _inv_zeta_even(n_max: int, shift: int) -> list[int]:
     return out
 
 
-DIRICHLET_IDENTITIES = ("zeta_sq_over_zeta2s", "zeta_cu_over_zeta2s",
-                        "zeta_4_over_zeta2s", "zeta_k", "sigma_product")
-
-
 def dirichlet_coefficients(identity: str, n_max: int, *, k: int | None = None,
                            a: int | None = None, b: int | None = None) -> list[int]:
     """First n_max coefficients of a ratio of zeta factors, 1-indexed.

@@ -262,12 +262,12 @@ def bessel_K1(z):
 
 
 def _bessel_J0(z):
-    """J_0, kept for the Wronskian J1 Y0 - J0 Y1 = 2/(pi z) in the checks."""
+    """J_0, kept for the tests of the Wronskian J1 Y0 - J0 Y1 = 2/(pi z)."""
     return _evaluate("bessel_J0", z)
 
 
 def _bessel_Y0(z):
-    """Y_0, kept for the Wronskian J1 Y0 - J0 Y1 = 2/(pi z) in the checks."""
+    """Y_0, kept for the tests of the Wronskian J1 Y0 - J0 Y1 = 2/(pi z)."""
     return _evaluate("bessel_Y0", z)
 
 

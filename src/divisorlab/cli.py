@@ -46,7 +46,7 @@ from .explicit import (TruncationConfig, delta_error, evaluate_explicit,
                        trivial_zero_tail)
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
-                      render_csv, render_json)
+                      render_csv)
 from .summatory import (ORACLE_BOUND_DEFAULT, SEGMENT_SIZE, APSpec,
                         _segment_values, _walk_chunks, ap_divisor_sum,
                         ap_main_term, brute_force_profile, brute_force_sum,
@@ -63,8 +63,8 @@ EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
-# Emitting a row per integer has to stop somewhere well short of the sieve's
-# own memory bound; 10^7 rows is already a ~200 MB text file.
+# One row per integer, streamed from the walk into the report text; at the
+# cap, mu gives ~130 MB of text and a cold run peaks at ~1 GiB.
 SIEVE_ROWS_MAX = 10 ** 7
 
 
@@ -96,36 +96,24 @@ def _seed_config(parsers, config: dict[str, str]) -> None:
     """Install config values as parser defaults so the command line wins.
 
     A key must name a long flag of at least one subcommand; each subparser
-    only receives the keys it understands.  String defaults go through the
-    flag's type converter at parse time, so bad values still surface as
-    usage errors; store_true flags get their strings decoded here.
+    only receives the keys it understands.  Every such flag takes a value
+    (--help, the one flag without one, is no key), and the string goes
+    through the flag's type converter at parse time, so bad values still
+    surface as usage errors.
     """
     known: set[str] = set()
     for sub in parsers:
-        dests = {}
-        for action in sub._actions:
-            if not action.option_strings:
-                continue
-            dests[action.dest] = action
+        dests = {action.dest: action for action in sub._actions
+                 if action.option_strings and action.nargs != 0}
         known.update(dests)
         seed = {}
         for key, raw in config.items():
-            dest = key.replace("-", "_")
-            action = dests.get(dest)
-            if action is None:
-                continue
-            if action.nargs == 0:
-                # zero-arg flag (store_true style): decode the boolean here
-                lowered = raw.lower()
-                if lowered not in ("true", "false", "yes", "no", "1", "0"):
-                    raise ValueError(f"config key {key!r} needs a boolean, got {raw!r}")
-                seed[dest] = lowered in ("true", "yes", "1")
-            else:
-                seed[dest] = raw
+            action = dests.get(key.replace("-", "_"))
+            if action is not None:
+                seed[action.dest] = raw
                 # a required flag is satisfied by its configured value
                 action.required = False
-        if seed:
-            sub.set_defaults(**seed)
+        sub.set_defaults(**seed)
     for key in config:
         if key.replace("-", "_") not in known:
             raise ValueError(f"config key {key!r} is not a known flag")
@@ -136,7 +124,7 @@ def _seed_config(parsers, config: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _real(text: str) -> float:
-    """float(text), refused when that float has another floor than the text.
+    """float(text), refused when not finite or of another floor than the text.
 
     Counting sums depend on floor(x) only, so a float that rounds across an
     integer (past 2^53, or 0.99999999999999999) would answer for another x.
@@ -145,8 +133,10 @@ def _real(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if math.isfinite(value) and math.floor(value) != math.floor(Decimal(text)):
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    if math.floor(value) != math.floor(Decimal(text)):
         raise argparse.ArgumentTypeError(
             f"{text} would be read as {value!r}, which has another floor")
     return value
@@ -192,7 +182,6 @@ def _build_parser():
         prog="divlab",
         description="exact and analytic summation lab for divisor-type functions")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
-    built = []
 
     p = subs.add_parser("sieve", parents=[common],
                         help="tabulate one arithmetic function pointwise")
@@ -201,7 +190,6 @@ def _build_parser():
     p.add_argument("--fn", default="d",
                    help="function label: d, d_3, sigma_1, mu, mu_squared, omega, "
                         "big_omega, two_omega, two_big_omega, r2, d_restricted_4_1, ...")
-    built.append(p)
 
     p = subs.add_parser("sum", parents=[common],
                         help="one summatory value sum_{n<=x} f(n)")
@@ -211,7 +199,6 @@ def _build_parser():
                    choices=("auto", "brute", "hyperbola", "moebius_kernel",
                             "convolution_kernel"),
                    help="auto picks the sublinear route when one exists")
-    built.append(p)
 
     p = subs.add_parser("explicit", parents=[common],
                         help="truncated explicit-formula evaluation")
@@ -232,7 +219,6 @@ def _build_parser():
                    dest="tail_sign", help="overall sign of the tail (default minus)")
     p.add_argument("--midpoint-delta", type=float, default=0.5, dest="midpoint_delta",
                    help="averaging offset for integer x (default 0.5)")
-    built.append(p)
 
     p = subs.add_parser("voronoi", parents=[common],
                         help="Bessel/cosine summation formulas vs exact references")
@@ -244,7 +230,6 @@ def _build_parser():
     p.add_argument("--terms", type=_whole, default=None,
                    help="series length (default: the most, up to 10000, that keep "
                         "Bessel arguments within 1e5; truncated: up to 1000, below x)")
-    built.append(p)
 
     p = subs.add_parser("delta", parents=[common],
                         help="error-term samples delta(x) = exact - main term")
@@ -257,7 +242,6 @@ def _build_parser():
                    help="grid end (with --grid-lo)")
     p.add_argument("--ratio", type=float, default=1.2,
                    help="geometric grid ratio (default 1.2)")
-    built.append(p)
 
     p = subs.add_parser("ap", parents=[common],
                         help="divisor, harmonic, or fractional-part sums on a progression")
@@ -268,7 +252,6 @@ def _build_parser():
     p.add_argument("--q", type=int, default=None, help="modulus q >= 2")
     p.add_argument("--a", type=int, default=None,
                    help="residue a with 1 <= a < q and gcd(a, q) = 1")
-    built.append(p)
 
     p = subs.add_parser("verify", parents=[common],
                         help="run self-check suites; exit 5 on any failure")
@@ -278,7 +261,6 @@ def _build_parser():
                    help="which suite to run (default all)")
     p.add_argument("--zeros", metavar="PATH",
                    help="zero-ordinate file for the explicit suite")
-    built.append(p)
 
     p = subs.add_parser("fit", parents=[common],
                         help="log-log exponent fit of |delta| over a geometric grid")
@@ -292,9 +274,8 @@ def _build_parser():
     p.add_argument("--samples-output", default=None, metavar="PATH",
                    dest="samples_output",
                    help="also write the underlying delta samples as CSV")
-    built.append(p)
 
-    return parser, built
+    return parser, subs.choices.values()
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +288,12 @@ def _load_zeros(path: str | None):
     return default_zero_table()
 
 
-def _report_format(args) -> str:
-    if args.format is not None:
-        return args.format
-    return "json" if args.command in ("explicit", "fit") else "csv"
-
-
-def _write_rows(rows, fmt: str, path: str) -> int:
-    if path == "-":
-        text = render_csv(rows) if fmt == "csv" else render_json(rows)
-        sys.stdout.write(text)
-    else:
-        emit_report(rows, fmt, path)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
+# Each handler but verify returns its report rows; main writes them.
 
-def _cmd_sieve(args) -> int:
+def _cmd_sieve(args):
     spec = FnSpec.parse(args.fn)
     limit = args.limit
     if limit < 1:
@@ -336,13 +303,12 @@ def _cmd_sieve(args) -> int:
             f"sieve emits one row per integer; {limit} exceeds the "
             f"{SIEVE_ROWS_MAX} row cap")
     label = spec.label()
-    rows = [{"n": n, "fn": label, "value": v}
+    return ({"n": n, "fn": label, "value": v}
             for lo, values in _walk_chunks(spec, 1, limit + 1, SEGMENT_SIZE)
-            for n, v in enumerate(values.tolist(), lo)]
-    return _write_rows(rows, _report_format(args), args.output)
+            for n, v in enumerate(values.tolist(), lo))
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args):
     spec = FnSpec.parse(args.fn)
     algo = args.algorithm
     if algo == "auto":
@@ -362,26 +328,24 @@ def _cmd_sum(args) -> int:
     else:
         res = brute_force_sum(spec, args.x, bound=args.oracle_bound,
                               workers=args.workers)
-    return _write_rows([res], _report_format(args), args.output)
+    return [res]
 
 
-def _cmd_explicit(args) -> int:
+def _cmd_explicit(args):
+    if args.format == "csv":
+        raise ValueError("explicit reports are JSON only; the partial-sum "
+                         "trajectory does not fit a flat CSV row")
     target = resolve_target(args.target)
     zeros = _load_zeros(args.zeros)
     cfg = TruncationConfig(num_zero_pairs=args.pairs, tail_terms=args.tail,
                            midpoint_delta=args.midpoint_delta,
                            tail_variant=args.tail_variant,
                            tail_sign=-1 if args.tail_sign == "minus" else 1)
-    evaluation = evaluate_explicit(target, args.x, zeros, cfg,
-                                   bound=args.oracle_bound)
-    fmt = _report_format(args)
-    if fmt == "csv":
-        raise ValueError("explicit reports are JSON only; the partial-sum "
-                         "trajectory does not fit a flat CSV row")
-    return _write_rows([evaluation], fmt, args.output)
+    return [evaluate_explicit(target, args.x, zeros, cfg,
+                              bound=args.oracle_bound)]
 
 
-def _cmd_voronoi(args) -> int:
+def _cmd_voronoi(args):
     kind = args.kind
     n_terms = args.terms
     if n_terms is None:
@@ -397,28 +361,25 @@ def _cmd_voronoi(args) -> int:
     else:
         value = sierpinski_sum(args.x, n_terms)
         reference = float(circle_lattice_sum(math.floor(args.x)))
-    row = {"x": args.x, "kind": kind, "n_terms": n_terms, "value": value,
-           "reference": reference, "residual": value - reference,
-           "last_term": last_term}
-    return _write_rows([row], _report_format(args), args.output)
+    return [{"x": args.x, "kind": kind, "n_terms": n_terms, "value": value,
+             "reference": reference, "residual": value - reference,
+             "last_term": last_term}]
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args):
     target = resolve_target(args.target)
     has_grid = args.grid_lo is not None or args.grid_hi is not None
     if args.x is not None and has_grid:
         raise ValueError("give either --x or a --grid-lo/--grid-hi pair, not both")
     if args.x is not None:
-        samples = [delta_error(target, args.x, bound=args.oracle_bound)]
-    else:
-        if args.grid_lo is None or args.grid_hi is None:
-            raise ValueError("delta needs --x or both --grid-lo and --grid-hi")
-        grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
-        samples = delta_samples(target, grid, bound=args.oracle_bound)
-    return _write_rows(samples, _report_format(args), args.output)
+        return [delta_error(target, args.x, bound=args.oracle_bound)]
+    if args.grid_lo is None or args.grid_hi is None:
+        raise ValueError("delta needs --x or both --grid-lo and --grid-hi")
+    grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
+    return delta_samples(target, grid, bound=args.oracle_bound)
 
 
-def _cmd_ap(args) -> int:
+def _cmd_ap(args):
     if (args.q is None) != (args.a is None):
         raise ValueError("--q and --a must be given together")
     ap = APSpec(q=args.q, a=args.a) if args.q is not None else None
@@ -439,19 +400,21 @@ def _cmd_ap(args) -> int:
         predicted = fractional_main_term(xf, ap)
         label = f"fractional_{ap.q}_{ap.a}" if ap else "fractional"
     residual = value - predicted
-    row = {"x": xf, "fn": label, "value": value, "predicted": predicted,
-           "residual": residual, "residual_times_x": residual * xf}
-    return _write_rows([row], _report_format(args), args.output)
+    return [{"x": xf, "fn": label, "value": value, "predicted": predicted,
+             "residual": residual, "residual_times_x": residual * xf}]
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
+    if args.samples_output == "-":
+        raise ValueError("--samples-output needs a file path; stdout is "
+                         "for the fit report")
     target = resolve_target(args.target)
     grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
     samples = delta_samples(target, grid, bound=args.oracle_bound)
     fit = exponent_fit(samples)
     if args.samples_output:
         emit_report(samples, "csv", args.samples_output)
-    return _write_rows([fit], _report_format(args), args.output)
+    return [fit]
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +690,6 @@ _HANDLERS = {
     "voronoi": _cmd_voronoi,
     "delta": _cmd_delta,
     "ap": _cmd_ap,
-    "verify": _cmd_verify,
     "fit": _cmd_fit,
 }
 
@@ -765,25 +727,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return _HANDLERS[args.command](args)
-    except FileNotFoundError as exc:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        rows = _HANDLERS[args.command](args)
+        fmt = args.format or ("json" if args.command in ("explicit", "fit")
+                              else "csv")
+        emit_report(rows, fmt, args.output)
+        return EXIT_OK
+    except (TableFormatError, OSError) as exc:
         return _fail(EXIT_INPUT, str(exc))
-    except TableFormatError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except IsADirectoryError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except PermissionError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except ResourceLimitError as exc:
-        return _fail(EXIT_RESOURCE, str(exc))
-    except AccuracyError as exc:
+    except (ResourceLimitError, AccuracyError) as exc:
         return _fail(EXIT_RESOURCE, str(exc))
     except VerificationError as exc:
         return _fail(EXIT_VERIFY, str(exc))
     except (PoleError, ValueError, TypeError) as exc:
         return _fail(EXIT_USAGE, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_INPUT, str(exc))
 
 
 if __name__ == "__main__":

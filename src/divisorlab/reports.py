@@ -12,7 +12,9 @@ The delta-report CSV header is a frozen contract:
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import fields, is_dataclass
 
 from .explicit import DeltaSample
@@ -85,11 +87,11 @@ def _to_json(v) -> str:
 # ---------------------------------------------------------------------------
 
 def row_dict(row) -> dict:
-    """Flatten a report row into an ordered plain dict."""
+    """A report row as an ordered dict; a dict row is returned as it is."""
     if is_dataclass(row):
         return {f.name: getattr(row, f.name) for f in fields(row)}
     if isinstance(row, dict):
-        return dict(row)
+        return row
     raise TypeError(f"cannot turn {type(row).__name__} into a report row")
 
 
@@ -106,49 +108,54 @@ def _csv_cell(v) -> str:
 
 
 def render_csv(rows) -> str:
-    """CSV text for a homogeneous list of rows, delta header frozen."""
-    dicts = [row_dict(r) for r in rows]
-    keys = list(dicts[0].keys())
-    for d in dicts[1:]:
-        if list(d.keys()) != keys:
-            raise ValueError("CSV rows must share one column set")
-    if any(isinstance(v, (list, tuple)) for v in dicts[0].values()):
+    """CSV text for homogeneous rows, read once in order; delta header frozen."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError("a report needs at least one row")
+    first_dict = row_dict(first)
+    if any(isinstance(v, (list, tuple)) for v in first_dict.values()):
         raise ValueError("nested rows cannot go to CSV; use json")
+    keys = list(first_dict)
     header = ",".join(keys)
-    if isinstance(rows[0], DeltaSample) and header != DELTA_CSV_HEADER:
+    if isinstance(first, DeltaSample) and header != DELTA_CSV_HEADER:
         raise AssertionError("delta CSV header drifted from the contract")
     lines = [header]
-    for d in dicts:
+    for row in itertools.chain((first,), rows):
+        d = row_dict(row)
+        if list(d) != keys:
+            raise ValueError("CSV rows must share one column set")
         lines.append(",".join(_csv_cell(v) for v in d.values()))
     return "\n".join(lines) + "\n"
 
 
 def render_json(rows) -> str:
-    """JSON text: an array of row objects, or one object for a single row."""
-    if isinstance(rows, (list, tuple)):
-        return _to_json([row_dict(r) for r in rows]) + "\n"
-    return _to_json(row_dict(rows)) + "\n"
+    """JSON text: an array of row objects, read once in order."""
+    items = [_to_json(row_dict(r)) for r in rows]
+    if not items:
+        raise ValueError("a report needs at least one row")
+    return "[" + ",".join(items) + "]\n"
 
 
 def emit_report(rows, fmt: str, path) -> int:
-    """Write rows to path in the chosen format; returns bytes written.
+    """Write rows to path (- for stdout) in fmt; returns the bytes written.
 
-    rows may be a list of report rows or a single row object.  Empty row
-    lists are rejected: an empty report is always a caller bug.
+    rows is any iterable of report rows, read once.  The whole text is
+    rendered before anything is written, so a row that cannot be serialized
+    leaves no partial report.  An empty report is refused: it is always a
+    caller bug.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
-    if isinstance(rows, (list, tuple)) and len(rows) == 0:
-        raise ValueError("emit_report needs at least one row")
-    if fmt == "csv":
-        listed = rows if isinstance(rows, (list, tuple)) else [rows]
-        text = render_csv(listed)
+    text = render_csv(rows) if fmt == "csv" else render_json(rows)
+    if not text.isascii():
+        raise ValueError("reports are ASCII text")
+    if path == "-":
+        sys.stdout.write(text)
     else:
-        text = render_json(rows)
-    data = text.encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    return len(text)
 
 
 def read_delta_csv(path) -> list[DeltaSample]:

@@ -260,9 +260,6 @@ ZETA_PRIME_2 = zeta_derivative(2.0).real
 # special values
 # ---------------------------------------------------------------------------
 
-NEGATIVE_SPECIAL_KINDS = ("zeta_at_neg_odd", "zeta_prime_at_neg_even")
-
-
 def zeta_negative_special(kind: str, n: int) -> float:
     """Exact-flavored special values on the negative real axis.
 

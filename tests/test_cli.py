@@ -1,13 +1,17 @@
 """End-to-end coverage of the divlab command line.
 
 Everything runs in-process through main(argv) so exit codes and stdout
-bytes are asserted exactly; no subprocesses, no PATH assumptions.
+bytes are asserted exactly; no PATH assumptions.  The one subprocess is the
+sieve memory test, which needs the peak of a process of its own.
 """
 
 import json
 import math
 import os
+import pathlib
 import string
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -15,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divisorlab import brute_force_sum, FnSpec
+import divisorlab
+from divisorlab import brute_force_sum, cli, FnSpec
 from divisorlab.arith import build_factor_table, eval_arithmetic
 from divisorlab.cli import SUITES, _read_config_file, main
 from divisorlab.errors import TableFormatError
@@ -105,7 +110,9 @@ SIEVE_LABELS = ("d", "d_3", "d_33", "sigma_0", "sigma_2", "sigma_40", "mu",
 
 
 @pytest.mark.parametrize("label", SIEVE_LABELS)
-def test_sieve_rows(capsys, label):
+def test_sieve_rows(capsys, monkeypatch, label):
+    # short chunks, so the streamed rows cross chunk edges
+    monkeypatch.setattr(cli, "SEGMENT_SIZE", 1024)
     limit = 3000
     rc, out, _ = run(capsys, "sieve", "--limit", str(limit), "--fn", label)
     assert rc == 0
@@ -115,6 +122,20 @@ def test_sieve_rows(capsys, label):
     spec, table = FnSpec.parse(label), build_factor_table(limit)
     assert lines[1:] == [f"{n},{label},{eval_arithmetic(spec, n, table)}"
                          for n in range(1, limit + 1)]
+
+
+def test_sieve_streams_its_rows():
+    # the rows go from the walk into the text one at a time, never as a list
+    # of dicts (which peaked at 186 MiB here)
+    src = str(pathlib.Path(divisorlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "divisorlab", "sieve",
+                             "--fn", "mu", "--limit", "300000"],
+                            stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 128 * 1024  # KiB
 
 
 def test_voronoi_row_keys(capsys):
@@ -155,6 +176,21 @@ def test_fit_smoke(capsys, tmp_path):
     (row,) = json.loads(out)
     assert 0.1 < row["theta"] < 0.5
     assert samples_path.read_text().startswith("x,exact,predicted")
+
+
+def test_fit_refuses_samples_on_stdout_before_any_work(capsys, monkeypatch,
+                                                     tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "delta_samples", _no_work)
+    rc, out, err = run(capsys, "fit", "--grid-lo", "10", "--grid-hi", "100000",
+                       "--samples-output", "-")
+    assert (rc, out) == (2, "")
+    assert "--samples-output" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work before refusing")
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +359,35 @@ def test_exit_usage_bad_combo(capsys):
     assert "hyperbola" in err
     rc, _, _ = run(capsys, "explicit", "--x", "100.5", "--format", "csv")
     assert rc == 2
+
+
+def test_explicit_refuses_csv_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_explicit", _no_work)
+    monkeypatch.setattr(cli, "_load_zeros", _no_work)
+    rc, out, err = run(capsys, "explicit", "--x", "100.5", "--format", "csv")
+    assert (rc, out) == (2, "")
+    assert "JSON only" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta", "--x", "inf"),
+    ("delta", "--x", "nan"),
+    ("explicit", "--x", "inf"),
+    ("sum", "--x", "1e400"),
+    ("fit", "--grid-lo", "10", "--grid-hi", "inf"),
+])
+def test_exit_usage_non_finite_x(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "is not a finite number" in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_exit_input_unwritable_output(capsys, tmp_path, where):
+    path = tmp_path if where == "directory" else tmp_path / "gone" / "out.csv"
+    rc, out, err = run(capsys, "sum", "--x", "100", "--output", str(path))
+    assert (rc, out) == (3, "")
+    assert str(path) in err
 
 
 def test_exit_input_missing_zeros(capsys, tmp_path):

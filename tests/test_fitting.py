@@ -202,6 +202,38 @@ def test_emit_report_errors(tmp_path):
         emit_report([{"a": 1}], "xml", str(tmp_path / "out"))
 
 
+def test_renderers_read_a_one_shot_generator(tmp_path, capsys):
+    samples = [delta_error("divisor_sum", x) for x in (100.5, 1000.5, 33333.5)]
+    rows = [{"n": n, "fn": "mu", "value": n % 3 - 1} for n in range(1, 40)]
+    for listed in (samples, rows):
+        csv, js = render_csv(listed), render_json(listed)
+        assert render_csv(r for r in listed) == csv
+        assert render_json(r for r in listed) == js
+        for fmt, text in (("csv", csv), ("json", js)):
+            path = tmp_path / f"report.{fmt}"
+            assert emit_report((r for r in listed), fmt, str(path)) == len(text)
+            assert path.read_bytes() == text.encode("ascii")
+            assert emit_report((r for r in listed), fmt, "-") == len(text)
+            assert capsys.readouterr().out == text
+
+
+def test_emit_report_refuses_an_empty_iterator(capsys):
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError):
+            emit_report(iter(()), fmt, "-")
+    assert capsys.readouterr().out == ""
+
+
+def test_a_bad_row_leaves_no_partial_report(tmp_path, capsys):
+    rows = [{"a": 1.0}, {"a": 2.0}, {"a": float("inf")}]
+    path = tmp_path / "report.csv"
+    for dest in (str(path), "-"):
+        with pytest.raises(ValueError):
+            emit_report(iter(rows), "csv", dest)
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_csv_rejects_metacharacters():
     with pytest.raises(ValueError):
         render_csv([{"name": "a,b"}])
