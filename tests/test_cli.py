@@ -124,18 +124,26 @@ def test_sieve_rows(capsys, monkeypatch, label):
                          for n in range(1, limit + 1)]
 
 
+# A child's ru_maxrss also counts the memory of the process that spawned
+# it, so a bare interpreter spawns the command and reads its peak by wait4.
+_PEAK_OF_CHILD = ("import os, subprocess, sys; "
+                  "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                  "_, status, usage = os.wait4(p.pid, 0); "
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
 def test_sieve_streams_its_rows():
-    # the rows go from the walk into the text one at a time, never as a list
-    # of dicts (which peaked at 186 MiB here)
+    # the rows go from the walk into the text one at a time; held as a list
+    # of dicts they peaked at ~187 MiB at this limit
     src = str(pathlib.Path(divisorlab.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen([sys.executable, "-m", "divisorlab", "sieve",
-                             "--fn", "mu", "--limit", "300000"],
-                            stdout=subprocess.DEVNULL, env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 128 * 1024  # KiB
+    out = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, sys.executable,
+                          "-m", "divisorlab", "sieve", "--fn", "mu",
+                          "--limit", "300000"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    rc, peak_kib = map(int, out.stdout.split())
+    assert rc == 0
+    assert peak_kib < 128 * 1024
 
 
 def test_voronoi_row_keys(capsys):
