@@ -97,6 +97,17 @@ COMMANDS = (
        ("ap", "--kind", "divisor", "--q", "3", "--a", "1", "--x", "200000",
         "--format", "json"),
        ("explicit", "--target", "d", "--x", "100", "--pairs", "5")]
+    # x = 3 * 2^18 + 1: brute scans across two 2^18 block edges, at one and
+    # two workers; d_22 walks object values across them; the weighted
+    # two_omega_over_n points straddle n = 2^18 + 1
+    + [("sum", "--algorithm", "brute", "--workers", w, "--fn", fn,
+        "--x", "786433")
+       for fn in ("omega", "big_omega", "two_big_omega", "mu_squared",
+                  "sigma_1", "d_3")
+       for w in ("1", "2")]
+    + [("sum", "--algorithm", "brute", "--fn", "d_22", "--x", "600000"),
+       ("delta", "--target", "two_omega_over_n", "--grid-lo", "262000",
+        "--grid-hi", "262400", "--ratio", "1.0001")]
 )
 
 
