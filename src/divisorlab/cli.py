@@ -408,6 +408,10 @@ def _cmd_fit(args):
     if args.samples_output == "-":
         raise ValueError("--samples-output needs a file path; stdout is "
                          "for the fit report")
+    if args.samples_output and args.output != "-" and (
+            os.path.realpath(args.samples_output) == os.path.realpath(args.output)):
+        raise ValueError("--samples-output and --output name the same file; "
+                         "the fit report would overwrite the samples")
     target = resolve_target(args.target)
     grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
     samples = delta_samples(target, grid, bound=args.oracle_bound)

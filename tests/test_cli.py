@@ -197,6 +197,28 @@ def test_fit_refuses_samples_on_stdout_before_any_work(capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("exists", [False, True])
+def test_fit_refuses_one_file_for_samples_and_report(capsys, monkeypatch,
+                                                     tmp_path, exists):
+    # the report would overwrite the samples; the paths match once resolved
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "delta_samples", _no_work)
+    (tmp_path / "sub").mkdir()
+    if exists:
+        (tmp_path / "p.csv").write_text("kept\n")
+    for samples, report in (("p.csv", "p.csv"),
+                            ("sub/../p.csv", str(tmp_path / "p.csv"))):
+        rc, out, err = run(capsys, "fit", "--grid-lo", "10", "--grid-hi",
+                           "100000", "--samples-output", samples,
+                           "--output", report)
+        assert (rc, out) == (2, "")
+        assert "same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["p.csv", "sub"] if exists else ["sub"])
+    if exists:
+        assert (tmp_path / "p.csv").read_text() == "kept\n"
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the command started its work before refusing")
 
