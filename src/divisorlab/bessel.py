@@ -49,8 +49,7 @@ ASYMPTOTIC_SWITCH = 12.0
 DOCUMENTED_ENVELOPE = 1.0e4
 ARGUMENT_ENVELOPE = 1.0e5
 SERIES_CUTOFF = 60
-# Series terms are formed this many at a time (ceil((n_terms + 1) / 64) once
-# that is more), which bounds the arrays.
+# Series terms are formed this many at a time, which bounds the arrays.
 SERIES_CHUNK = 1 << 12
 
 
@@ -349,8 +348,8 @@ def default_terms(kind: str, x) -> int:
 def _bessel_series(kind: str, xf: float, n_terms: int) -> tuple[float, float]:
     """sum_{n<=N} of _SERIES[kind]'s terms at scale c sqrt(x), and its last term.
 
-    a(n) = 0 terms are skipped.  The chunks of _walk_chunks (SERIES_CHUNK
-    at least) each walk for their own a(n).
+    a(n) = 0 terms are skipped.  The SERIES_CHUNK-long chunks of
+    _walk_chunks each walk for their own a(n).
     """
     rule, c, chunk_terms, too_many = _SERIES[kind]
     if n_terms < 1:

@@ -2,10 +2,11 @@
 
 Two independent routes to every headline quantity:
 
-* brute force -- a linear, segmented scan whose prime-exponent walk builds
-  each segment's values as an array (int32 below 2^31, int64 above, or
-  object where int64 could overflow) and accumulates exact integers.  This
-  is the oracle everything else is checked against.
+* brute force -- a linear scan whose prime-exponent walk builds the values
+  of one 2^18-long block at a time as an array (int32 below 2^31, int64
+  above, or object where int64 could overflow) and sums it into exact
+  integers before the next.  This is the oracle everything else is
+  checked against.
 * sublinear algorithms -- one hyperbola count whose rows are D(x), the AP
   divisor sum and the circle problem's lattice count, the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2) and its convolution inverse, all in
@@ -85,13 +86,15 @@ PREFIX_TABLE_LIMIT = 1 << 16
 # of the mu and prefix tables (one 2^16-long walk peaks ~1.4 MiB higher).
 KERNEL_CHUNK = 1 << 14
 
-# Segment length for the streaming scans.  2^21 entries is 8 MiB per int32
-# working array (16 MiB in int64), small enough to stay cache-friendly with
-# several workers.
-SEGMENT_SIZE = 1 << 21
-
-# Segment length of the scans whose values are Python ints (object dtype).
-OBJECT_SEGMENT_SIZE = 1 << 18
+# Block length of the walk: one pool task of a scan, the longest walk of the
+# mu table and the chunk of `sieve` rows.  A 2^18 block is 1 MiB per int32
+# array, so one walk stays in a 2-CPU host's cache, and its primes above
+# isqrt(2^18) = 512 fold in one array pass (_fold_large_primes).  In process,
+# per 2^21 values walked as blocks of 2^16, 2^17, 2^18, 2^19 and 2^20, d took
+# 74, 60, 57, 60 and 76 ms at 1e8 and mu 79, 64, 61, 63 and 78 ms, against
+# 80 and 103 ms for one 2^21 walk with no fold (medians of 11).  Object
+# (Python int) walks use the same length.
+SEGMENT_SIZE = 1 << 18
 
 # Chunk length of exact float accumulation: one correctly rounded sum per
 # chunk of this many terms counted from the first, then one of the chunk sums.
@@ -179,23 +182,28 @@ def _as_spec(f) -> FnSpec:
 # ---------------------------------------------------------------------------
 # segmented brute-force engine
 #
-# For each segment [lo, hi) one walk visits every prime p <= sqrt(hi) and
-# finds the exponent e of p in each of its multiples without dividing: e
-# starts at 1 on the multiples of p and gains 1 on the multiples of p^2,
-# p^3, ..., each a strided slice.  The walk folds rule(p, e) into the value
-# array (multiplied in for multiplicative functions, added for omega and
-# Omega) and multiplies p^e into ext, the part of n it has extracted.  After
-# the walk n // ext is 1 or a prime above sqrt(hi), one division per entry;
-# the same rule folds that prime in with e = 1.  A function is one row of
-# _RULES (d_k and sigma build theirs from their parameter in _rule): a start
-# value, the fold, and the local factor at a prime power.  Rules take p as
-# an int inside the walk; the leftover fold passes the whole array of
-# quotients with e = 1.  The dtype comes from the segment's top (_walk_dtype):
-# int32 while n < 2^31 for the _RULES rows, whose values, p^e and n all fit;
-# int64 above that and for d_k and sigma; exact Python ints in an object
-# array where int64 could overflow.  ext, e and the leftover arange take the
-# integer dtype of the rung (int64 under object values).  d_restricted is
-# not multiplicative and has a count of its own (_restricted_segment_counts).
+# For each block [lo, hi) of at most SEGMENT_SIZE values one walk visits
+# every prime p <= sqrt(hi) and finds the exponent e of p in each of its
+# multiples without dividing.  It folds rule(p, e) into the value array
+# (multiplied in for multiplicative functions, added for omega and Omega)
+# and multiplies p^e into ext, the part of n it has extracted.  A prime up
+# to T = isqrt(hi - lo) is walked on its own: e starts at 1 on the multiples
+# of p and gains 1 on the multiples of p^2, p^3, ..., each a strided slice.
+# The primes above T, one Python step each before, fold together in one
+# ragged index pass (_fold_large_primes): since p^2 > hi - lo, each has at
+# most one multiple of p^2 in the block.  After the walk n // ext is 1 or a
+# prime above sqrt(hi), one division per entry; the same rule folds that
+# prime in with e = 1.  A function is one row of _RULES (d_k and sigma
+# build theirs from their parameter in _rule): a start value, the fold, and
+# the local factor at a prime power.  A rule takes p as an int and an array
+# of e, or arrays of both, and returns the walk's dtype: ufunc.at is many
+# times slower when the dtypes differ.  The dtype comes from the block's
+# top (_walk_dtype): int32 while n < 2^31 for the _RULES rows, whose
+# values, p^e and n all fit; int64 above that and for d_k and sigma; exact
+# Python ints in an object array where int64 could overflow.  ext, e and
+# the leftover arange take the integer dtype of the rung (int64 under
+# object values).  d_restricted is not multiplicative and has a count of
+# its own (_restricted_segment_counts).
 # ---------------------------------------------------------------------------
 
 def _r2_factor(p, e):
@@ -203,10 +211,12 @@ def _r2_factor(p, e):
     if np.ndim(p) == 0:
         # one prime of the walk; a vectorised where costs ~30% more here
         if p == 2:
-            return 1
-        return e + 1 if p % 4 == 1 else e % 2 == 0
-    # the leftover fold: an array of residuals, all with e = 1
-    return np.array([1, e + 1, 1, e % 2 == 0])[p & 3]
+            return e.dtype.type(1)
+        # e & 1 is several times faster than e % 2 on int32
+        return e + 1 if p % 4 == 1 else 1 - (e & 1)
+    # arrays of primes and exponents, in e's dtype
+    r = p & 3
+    return np.where(r == 1, e + 1, (r == 2) | ((e & 1) == 0))
 
 
 def _sigma_factor(a: int, p, e):
@@ -225,11 +235,11 @@ def _sigma_factor(a: int, p, e):
 # coefficients `verify --suite identities` checks, have rows of their own
 _RULES = {
     "d": (1, np.multiply, lambda p, e: e + 1),
-    "mu": (1, np.multiply, lambda p, e: -1 * (e == 1)),
-    "mu_squared": (1, np.multiply, lambda p, e: e == 1),
-    "omega": (0, np.add, lambda p, e: 1),
+    "mu": (1, np.multiply, lambda p, e: np.negative(e == 1, dtype=e.dtype)),
+    "mu_squared": (1, np.multiply, lambda p, e: (e == 1).astype(e.dtype)),
+    "omega": (0, np.add, lambda p, e: e.dtype.type(1)),
     "big_omega": (0, np.add, lambda p, e: e),
-    "two_omega": (1, np.multiply, lambda p, e: 2),
+    "two_omega": (1, np.multiply, lambda p, e: e.dtype.type(2)),
     "two_big_omega": (1, np.multiply, lambda p, e: 1 << e),
     "r2": (4, np.multiply, _r2_factor),
     "d_of_square": (1, np.multiply, lambda p, e: 2 * e + 1),
@@ -249,11 +259,11 @@ def _rule(f, dtype=np.int64):
         factor = partial(_sigma_factor, f.a)
         if dtype is object:
             def exact(p, e):
-                # the leftover fold passes an object array of primes; at one
-                # prime of the walk the factors for e = 0..max(e) form a
-                # table indexed by e, like d_k's binomials
+                # arrays of primes take Python ints; at one prime of the
+                # walk the factors for e = 0..max(e) form a table indexed
+                # by e, like d_k's binomials
                 if np.ndim(p):
-                    return factor(p, e)
+                    return factor(p.astype(object, copy=False), e)
                 return factor(np.array([p], dtype=object), np.arange(e.max() + 1))[e]
             return 1, np.multiply, exact
         return 1, np.multiply, factor
@@ -263,8 +273,8 @@ def _rule(f, dtype=np.int64):
 def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Values of f(n) for n in [lo, hi) via the prime-exponent walk.
 
-    lo must be at least 1: at n = 0 every p^k divides n, so the exponent
-    loop would never end.
+    primes holds at least every prime up to sqrt(hi).  lo must be at least
+    1: at n = 0 every p^k divides n, so the exponent loop would never end.
     """
     if lo < 1:
         raise ValueError(f"the walk starts at n >= 1 (got lo={lo})")
@@ -274,10 +284,9 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     size = hi - lo
     ext = np.ones(size, dtype=index)
     out = np.full(size, start_value, dtype=dtype)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
+    top = int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))
+    small = min(top, int(np.searchsorted(primes, math.isqrt(size), side="right")))
+    for p in primes[:small].tolist():
         start = (-lo) % p
         if start >= size:
             continue
@@ -297,16 +306,58 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
             step = pk
         seg = out[start::p]
         fold(seg, factor(p, e), out=seg)
+    if small < top:
+        _fold_large_primes(primes[small:top], lo, size, ext, out, fold, factor)
     # what the primes below sqrt(hi) leave of n is 1 or one prime above it;
     # its factor goes in as identity + (factor - identity) * [rem > 1], as
     # a where= mask makes the fold several times slower
     rem = np.floor_divide(np.arange(lo, hi, dtype=index), ext,
                           out=ext).astype(dtype, copy=False)
     unit = fold.identity
-    lead = np.multiply(rem > 1, factor(rem, 1) - unit, out=rem)
+    lead = np.multiply(rem > 1, factor(rem, np.ones(1, dtype=index)) - unit,
+                       out=rem)
     lead += unit
     fold(out, lead, out=out)
     return out
+
+
+def _fold_large_primes(big: np.ndarray, lo: int, size: int, ext: np.ndarray,
+                       out: np.ndarray, fold, factor) -> None:
+    """Fold the primes of big, each with p^2 > size, into ext and out at once.
+
+    The multiples of all of them form one ragged index; an n with two such
+    primes appears twice, so the folds go through ufunc.at.  Each prime has
+    at most one multiple of p^2 in the block, and those few entries take
+    their exponent from a vector loop over p^3, p^4, ...
+    """
+    first = (-lo) % big
+    count = (size - 1 - first) // big + 1
+    ends = np.cumsum(count)
+    if not ends[-1]:
+        return
+    step = np.repeat(big, count)
+    idx = np.arange(ends[-1], dtype=np.int64)
+    idx *= step
+    idx += np.repeat(first - (ends - count) * big, count)
+    e = np.ones(idx.size, dtype=ext.dtype)
+    pe = step.astype(ext.dtype)
+    square = (-lo) % (big * big)
+    hit = np.flatnonzero(square < size)
+    if hit.size:
+        p = big[hit]
+        at = ends[hit] - count[hit] + (square[hit] - first[hit]) // p
+        k = np.full(hit.size, 2, dtype=ext.dtype)
+        rest = (lo + square[hit]) // (p * p)
+        while True:
+            more = rest % p == 0
+            if not more.any():
+                break
+            k += more
+            rest //= np.where(more, p, 1)
+        e[at] = k
+        pe[at] = p ** k
+    np.multiply.at(ext, idx, pe)
+    fold.at(out, idx, factor(step, e))
 
 
 def _restricted_segment_counts(q: int, a: int, lo: int, hi: int) -> np.ndarray:
@@ -413,27 +464,31 @@ def _segment_task(args):
     """Worker body: f (or f(n)/n) summed over [lo, hi), to each checkpoint.
 
     Returns (the sums from lo to each checkpoint, the segment's sum).
-    Integer sums are exact.  A scan to n alone takes the float sum to n as
-    the rounded sum of the rounded sums of the SUM_CHUNK chunks before n's
-    chunk, counted from the segment start, and of n's chunk up to n.  The
-    chunk sums are added here as exact Fractions, so each checkpoint rounds
-    once, to that same float, whatever other checkpoints the scan has.
-    f(n)/n is formed one chunk at a time.
+    Integer sums are exact, over one walk of [lo, hi).  A weighted segment
+    starts on a SUM_CHUNK edge counted from n = 1 and is walked in blocks of
+    SEGMENT_SIZE.  A scan to n alone takes the float sum to n as the
+    rounded sum of the rounded sums of the SUM_CHUNK chunks before n's
+    chunk and of n's chunk up to n.  The chunk sums are added here as exact
+    Fractions, so each checkpoint rounds once, to that same float, whatever
+    other checkpoints the scan has.
     """
     f, lo, hi, marks, weighted = args
-    vals = _segment_values(f, lo, hi)
     if weighted:
+        w = np.empty(hi - lo)
+        for a, vals in _walk_chunks(f, lo, hi, SEGMENT_SIZE):
+            n = np.arange(a, a + vals.size, dtype=np.float64)
+            np.divide(vals, n, out=w[a - lo:a - lo + n.size])
         at, before, j = [], Fraction(0), 0
         for a in range(lo, hi, SUM_CHUNK):
-            n = np.arange(a, min(a + SUM_CHUNK, hi), dtype=np.float64)
-            w = np.divide(vals[a - lo:a - lo + n.size], n, out=n)
-            k = bisect_left(marks, a + n.size, j)
-            *parts, chunk = _rounded_sums(w, [m + 1 - a for m in marks[j:k]]
-                                          + [w.size])
+            chunk = w[a - lo:a - lo + SUM_CHUNK]
+            k = bisect_left(marks, a + chunk.size, j)
+            *parts, total = _rounded_sums(chunk, [m + 1 - a for m in marks[j:k]]
+                                          + [chunk.size])
             at += [before + Fraction(p) for p in parts]
-            before += Fraction(chunk)
+            before += Fraction(total)
             j = k
         return at, before
+    vals = _segment_values(f, lo, hi)
     # only int64 values need a pass: |int32| <= 2^31, object sums ignore it
     bound = int(np.abs(vals).max()) if vals.dtype == np.int64 else 1 << 31
     cuts = [lo, *(m + 1 for m in marks), hi]
@@ -464,20 +519,19 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
     if m > bound:
         raise ResourceLimitError(
             f"x={m} exceeds the oracle bound {bound}")
-    size = SEGMENT_SIZE
-    if _walk_dtype(f, m) is object:
-        if m > POINTWISE_MAX:
-            raise ResourceLimitError(
-                f"{f.label()} outgrows int64, and its exact scans stop at "
-                f"{POINTWISE_MAX}; x={m} is past that")
-        # the walk holds several object arrays of ~50-byte ints at once
-        size = OBJECT_SEGMENT_SIZE
+    if m > POINTWISE_MAX and _walk_dtype(f, m) is object:
+        raise ResourceLimitError(
+            f"{f.label()} outgrows int64, and its exact scans stop at "
+            f"{POINTWISE_MAX}; x={m} is past that")
 
+    # a weighted segment holds whole SUM_CHUNK chunks, so its chunk sums do
+    # not depend on the block length
+    size = -(-SEGMENT_SIZE // SUM_CHUNK) * SUM_CHUNK if weighted else SEGMENT_SIZE
     tasks = []
     lo = 1
     while lo <= m:
         hi = min(lo + size, m + 1)
-        inside = [c for c in marks if lo <= c < hi]
+        inside = marks[bisect_left(marks, lo):bisect_left(marks, hi)]
         tasks.append((f, lo, hi, inside, weighted))
         lo = hi
 
@@ -596,20 +650,20 @@ def floor_sum(x) -> int:
     return total
 
 
-def _walk_chunks(f, lo: int, hi: int, shortest: int):
+def _walk_chunks(f, lo: int, hi: int, size: int):
     """(a, f(a..b-1)) for the chunks [a, b) that tile [lo, hi), in order.
 
-    Each chunk but the last is max(shortest, ceil(hi / 64)) long: at most
-    64 walks, since each walk loops over the primes up to sqrt(b).
+    Each chunk but the last is size long.  A walk loops in Python over the
+    primes up to the square root of its own length, not of b; the larger
+    ones fold in one array pass.
     """
-    size = max(shortest, -(-hi // 64))
     for a in range(lo, hi, size):
         yield a, _segment_values(f, a, min(a + size, hi))
 
 
-def _walk_into(out: np.ndarray, f, lo: int, shortest: int) -> None:
-    """out[n] = f(n) for lo <= n < out.size, walked by _walk_chunks."""
-    for a, values in _walk_chunks(f, lo, out.size, shortest):
+def _walk_into(out: np.ndarray, f, lo: int, size: int) -> None:
+    """out[n] = f(n) for lo <= n < out.size, walked in chunks of size."""
+    for a, values in _walk_chunks(f, lo, out.size, size):
         out[a:a + values.size] = values
 
 
@@ -619,10 +673,12 @@ _MU_TABLE = np.zeros(1, dtype=np.int8)
 def _mobius_sieve(limit: int) -> np.ndarray:
     """mu(0..n) as int8 for some n >= limit, from one table that only grows.
 
-    A growth at least doubles the table and walks only its new entries,
-    in the chunks of _walk_chunks (at least KERNEL_CHUNK entries each); the
-    entries already there are copied.  Walking mu to 3.2e7 (the kernel at
-    1e15) takes ~2 s on 2 CPUs.
+    A growth at least doubles the table and walks only its new entries;
+    the entries already there are copied.  A walk holds ~20 bytes per value
+    against the table's one, so its chunks are n/64 long, at least
+    KERNEL_CHUNK and at most SEGMENT_SIZE: the tables of the benchmarked
+    kernels (n < 5e5) peak no higher than with KERNEL_CHUNK walks.
+    Walking mu to 3.2e7 (the kernel at 1e15) takes ~0.6 s in process.
     """
     global _MU_TABLE
     old = _MU_TABLE.size
@@ -630,7 +686,7 @@ def _mobius_sieve(limit: int) -> np.ndarray:
         n = max(limit, 2 * old)
         mu = np.empty(n + 1, dtype=np.int8)
         mu[:old] = _MU_TABLE
-        _walk_into(mu, "mu", old, KERNEL_CHUNK)
+        _walk_into(mu, "mu", old, min(SEGMENT_SIZE, max(KERNEL_CHUNK, n >> 6)))
         _MU_TABLE = mu
     return _MU_TABLE
 

@@ -310,8 +310,7 @@ def test_voronoi_truncated_walks_series_chunks(monkeypatch):
     voronoi_truncated(20000.5, n_terms)
     assert walks and walks[0][0] == 1 and walks[-1][1] == n_terms + 1
     assert all(a[1] == b[0] for a, b in zip(walks, walks[1:]))
-    longest = max(SERIES_CHUNK, -(-(n_terms + 1) // 64))
-    assert all(hi - lo <= longest for lo, hi in walks)
+    assert all(hi - lo <= SERIES_CHUNK for lo, hi in walks)
 
 
 def test_divisor_delta_reference_consistent():

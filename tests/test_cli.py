@@ -146,6 +146,20 @@ def test_sieve_streams_its_rows():
     assert peak_kib < 128 * 1024
 
 
+def test_brute_scan_walks_in_short_blocks():
+    # a pool worker holds one 2^18-long block at a time; with one 2^21-long
+    # segment per task this command peaked at ~70 MiB
+    src = str(pathlib.Path(divisorlab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, sys.executable,
+                          "-m", "divisorlab", "sum", "--algorithm", "brute",
+                          "--workers", "2", "--fn", "r2", "--x", "11500000"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    rc, peak_kib = map(int, out.stdout.split())
+    assert rc == 0
+    assert peak_kib < 48 * 1024
+
+
 def test_voronoi_row_keys(capsys):
     rc, out, _ = run(capsys, "voronoi", "--x", "100.5", "--kind", "truncated",
                      "--terms", "50", "--format", "json")
@@ -197,22 +211,22 @@ def test_fit_refuses_samples_on_stdout_before_any_work(capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("samples, report, exists", [
+    ("p.csv", "p.csv", False), ("sub/../p.csv", "p.csv", True)])
 def test_fit_refuses_one_file_for_samples_and_report(capsys, monkeypatch,
-                                                     tmp_path, exists):
+                                                     tmp_path, samples, report,
+                                                     exists):
     # the report would overwrite the samples; the paths match once resolved
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "delta_samples", _no_work)
     (tmp_path / "sub").mkdir()
     if exists:
         (tmp_path / "p.csv").write_text("kept\n")
-    for samples, report in (("p.csv", "p.csv"),
-                            ("sub/../p.csv", str(tmp_path / "p.csv"))):
-        rc, out, err = run(capsys, "fit", "--grid-lo", "10", "--grid-hi",
-                           "100000", "--samples-output", samples,
-                           "--output", report)
-        assert (rc, out) == (2, "")
-        assert "same file" in err
+    rc, out, err = run(capsys, "fit", "--grid-lo", "10", "--grid-hi", "100000",
+                       "--samples-output", samples,
+                       "--output", str(tmp_path / report))
+    assert (rc, out) == (2, "")
+    assert "same file" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         (["p.csv", "sub"] if exists else ["sub"])
     if exists:

@@ -519,6 +519,50 @@ def test_walk_rules_match_pointwise_at_the_int32_edge(lo):
         assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], rule
 
 
+# blocks whose primes above isqrt(block length) take the batched fold: a
+# batched prime's square first and last (p = 11 and 1009 past T = 8 of a
+# 64-long block, 37 past T = 31 of a 1000-long one); 7^2 twice in a 64-long
+# block (7 <= T, walked one prime at a time); entries with two or three
+# batched primes (11 * 13, 11^2 * 13, 11^3 * 13, 11 * 13 * 17, 101 * 103);
+# and a block that ends at 2^31 - 1
+FOLD_BLOCKS = ([(p * p, p * p + size) for p, size in ((11, 64), (1009, 64), (37, 1000))]
+               + [(p * p - size + 1, p * p + 1)
+                  for p, size in ((11, 64), (1009, 64), (37, 1000))]
+               + [(49, 113), (98, 162), (133, 197), (1550, 1614),
+                  (17280, 17344), (2400, 2464), (10380, 10444)]
+               + [((1 << 31) - 64, 1 << 31)])
+FOLD_RULES = (WALK_RULES + list(OBJECT_FROM)
+              + [FnSpec("d_k", k=k) for k in (2, 4, 22)] + [FnSpec("sigma", a=3)])
+
+
+def test_walk_folds_large_primes_pointwise():
+    for lo, hi in FOLD_BLOCKS:
+        for rule in FOLD_RULES:
+            got = _segment_values(rule, lo, hi)
+            assert got.dtype == walk_dtype(rule, hi), (rule, lo)
+            assert got.tolist() == [pointwise(rule, n) for n in range(lo, hi)], \
+                (rule, lo)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
+def test_rule_factors_keep_the_walk_dtype(dtype):
+    # a factor in another dtype makes each fold cast it, and ufunc.at takes
+    # a slow path; at one prime of the walk, on arrays of primes and
+    # exponents, and at the leftover primes with e = 1
+    specs = {np.int32: list(summatory._RULES),
+             np.int64: list(summatory._RULES) + [FnSpec("d_k", k=3),
+                                                 FnSpec("sigma", a=2)],
+             object: [FnSpec("d_k", k=22), FnSpec("sigma", a=13)]}[dtype]
+    index = np.int64 if dtype is object else dtype
+    e = np.array([1, 2, 3, 1, 4], dtype=index)
+    primes = np.array([2, 3, 5, 7, 13], dtype=index)
+    for spec in specs:
+        factor = summatory._rule(spec, dtype)[2]
+        for g in (*(factor(p, e) for p in (2, 3, 5)), factor(primes, e),
+                  factor(primes, np.ones(1, dtype=index))):
+            assert np.asarray(g).dtype == dtype, spec
+
+
 def test_exact_array_sum_of_python_ints():
     values = [(1 << 63) + 5, 3 ** 45, -(1 << 70), 7, 0]
     arr = np.array(values, dtype=object)
@@ -588,6 +632,30 @@ def test_weighted_profile_rounds_once_per_checkpoint():
     for rule in WEIGHTED_RULES:
         assert weighted_scan(rule, ms) == [chunked_fsum(rule, m) for m in ms], rule
     assert auxiliary_sums(grid) == weighted_scan("two_omega", ms)
+
+
+def test_scans_keep_their_values_in_1024_long_blocks(monkeypatch):
+    # hundreds of block edges, and walks whose batched primes start at
+    # T = 32; a weighted segment still holds whole SUM_CHUNK chunks (cut
+    # into 1024-long segments, a dozen of these sums move in the last bit)
+    xs = sorted({1, 1023, 1024, 1025, 3 * summatory.SUM_CHUNK + 1, 250_001,
+                 *(math.floor(x) for x in half_integer_grid(110, 250_001, 1.1))})
+    rules = ("d", "mu", "r2", FnSpec("sigma", a=1), FnSpec("d_k", k=22))
+    want = {rule: summatory._brute_scan(rule, xs, max(xs)) for rule in rules}
+    weighted = {rule: weighted_scan(rule, xs) for rule in WEIGHTED_RULES}
+    walks = []
+
+    def spy(f, lo, hi):
+        walks.append(hi - lo)
+        return _segment_values(f, lo, hi)
+
+    monkeypatch.setattr(summatory, "SEGMENT_SIZE", 1024)
+    monkeypatch.setattr(summatory, "_segment_values", spy)
+    for rule in rules:
+        assert summatory._brute_scan(rule, xs, max(xs), workers=2) == want[rule], rule
+    for rule in WEIGHTED_RULES:
+        assert weighted_scan(rule, xs) == weighted[rule], rule
+    assert max(walks) == 1024
 
 
 def test_pool_never_exceeds_segments_or_cpus(monkeypatch):
