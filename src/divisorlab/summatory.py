@@ -284,6 +284,7 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     size = hi - lo
     ext = np.ones(size, dtype=index)
     out = np.full(size, start_value, dtype=dtype)
+    # the primes up to sqrt(hi); those past isqrt(size) fold together
     top = int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))
     small = min(top, int(np.searchsorted(primes, math.isqrt(size), side="right")))
     for p in primes[:small].tolist():
@@ -335,6 +336,7 @@ def _fold_large_primes(big: np.ndarray, lo: int, size: int, ext: np.ndarray,
     ends = np.cumsum(count)
     if not ends[-1]:
         return
+    # entry i of prime j's run is the multiple at first_j + (i - start_j) p_j
     step = np.repeat(big, count)
     idx = np.arange(ends[-1], dtype=np.int64)
     idx *= step
@@ -497,9 +499,17 @@ def _segment_task(args):
     return sums[:-1], sums[-1]
 
 
-@lru_cache(maxsize=4)
 def _worker_primes(hi: int) -> np.ndarray:
-    return np.asarray(primes_up_to(math.isqrt(hi) + 1), dtype=np.int64)
+    """The primes below the first power of two past sqrt(hi).
+
+    The blocks of a scan share a few such tables, not one per block.
+    """
+    return _primes_below(1 << math.isqrt(hi).bit_length())
+
+
+@lru_cache(maxsize=4)
+def _primes_below(n: int) -> np.ndarray:
+    return np.asarray(primes_up_to(n - 1), dtype=np.int64)
 
 
 def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,

@@ -482,7 +482,7 @@ def pointwise(rule, n):
 @given(st.integers(0, 4000))
 @example(0)
 def test_walk_rules_match_pointwise(shift):
-    # windows past 1, near 1e7 and across 2^21 (the segment length), a
+    # windows past 1, near 1e7 and across 2^21 (a block edge), a
     # short one from 2 (with hi <= 4 no prime is walked, so 2 and 3 reach
     # the leftover fold), and windows that hold a high prime power at
     # offset 0 or further in, so p^k for k >= 3 starts off the multiples
