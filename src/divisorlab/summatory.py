@@ -189,9 +189,9 @@ def _as_spec(f) -> FnSpec:
 # and multiplies p^e into ext, the part of n it has extracted.  A prime up
 # to T = isqrt(hi - lo) is walked on its own: e starts at 1 on the multiples
 # of p and gains 1 on the multiples of p^2, p^3, ..., each a strided slice.
-# The primes above T, one Python step each before, fold together in one
-# ragged index pass (_fold_large_primes): since p^2 > hi - lo, each has at
-# most one multiple of p^2 in the block.  After the walk n // ext is 1 or a
+# The primes above T, which would cost one Python step each, fold together
+# in one ragged index pass (_fold_large_primes): since p^2 > hi - lo, each
+# has at most one multiple of p^2 in the block.  After the walk n // ext is 1 or a
 # prime above sqrt(hi), one division per entry; the same rule folds that
 # prime in with e = 1.  A function is one row of _RULES (d_k and sigma
 # build theirs from their parameter in _rule): a start value, the fold, and
@@ -327,9 +327,10 @@ def _fold_large_primes(big: np.ndarray, lo: int, size: int, ext: np.ndarray,
     """Fold the primes of big, each with p^2 > size, into ext and out at once.
 
     The multiples of all of them form one ragged index; an n with two such
-    primes appears twice, so the folds go through ufunc.at.  Each prime has
-    at most one multiple of p^2 in the block, and those few entries take
-    their exponent from a vector loop over p^3, p^4, ...
+    primes appears twice, so the folds go through ufunc.at.  Each prime's
+    factor at e = 1 is formed once and repeated over its multiples.  Each
+    prime has at most one multiple of p^2 in the block, and those few
+    entries take their exponent from a vector loop over p^3, p^4, ...
     """
     first = (-lo) % big
     count = (size - 1 - first) // big + 1
@@ -341,7 +342,8 @@ def _fold_large_primes(big: np.ndarray, lo: int, size: int, ext: np.ndarray,
     idx = np.arange(ends[-1], dtype=np.int64)
     idx *= step
     idx += np.repeat(first - (ends - count) * big, count)
-    e = np.ones(idx.size, dtype=ext.dtype)
+    one = np.ones(1, dtype=ext.dtype)
+    g = np.repeat(np.broadcast_to(factor(big, one), big.shape), count)
     pe = step.astype(ext.dtype)
     square = (-lo) % (big * big)
     hit = np.flatnonzero(square < size)
@@ -356,10 +358,10 @@ def _fold_large_primes(big: np.ndarray, lo: int, size: int, ext: np.ndarray,
                 break
             k += more
             rest //= np.where(more, p, 1)
-        e[at] = k
+        g[at] = factor(p, k)
         pe[at] = p ** k
     np.multiply.at(ext, idx, pe)
-    fold.at(out, idx, factor(step, e))
+    fold.at(out, idx, g)
 
 
 def _restricted_segment_counts(q: int, a: int, lo: int, hi: int) -> np.ndarray:
