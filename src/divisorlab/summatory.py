@@ -55,18 +55,18 @@ from .errors import ResourceLimitError
 from .zeta import EULER_GAMMA, ZETA_PRIME_2, generalized_euler_constant
 
 # Default ceiling for the linear oracle; a cold d scan at this size takes
-# ~3.8 s with one worker and ~2.3 s with two.  Callers can raise it.
+# ~3.1 s with one worker and ~1.8 s with two.  Callers can raise it.
 ORACLE_BOUND_DEFAULT = 10 ** 8
 
 # Largest x of a scan whose walk needs object (Python int) values: sigma_a
-# once 4 x^a >= 2^62, d_k for k > 21.  A cold scan at the cap takes ~3.5 s
-# for sigma_3 and ~9 s for sigma_40 on 2 CPUs.
+# once 4 x^a >= 2^62, d_k for k > 21.  A cold scan at the cap takes ~2.6 s
+# for sigma_3 and ~6.4 s for sigma_40 on 2 CPUs.
 POINTWISE_MAX = 3 * 10 ** 6
 
 # Largest x each sublinear route takes; larger x is refused before any loop
 # or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17 for D,
-# Moebius kernel ~4.8 s at 1e15 (~2 s of it walking mu to 3.2e7),
-# convolution ~5.1 s at 5e13.  HYPERBOLA_MAX also bounds the int64 chunk
+# Moebius kernel ~2.6 s at 1e15 (~0.9 s of it walking mu to 3.2e7),
+# convolution ~3.4 s at 5e13.  HYPERBOLA_MAX also bounds the int64 chunk
 # sums of every hyperbola row, since |g| <= 1: a chunk of KERNEL_CHUNK
 # quotients m // n sums to at most m (1 + ln KERNEL_CHUNK) ~ 2.1e18 < 2^63.
 HYPERBOLA_MAX = 2 * 10 ** 17
@@ -689,8 +689,9 @@ def _mobius_sieve(limit: int) -> np.ndarray:
     the entries already there are copied.  A walk holds ~20 bytes per value
     against the table's one, so its chunks are n/64 long, at least
     KERNEL_CHUNK and at most SEGMENT_SIZE: the tables of the benchmarked
-    kernels (n < 5e5) peak no higher than with KERNEL_CHUNK walks.
-    Walking mu to 3.2e7 (the kernel at 1e15) takes ~0.6 s in process.
+    kernels (n < 5e5) peak no higher than with KERNEL_CHUNK walks, and
+    SEGMENT_SIZE walks take mu to 3.2e7 (the kernel at 1e15) in ~0.9 s in
+    process, against ~1.4 s in KERNEL_CHUNK walks.
     """
     global _MU_TABLE
     old = _MU_TABLE.size
