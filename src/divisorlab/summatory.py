@@ -88,12 +88,14 @@ KERNEL_CHUNK = 1 << 14
 
 # Block length of the walk: one pool task of a scan, the longest walk of the
 # mu table and the chunk of `sieve` rows.  A 2^18 block is 1 MiB per int32
-# array, so one walk stays in a 2-CPU host's cache, and its primes above
-# isqrt(2^18) = 512 fold in one array pass (_fold_large_primes).  In process,
-# per 2^21 values walked as blocks of 2^16, 2^17, 2^18, 2^19 and 2^20, d took
-# 74, 60, 57, 60 and 76 ms at 1e8 and mu 79, 64, 61, 63 and 78 ms, against
-# 80 and 103 ms for one 2^21 walk with no fold (medians of 11).  Object
-# (Python int) walks use the same length.
+# array, and its primes above isqrt(2^18) = 512 fold in one array pass
+# (_fold_large_primes).  In process on 2 CPUs, per 2^21 values walked as
+# blocks of 2^16, 2^17, 2^18, 2^19 and 2^20, d took 74, 60, 57, 60 and
+# 76 ms at 1e8 and mu 79, 64, 61, 63 and 78 ms, against 80 and 103 ms for
+# one 2^21 walk with no fold (medians of 11).  T = isqrt(block length) is
+# the least bound that leaves every folded prime with p^2 above the block
+# length; 2 T and 4 T timed the same.  Object (Python int) walks use the
+# same length.
 SEGMENT_SIZE = 1 << 18
 
 # Chunk length of exact float accumulation: one correctly rounded sum per
