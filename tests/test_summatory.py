@@ -529,7 +529,7 @@ FOLD_BLOCKS = ([(p * p, p * p + size) for p, size in ((11, 64), (1009, 64), (37,
                + [(p * p - size + 1, p * p + 1)
                   for p, size in ((11, 64), (1009, 64), (37, 1000))]
                + [(49, 113), (98, 162), (133, 197), (1550, 1614),
-                  (17280, 17344), (2400, 2464), (10380, 10444)]
+                  (17280, 17344), (2400, 2464), (10400, 10700)]
                + [((1 << 31) - 64, 1 << 31)])
 FOLD_RULES = (WALK_RULES + list(OBJECT_FROM)
               + [FnSpec("d_k", k=k) for k in (2, 4, 22)] + [FnSpec("sigma", a=3)])
