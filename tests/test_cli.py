@@ -5,6 +5,7 @@ bytes are asserted exactly; no PATH assumptions.  The one subprocess is the
 sieve memory test, which needs the peak of a process of its own.
 """
 
+import gc
 import json
 import math
 import os
@@ -35,6 +36,19 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+def run_timed(capsys, *argv):
+    """run() plus the wall time of the call.
+
+    Garbage left by earlier tests is collected first: a full collection
+    of the test process's heap takes tens of ms, and the allocation
+    count decides which call it lands in.
+    """
+    gc.collect()
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    return rc, out, err, time.perf_counter() - t0
 
 
 @pytest.fixture()
@@ -465,9 +479,8 @@ def test_exit_resource_delta_above_oracle_bound(capsys):
     ("sum", "--algorithm", "brute", "--fn", "sigma_3", "--x", "3000001"),
 ])
 def test_exit_resource_linear_loops_refuse_quickly(capsys, argv):
-    t0 = time.perf_counter()
-    rc, out, err = run(capsys, *argv)
-    assert time.perf_counter() - t0 < 0.05
+    rc, out, err, seconds = run_timed(capsys, *argv)
+    assert seconds < 0.05
     assert rc == 4
     assert out == ""
     assert "exceeds" in err or "past" in err
@@ -530,10 +543,10 @@ def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
 
 @pytest.mark.parametrize("command", ["delta", "fit"])
 def test_exit_resource_dense_grid_refuses_quickly(capsys, command):
-    t0 = time.perf_counter()
-    rc, out, err = run(capsys, command, "--target", "d", "--grid-lo", "1",
-                       "--grid-hi", "100", "--ratio", "1.0000000000000002")
-    assert time.perf_counter() - t0 < 0.05
+    rc, out, err, seconds = run_timed(capsys, command, "--target", "d",
+                                      "--grid-lo", "1", "--grid-hi", "100",
+                                      "--ratio", "1.0000000000000002")
+    assert seconds < 0.05
     assert rc == 4
     assert out == ""
     assert "steps" in err
