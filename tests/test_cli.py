@@ -91,6 +91,48 @@ def test_sum_auto_dispatch(capsys):
     assert row["value"] == brute_force_sum(FnSpec("two_omega"), 4000).value
 
 
+# each sublinear --algorithm and the one fn tag it computes
+SUM_ROUTES = {"hyperbola": "d", "moebius_kernel": "two_omega",
+              "convolution_kernel": "d"}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SUM_ROUTES))
+def test_sum_route_refuses_other_fns(capsys, algorithm):
+    tag = SUM_ROUTES[algorithm]
+    for label in SIEVE_LABELS:
+        if FnSpec.parse(label).tag == tag:
+            continue
+        rc, out, err = run(capsys, "sum", "--fn", label, "--x", "100",
+                           "--algorithm", algorithm)
+        assert (rc, out) == (2, ""), label
+        assert f"--algorithm {algorithm} computes {tag} only" in err, label
+
+
+@pytest.mark.parametrize("label, algorithm", [("d", "hyperbola"),
+                                              ("two_omega", "moebius_kernel"),
+                                              ("r2", "brute")])
+def test_sum_auto_picks_a_route_per_fn(capsys, label, algorithm):
+    rc, out, _ = run(capsys, "sum", "--fn", label, "--x", "1000",
+                     "--format", "json")
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert row["algorithm"] == algorithm
+    assert row["value"] == brute_force_sum(FnSpec.parse(label), 1000).value
+
+
+@pytest.mark.parametrize("command, option", [
+    ("sum", "[--algorithm {auto,brute,hyperbola,moebius_kernel,convolution_kernel}]"),
+    ("voronoi", "[--kind {full,truncated,sierpinski}]"),
+    ("verify", "[--suite {identities,summatory,zeta,bessel,explicit,reports,all}]"),
+    ("explicit", "[--tail-variant {residue,printed}]"),
+])
+def test_usage_lists_choices_in_order(capsys, command, option):
+    rc, out, _ = run(capsys, command, "--help")
+    assert rc == 0
+    usage = out.split("\n\n")[0]
+    assert option in " ".join(usage.split())
+
+
 def test_explicit_documented_example(capsys, zeros_file):
     rc, out, err = run(capsys, "explicit", "--target", "two_omega",
                        "--x", "10000.5", "--zeros", zeros_file,

@@ -108,6 +108,8 @@ COMMANDS = (
     + [("sum", "--algorithm", "brute", "--fn", "d_22", "--x", "600000"),
        ("delta", "--target", "two_omega_over_n", "--grid-lo", "262000",
         "--grid-hi", "262400", "--ratio", "1.0001")]
+    # the two verify suites whose lines hold integers only
+    + [("verify", "--suite", suite) for suite in ("identities", "summatory")]
 )
 
 
