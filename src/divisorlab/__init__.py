@@ -16,8 +16,7 @@ from .arith import (FnSpec, divisor_count, divisor_count_k,
 from .bessel import (TruncatedSeriesValue, bessel_J1,
                      bessel_K1, bessel_Y1, divisor_delta_reference,
                      sierpinski_sum, voronoi_full, voronoi_truncated)
-from .errors import (AccuracyError, PoleError, ResourceLimitError,
-                     TableFormatError, VerificationError)
+from .errors import AccuracyError, PoleError, ResourceLimitError, TableFormatError
 from .explicit import (DeltaSample, FormulaEvaluation, OmegaScanReport,
                        TruncationConfig, delta_error, evaluate_explicit,
                        main_term, nontrivial_zero_sum, omega_scan,

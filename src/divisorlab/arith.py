@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -331,11 +331,8 @@ def _dirichlet_convolve(u: list[int], v: list[int]) -> list[int]:
     return out
 
 
-def _ones(n_max: int) -> list[int]:
-    return [0] + [1] * n_max
-
-
 def _id_pow(n_max: int, a: int) -> list[int]:
+    """Coefficients of zeta(s - a): n^a at every n."""
     return [0] + [n ** a for n in range(1, n_max + 1)]
 
 
@@ -347,6 +344,17 @@ def _inv_zeta_even(n_max: int, shift: int) -> list[int]:
         out[k * k] = mobius(k) * k ** shift
         k += 1
     return out
+
+
+# identity -> (the shifts c of its zeta(s - c) factors, the shift c' of its
+# 1/zeta(2s - c') factor or None), from the parameters k, a, b
+_IDENTITIES = {
+    "zeta_sq_over_zeta2s": lambda k, a, b: ((0, 0), 0),
+    "zeta_cu_over_zeta2s": lambda k, a, b: ((0, 0, 0), 0),
+    "zeta_4_over_zeta2s": lambda k, a, b: ((0, 0, 0, 0), 0),
+    "zeta_k": lambda k, a, b: ((0,) * k, None),
+    "sigma_product": lambda k, a, b: ((0, a, b, a + b), a + b),
+}
 
 
 def dirichlet_coefficients(identity: str, n_max: int, *, k: int | None = None,
@@ -364,34 +372,17 @@ def dirichlet_coefficients(identity: str, n_max: int, *, k: int | None = None,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ones = _ones(n_max)
-    if identity == "zeta_sq_over_zeta2s":
-        coef = _dirichlet_convolve(_dirichlet_convolve(ones, ones),
-                                   _inv_zeta_even(n_max, 0))
-    elif identity == "zeta_cu_over_zeta2s":
-        coef = _dirichlet_convolve(ones, ones)
-        coef = _dirichlet_convolve(coef, ones)
-        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, 0))
-    elif identity == "zeta_4_over_zeta2s":
-        coef = _dirichlet_convolve(ones, ones)
-        coef = _dirichlet_convolve(coef, coef)
-        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, 0))
-    elif identity == "zeta_k":
-        if k is None or k < 1:
-            raise ValueError("zeta_k requires k >= 1")
-        coef = ones[:]
-        for _ in range(k - 1):
-            coef = _dirichlet_convolve(coef, ones)
-    elif identity == "sigma_product":
-        if a is None or b is None or a < 0 or b < 0:
-            raise ValueError("sigma_product requires integer a, b >= 0")
-        coef = _dirichlet_convolve(ones, _id_pow(n_max, a))
-        coef = _dirichlet_convolve(coef, _id_pow(n_max, b))
-        coef = _dirichlet_convolve(coef, _id_pow(n_max, a + b))
-        coef = _dirichlet_convolve(coef, _inv_zeta_even(n_max, a + b))
-    else:
+    if identity == "zeta_k" and (k is None or k < 1):
+        raise ValueError("zeta_k requires k >= 1")
+    if identity == "sigma_product" and (a is None or b is None or a < 0 or b < 0):
+        raise ValueError("sigma_product requires integer a, b >= 0")
+    if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
-    return coef
+    shifts, inverse = _IDENTITIES[identity](k, a, b)
+    factors = [_id_pow(n_max, c) for c in shifts]
+    if inverse is not None:
+        factors.append(_inv_zeta_even(n_max, inverse))
+    return reduce(_dirichlet_convolve, factors)
 
 
 # ---------------------------------------------------------------------------

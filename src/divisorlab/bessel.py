@@ -292,7 +292,7 @@ def _cosine_terms(a: np.ndarray, n: np.ndarray, scale: float) -> list[float]:
 
 # kind -> (walk rule of a(n), the c of the scale c sqrt(x), the chunk's terms
 # of (a(n), n, scale) over its a(n) != 0, refusal past DIVISOR_SIEVE_MAX
-# terms).  The Bessel envelope checked is that of the kernel's first
+# terms), in the order `voronoi --kind` lists them.  The Bessel envelope checked is that of the kernel's first
 # evaluator.  Kernels call _evaluate, not the public names, which the traced
 # benchmark (perfbench/trace_boot.py) rebinds to counters that take one float.
 _DIVISOR_TERMS_REFUSAL = "divisor table limit {n} exceeds {cap}"
@@ -302,10 +302,10 @@ _SERIES = {
              partial(_bessel_terms, lambda z: _evaluate("bessel_K1", z)
                      + 0.5 * math.pi * _evaluate("bessel_Y1", z)),
              _DIVISOR_TERMS_REFUSAL),
+    "truncated": ("d", 4.0 * math.pi, _cosine_terms, _DIVISOR_TERMS_REFUSAL),
     "sierpinski": ("r2", 2.0 * math.pi,
                    partial(_bessel_terms, partial(_evaluate, "bessel_J1")),
                    "sierpinski series: {n} terms exceed {cap}"),
-    "truncated": ("d", 4.0 * math.pi, _cosine_terms, _DIVISOR_TERMS_REFUSAL),
 }
 
 

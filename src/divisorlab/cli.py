@@ -36,19 +36,18 @@ from decimal import Decimal
 import numpy as np
 
 from .arith import FnSpec, dirichlet_coefficients, hermite_divisor_count
-from .bessel import (bessel_J1, bessel_K1, bessel_Y1, _evaluate, default_terms,
-                     divisor_delta_reference, sierpinski_sum, voronoi_full,
-                     voronoi_truncated)
-from .errors import (AccuracyError, PoleError, ResourceLimitError,
-                     TableFormatError, VerificationError)
-from .explicit import (TruncationConfig, delta_error, evaluate_explicit,
-                       main_term, nontrivial_zero_sum, resolve_target,
-                       trivial_zero_tail)
+from .bessel import (_SERIES, bessel_J1, bessel_K1, bessel_Y1, _evaluate,
+                     default_terms, divisor_delta_reference, sierpinski_sum,
+                     voronoi_full, voronoi_truncated)
+from .errors import AccuracyError, PoleError, ResourceLimitError, TableFormatError
+from .explicit import (TAIL_VARIANTS, TruncationConfig, delta_error,
+                       evaluate_explicit, main_term, nontrivial_zero_sum,
+                       resolve_target, trivial_zero_tail)
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv)
-from .summatory import (ORACLE_BOUND_DEFAULT, SEGMENT_SIZE, APSpec,
-                        _segment_values, _walk_chunks, ap_divisor_sum,
+from .summatory import (ALGORITHMS, ORACLE_BOUND_DEFAULT, ROUTES, SEGMENT_SIZE,
+                        APSpec, _segment_values, _walk_chunks, ap_divisor_sum,
                         ap_main_term, brute_force_profile, brute_force_sum,
                         circle_lattice_sum, divisor_sum_from_squarefree,
                         divisor_sum_hyperbola, floor_sum, fractional_main_term,
@@ -195,9 +194,7 @@ def _build_parser():
                         help="one summatory value sum_{n<=x} f(n)")
     p.add_argument("--fn", default="d", help="function label as for sieve")
     p.add_argument("--x", type=_real, required=True, help="upper limit x >= 1")
-    p.add_argument("--algorithm", default="auto",
-                   choices=("auto", "brute", "hyperbola", "moebius_kernel",
-                            "convolution_kernel"),
+    p.add_argument("--algorithm", default="auto", choices=("auto", *ALGORITHMS),
                    help="auto picks the sublinear route when one exists")
 
     p = subs.add_parser("explicit", parents=[common],
@@ -212,7 +209,7 @@ def _build_parser():
                    help="number of zero pairs in the oscillating sum (default 100)")
     p.add_argument("--tail", type=_whole, default=10,
                    help="number of trivial-zero tail terms (default 10)")
-    p.add_argument("--tail-variant", default="residue", choices=("residue", "printed"),
+    p.add_argument("--tail-variant", default="residue", choices=TAIL_VARIANTS,
                    dest="tail_variant",
                    help="tail coefficient convention (default residue)")
     p.add_argument("--tail-sign", default="minus", choices=("minus", "plus"),
@@ -223,8 +220,7 @@ def _build_parser():
     p = subs.add_parser("voronoi", parents=[common],
                         help="Bessel/cosine summation formulas vs exact references")
     p.add_argument("--x", type=_real, required=True, help="non-integer x > 1")
-    p.add_argument("--kind", default="full",
-                   choices=("full", "truncated", "sierpinski"),
+    p.add_argument("--kind", default="full", choices=tuple(_SERIES),
                    help="full divisor series, truncated cosine series, or the "
                         "lattice-count series (default full)")
     p.add_argument("--terms", type=_whole, default=None,
@@ -255,9 +251,7 @@ def _build_parser():
 
     p = subs.add_parser("verify", parents=[common],
                         help="run self-check suites; exit 5 on any failure")
-    p.add_argument("--suite", default="all",
-                   choices=("identities", "summatory", "zeta", "bessel",
-                            "explicit", "reports", "all"),
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"),
                    help="which suite to run (default all)")
     p.add_argument("--zeros", metavar="PATH",
                    help="zero-ordinate file for the explicit suite")
@@ -288,6 +282,37 @@ def _load_zeros(path: str | None):
     return default_zero_table()
 
 
+def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
+    """Refuse, before any work, a sieve (or with summed, a sum) of spec to m
+    whose report would hold an integer too long to write.
+
+    Python writes no int of more than sys.get_int_max_str_digits() digits
+    (0 lifts the limit), and v has floor(log10 v) + 1 of them.  Only sigma_a
+    (a >= 2) and d_k grow that long; the float log10 of an upper bound on
+    each value to m, or on their sum, decides:
+      sigma_a(n) <= zeta(a) n^a <= (1 + 2^-a (a + 1)/(a - 1)) m^a,
+      sum_{d<=m} d^a floor(m/d) <= m^a + m sum_{d<m} d^(a-1) <= m^a (1 + m/a),
+      d_k(n) <= k^Omega(n) <= k^(bit_length(m) - 1), times m for the sum.
+    Past a = 4 limit, 2^a alone is too long, and a may not fit a float.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or m < 2:
+        return
+    if spec.tag == "sigma" and spec.a >= 2:
+        a = spec.a
+        top = math.inf if a >= 4 * limit else a * math.log10(m) + math.log10(
+            1 + m / a if summed else 1 + 2.0 ** -a * (a + 1) / (a - 1))
+    elif spec.tag == "d_k":
+        top = ((m.bit_length() - 1) * math.log10(spec.k)
+               + (math.log10(m) if summed else 0.0))
+    else:
+        return
+    if top >= limit:
+        raise ResourceLimitError(
+            f"{spec.label()} to {m} reaches integers of more than {limit} "
+            "digits, the most a report writes")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -302,6 +327,7 @@ def _cmd_sieve(args):
         raise ResourceLimitError(
             f"sieve emits one row per integer; {limit} exceeds the "
             f"{SIEVE_ROWS_MAX} row cap")
+    _refuse_unwritable(spec, limit, summed=False)
     label = spec.label()
     return ({"n": n, "fn": label, "value": v}
             for lo, values in _walk_chunks(spec, 1, limit + 1, SEGMENT_SIZE)
@@ -311,24 +337,17 @@ def _cmd_sieve(args):
 def _cmd_sum(args):
     spec = FnSpec.parse(args.fn)
     algo = args.algorithm
-    if algo == "auto":
-        algo = {"d": "hyperbola", "two_omega": "moebius_kernel"}.get(spec.tag, "brute")
-    if algo == "hyperbola":
-        if spec.tag != "d":
-            raise ValueError("--algorithm hyperbola computes d only")
-        res = divisor_sum_hyperbola(args.x)
-    elif algo == "convolution_kernel":
-        if spec.tag != "d":
-            raise ValueError("--algorithm convolution_kernel computes d only")
-        res = divisor_sum_from_squarefree(args.x)
-    elif algo == "moebius_kernel":
-        if spec.tag != "two_omega":
-            raise ValueError("--algorithm moebius_kernel computes two_omega only")
-        res = squarefree_divisor_sum(args.x)
-    else:
-        res = brute_force_sum(spec, args.x, bound=args.oracle_bound,
-                              workers=args.workers)
-    return [res]
+    if algo == "auto":  # the first route that computes the fn, else brute
+        algo = next((name for name, (tag, _) in ROUTES.items()
+                     if tag == spec.tag), "brute")
+    if algo == "brute":
+        _refuse_unwritable(spec, math.floor(args.x), summed=True)
+        return [brute_force_sum(spec, args.x, bound=args.oracle_bound,
+                                workers=args.workers)]
+    tag, route = ROUTES[algo]
+    if spec.tag != tag:
+        raise ValueError(f"--algorithm {algo} computes {tag} only")
+    return [route(args.x)]
 
 
 def _cmd_explicit(args):
@@ -428,43 +447,33 @@ def _cmd_fit(args):
 # small instances of the library's defining identities rather than trusting
 # cached constants, so a unit drift in any module shows up here.
 
+# label, identity and its parameters, n_max, what the coefficients are, and
+# the walked functions whose product they equal
+_IDENTITY_CHECKS = (
+    ("squarefree_kernel", "zeta_sq_over_zeta2s", {}, 4000, "2^omega",
+     (FnSpec("two_omega"),)),
+    ("d_of_square", "zeta_cu_over_zeta2s", {}, 4000, "d(n^2)", ("d_of_square",)),
+    ("d_squared", "zeta_4_over_zeta2s", {}, 4000, "d(n)^2", ("d_squared",)),
+    *((f"d_{k}_convolution", "zeta_k", {"k": k}, 4000, f"d_{k}",
+       (FnSpec("d_k", k=k),)) for k in (3, 4, 5)),
+    ("sigma_product", "sigma_product", {"a": 1, "b": 2}, 2000, "sigma_1 sigma_2",
+     (FnSpec("sigma", a=1), FnSpec("sigma", a=2))),
+)
+
+
 def _suite_identities(args) -> list[tuple[str, bool, str]]:
     checks = []
-    n_max = 4000
 
-    def walk(f, top=n_max):
+    def walk(f, top):
         return _segment_values(f, 1, top + 1)
 
-    def mismatches(coef, values):
-        # coef is 1-indexed, values[i] belongs to n = i + 1
-        return sum(c != v for c, v in zip(coef[1:], values.tolist()))
-
-    coef = dirichlet_coefficients("zeta_sq_over_zeta2s", n_max)
-    bad = mismatches(coef, walk(FnSpec("two_omega")))
-    checks.append(("squarefree_kernel", bad == 0,
-                   f"2^omega coefficients, n <= {n_max}, {bad} mismatches"))
-
-    coef = dirichlet_coefficients("zeta_cu_over_zeta2s", n_max)
-    bad = mismatches(coef, walk("d_of_square"))
-    checks.append(("d_of_square", bad == 0,
-                   f"d(n^2) coefficients, n <= {n_max}, {bad} mismatches"))
-
-    coef = dirichlet_coefficients("zeta_4_over_zeta2s", n_max)
-    bad = mismatches(coef, walk("d_squared"))
-    checks.append(("d_squared", bad == 0,
-                   f"d(n)^2 coefficients, n <= {n_max}, {bad} mismatches"))
-
-    for k in (3, 4, 5):
-        coef = dirichlet_coefficients("zeta_k", n_max, k=k)
-        bad = mismatches(coef, walk(FnSpec("d_k", k=k)))
-        checks.append((f"d_{k}_convolution", bad == 0,
-                       f"d_{k} coefficients, n <= {n_max}, {bad} mismatches"))
-
-    coef = dirichlet_coefficients("sigma_product", 2000, a=1, b=2)
-    bad = mismatches(coef, walk(FnSpec("sigma", a=1), 2000)
-                     * walk(FnSpec("sigma", a=2), 2000))
-    checks.append(("sigma_product", bad == 0,
-                   f"sigma_1 sigma_2 coefficients, n <= 2000, {bad} mismatches"))
+    for label, identity, params, n_max, name, fns in _IDENTITY_CHECKS:
+        # coef is 1-indexed, the walked values start at n = 1
+        coef = dirichlet_coefficients(identity, n_max, **params)
+        values = math.prod(walk(f, n_max) for f in fns)
+        bad = sum(c != v for c, v in zip(coef[1:], values.tolist()))
+        checks.append((label, bad == 0,
+                       f"{name} coefficients, n <= {n_max}, {bad} mismatches"))
 
     m = 20000
     bad = sum(1 for n, d in enumerate(walk(FnSpec("d"), m).tolist(), 1)
@@ -490,21 +499,14 @@ def _suite_summatory(args) -> list[tuple[str, bool, str]]:
                    ", ".join(f"{name} = {got} (want {want})"
                              for got, want, name in frozen)))
 
+    # each route against the brute profile of the fn it computes
     m = 1500
-    oracle_d = brute_force_profile(FnSpec("d"), range(1, m + 1),
-                                   workers=args.workers)
-    oracle_s = brute_force_profile(FnSpec("two_omega"), range(1, m + 1),
-                                   workers=args.workers)
-    bad = 0
-    for x in range(1, m + 1):
-        want_d = oracle_d[x - 1].value
-        want_s = oracle_s[x - 1].value
-        if divisor_sum_hyperbola(x).value != want_d:
-            bad += 1
-        elif divisor_sum_from_squarefree(x).value != want_d:
-            bad += 1
-        elif squarefree_divisor_sum(x).value != want_s:
-            bad += 1
+    oracle = {tag: brute_force_profile(FnSpec(tag), range(1, m + 1),
+                                       workers=args.workers)
+              for tag in dict.fromkeys(tag for tag, _ in ROUTES.values())}
+    bad = sum(any(route(x).value != oracle[tag][x - 1].value
+                  for tag, route in ROUTES.values())
+              for x in range(1, m + 1))
     checks.append(("algorithm_agreement", bad == 0,
                    f"three sublinear routes vs brute force, x <= {m}, "
                    f"{bad} mismatches"))
@@ -613,7 +615,7 @@ def _suite_explicit(args) -> list[tuple[str, bool, str]]:
     worst = 0.0
     for target in ("divisor_sum", "two_omega_sum"):
         for x in (10.5, 100.5, 1000.5, 10000.5, 100000.5):
-            for variant in ("residue", "printed"):
+            for variant in TAIL_VARIANTS:
                 worst = max(worst, abs(trivial_zero_tail(target, x, 10,
                                                          variant=variant)))
     checks.append(("tail_magnitude", worst <= 0.02,
@@ -742,8 +744,6 @@ def main(argv=None) -> int:
         return _fail(EXIT_INPUT, str(exc))
     except (ResourceLimitError, AccuracyError) as exc:
         return _fail(EXIT_RESOURCE, str(exc))
-    except VerificationError as exc:
-        return _fail(EXIT_VERIFY, str(exc))
     except (PoleError, ValueError, TypeError) as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -31,7 +31,3 @@ class AccuracyError(ArithmeticError):
 
 class PoleError(ZeroDivisionError):
     """Evaluation requested exactly at a pole."""
-
-
-class VerificationError(AssertionError):
-    """A self-check suite found a violated identity."""

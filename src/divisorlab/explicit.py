@@ -172,7 +172,7 @@ class FormulaEvaluation:
     zero_sum_partials holds (num_pairs, partial_sum) rows starting at
     (0, 0.0); the index is the number of zero pairs consumed and is
     strictly increasing while the values are free to oscillate.  exact is
-    the oracle value of the target sum when x is within the oracle bound,
+    the oracle value of the target sum when floor(x) is within the oracle bound,
     else None.  averaged records whether integer-x midpoint averaging was
     applied, and zero_table_validated mirrors the validation flag of the
     zero table that produced the partial sums.
@@ -402,13 +402,13 @@ def trivial_zero_tail(target: str, x, tail_terms: int, *,
 
 def _exact_reference(spec: _TargetSpec, x: float, averaged: bool,
                      bound: int) -> float | None:
-    """Oracle value of the target sum, or None beyond the oracle bound.
+    """Oracle value of the target sum, or None when floor(x) passes bound.
 
     For averaged (integer) x with half-step delta in (0, 1) the exact side
     is (S(x - delta) + S(x + delta)) / 2 = (S(x - 1) + S(x)) / 2 exactly,
     because the summatory function is constant between integers.
     """
-    if x > bound:
+    if math.floor(x) > bound:
         return None
     values = spec.exact([x - 1.0, x] if averaged else [x], bound)
     return sum(values) / len(values)
@@ -421,7 +421,7 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
 
     Integer x is averaged over x +- cfg.midpoint_delta piece by piece.
     The zero_sum_partials trajectory starts at (0, 0.0) and records one
-    row per additional zero pair.  exact is None for x above bound.
+    row per additional zero pair.  exact is None when floor(x) passes bound.
     """
     spec = _require_target(target)
     if cfg is None:
@@ -459,17 +459,17 @@ def delta_samples(target: str, grid, *,
     Each sample carries the x^{1/4} and x^{1/2} scalings.  The constant
     term is deliberately excluded: the error term is defined against the
     main term alone.  The exact side is evaluated at floor(x), by one call
-    of the target's exact route for the whole grid; a point above bound
-    raises ResourceLimitError naming the first such point.
+    of the target's exact route for the whole grid; a point whose floor
+    passes bound raises ResourceLimitError naming the first such point.
     """
     spec = _require_target(target)
     xs = [float(x) for x in grid]
     for xf in xs:
         if xf < 1.0:
             raise ValueError("delta_error needs x >= 1")
-        if xf > bound:
+        if math.floor(xf) > bound:
             raise ResourceLimitError(
-                f"x = {xf:g} exceeds the exact-oracle bound {bound:g}")
+                f"x = {xf!r} exceeds the exact-oracle bound {bound}")
     return [DeltaSample.build(xf, exact, spec.main(xf))
             for xf, exact in zip(xs, spec.exact(xs, bound))]
 

@@ -102,7 +102,14 @@ SEGMENT_SIZE = 1 << 18
 # chunk of this many terms counted from the first, then one of the chunk sums.
 SUM_CHUNK = 1 << 16
 
-ALGORITHMS = ("brute", "hyperbola", "moebius_kernel", "convolution_kernel")
+# sublinear algorithm -> (the fn tag it computes, its route of x); a route
+# names its function at call time, as explicit._TARGET_SPECS does.
+ROUTES = {
+    "hyperbola": ("d", lambda x: divisor_sum_hyperbola(x)),
+    "moebius_kernel": ("two_omega", lambda x: squarefree_divisor_sum(x)),
+    "convolution_kernel": ("d", lambda x: divisor_sum_from_squarefree(x)),
+}
+ALGORITHMS = ("brute", *ROUTES)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +426,9 @@ def _walk_dtype(f, m: int):
         return np.int32 if m < 1 << 31 else np.int64
     # every intermediate the rules form must stay below 2^62
     if f.tag == "sigma":
-        return np.int64 if (m ** f.a) * 4 < (1 << 62) else object
+        # a (bit_length(m) - 1) >= 60 means m^a >= 2^60, without forming it
+        small = f.a * (m.bit_length() - 1) < 60 and m ** f.a * 4 < 1 << 62
+        return np.int64 if small else object
     if f.tag == "d_k":
         # the binomials C(e + k - 1, k - 1), e < 64, of _rule fit int64
         return np.int64 if f.k <= 21 else object

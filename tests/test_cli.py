@@ -583,6 +583,54 @@ def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
     assert '"exact":15518' in out
 
 
+def test_oracle_bound_compares_the_floor_of_x(capsys, zeros_file):
+    # every scan reaches floor(x), and D(1000) = 7069
+    bound = ("--oracle-bound", "1000")
+    rc, out, _ = run(capsys, "delta", "--target", "d", "--x", "1000.5", *bound)
+    assert rc == 0
+    assert out.splitlines()[1].startswith("1000.5,7069,")
+    rc, out, err = run(capsys, "delta", "--target", "d", "--x", "1001.5", *bound)
+    assert (rc, out) == (4, "")
+    assert "x = 1001.5 exceeds the exact-oracle bound 1000" in err
+    explicit = ("explicit", "--target", "d", "--pairs", "2", "--zeros", zeros_file)
+    rc, out, _ = run(capsys, *explicit, "--x", "1000.5", *bound)
+    assert rc == 0
+    assert json.loads(out)[0]["exact"] == 7069
+    rc, out, _ = run(capsys, *explicit, "--x", "1001.5", *bound)
+    assert rc == 0
+    assert json.loads(out)[0]["exact"] is None
+
+
+def test_oracle_bound_message_prints_x_and_bound_in_full(capsys):
+    rc, _, err = run(capsys, "delta", "--target", "two_omega_over_n",
+                     "--x", "100000001.5")
+    assert rc == 4
+    assert "x = 100000001.5 exceeds the exact-oracle bound 100000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "--algorithm", "brute", "--fn", "sigma_100000", "--x", "10"),
+    ("sieve", "--fn", "sigma_1000000", "--limit", "3"),
+    ("sum", "--algorithm", "brute", "--fn", "sigma_10000", "--x", "100000"),
+    ("sum", "--algorithm", "brute", "--fn", "sigma_100000000000", "--x", "10"),
+])
+def test_exit_resource_unwritable_integers_refuse_quickly(capsys, argv):
+    # each value or sum has more digits than Python writes (4300 by default)
+    rc, out, err, seconds = run_timed(capsys, *argv)
+    assert seconds < 0.05
+    assert (rc, out) == (4, "")
+    assert "digits" in err
+
+
+def test_sigma_sum_of_4001_digits_still_runs(capsys):
+    rc, out, _ = run(capsys, "sum", "--algorithm", "brute", "--fn", "sigma_4000",
+                     "--x", "10")
+    assert rc == 0
+    value = int(out.splitlines()[1].split(",")[2])
+    assert value == sum(d ** 4000 * (10 // d) for d in range(1, 11))
+    assert len(str(value)) == 4001
+
+
 @pytest.mark.parametrize("command", ["delta", "fit"])
 def test_exit_resource_dense_grid_refuses_quickly(capsys, command):
     rc, out, err, seconds = run_timed(capsys, command, "--target", "d",

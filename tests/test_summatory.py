@@ -831,6 +831,17 @@ def test_pointwise_fallback_refuses_past_its_cap_quickly(spec):
     assert time.perf_counter() - t0 < 0.05
 
 
+def test_sigma_dtype_is_decided_without_forming_m_to_the_a():
+    # int64 exactly while 4 m^a < 2^62, as the walk's rule products need
+    for a in (1, 2, 3, 20, 59, 60, 61):
+        for m in (1, 2, 3, 2 ** 20, 2 ** 20 + 1, 3 * 10 ** 6, 10 ** 18):
+            want = np.int64 if 4 * m ** a < 2 ** 62 else object
+            assert summatory._walk_dtype(FnSpec("sigma", a=a), m) is want, (a, m)
+    t0 = time.perf_counter()
+    assert summatory._walk_dtype(FnSpec("sigma", a=10 ** 11), 10) is object
+    assert time.perf_counter() - t0 < 0.05
+
+
 def test_fractional_limit_constant():
     x = 10 ** 6
     assert fractional_part_sum(x) / x == pytest.approx(1 - EULER_GAMMA, rel=0.01)
