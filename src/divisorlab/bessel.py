@@ -292,9 +292,10 @@ def _cosine_terms(a: np.ndarray, n: np.ndarray, scale: float) -> list[float]:
 
 # kind -> (walk rule of a(n), the c of the scale c sqrt(x), the chunk's terms
 # of (a(n), n, scale) over its a(n) != 0, refusal past DIVISOR_SIEVE_MAX
-# terms), in the order `voronoi --kind` lists them.  The Bessel envelope checked is that of the kernel's first
-# evaluator.  Kernels call _evaluate, not the public names, which the traced
-# benchmark (perfbench/trace_boot.py) rebinds to counters that take one float.
+# terms), in the order `voronoi --kind` lists them.  The Bessel envelope
+# checked is that of the kernel's first evaluator.  Kernels call _evaluate,
+# not the public names, which the traced benchmark (perfbench/trace_boot.py)
+# rebinds to counters that take one float.
 _DIVISOR_TERMS_REFUSAL = "divisor table limit {n} exceeds {cap}"
 _TRUNCATED_TERMS = "the truncated sum takes N terms with 2 <= N < x"
 _SERIES = {

@@ -291,17 +291,21 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
     (a >= 2) and d_k grow that long; the float log10 of an upper bound on
     each value to m, or on their sum, decides:
       sigma_a(n) <= zeta(a) n^a <= (1 + 2^-a (a + 1)/(a - 1)) m^a,
-      sum_{d<=m} d^a floor(m/d) <= m^a + m sum_{d<m} d^(a-1) <= m^a (1 + m/a),
+      sum_{d<=m} d^a floor(m/d) <= m sum_{j<m} (m - j)^(a-1)
+                                 <= m^a / (1 - e^(-(a - 1)/m)),
       d_k(n) <= k^Omega(n) <= k^(bit_length(m) - 1), times m for the sum.
-    Past a = 4 limit, 2^a alone is too long, and a may not fit a float.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or m < 2:
         return
     if spec.tag == "sigma" and spec.a >= 2:
         a = spec.a
-        top = math.inf if a >= 4 * limit else a * math.log10(m) + math.log10(
-            1 + m / a if summed else 1 + 2.0 ** -a * (a + 1) / (a - 1))
+        if a >= 4 * limit:  # 2^a alone is too long, and a may not fit a float
+            top = math.inf
+        else:
+            factor = (-1 / math.expm1(-(a - 1) / m) if summed
+                      else 1 + 2.0 ** -a * (a + 1) / (a - 1))
+            top = a * math.log10(m) + math.log10(factor)
     elif spec.tag == "d_k":
         top = ((m.bit_length() - 1) * math.log10(spec.k)
                + (math.log10(m) if summed else 0.0))

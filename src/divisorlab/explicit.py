@@ -172,10 +172,10 @@ class FormulaEvaluation:
     zero_sum_partials holds (num_pairs, partial_sum) rows starting at
     (0, 0.0); the index is the number of zero pairs consumed and is
     strictly increasing while the values are free to oscillate.  exact is
-    the oracle value of the target sum when floor(x) is within the oracle bound,
-    else None.  averaged records whether integer-x midpoint averaging was
-    applied, and zero_table_validated mirrors the validation flag of the
-    zero table that produced the partial sums.
+    the oracle value of the target sum when floor(x) is within the oracle
+    bound, else None.  averaged records whether integer-x midpoint
+    averaging was applied, and zero_table_validated mirrors the validation
+    flag of the zero table that produced the partial sums.
     """
 
     x: float

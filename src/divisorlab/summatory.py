@@ -102,8 +102,9 @@ SEGMENT_SIZE = 1 << 18
 # chunk of this many terms counted from the first, then one of the chunk sums.
 SUM_CHUNK = 1 << 16
 
-# sublinear algorithm -> (the fn tag it computes, its route of x); a route
-# names its function at call time, as explicit._TARGET_SPECS does.
+# sublinear algorithm -> (the fn tag it computes, its route of x).  A route
+# names its function at call time, as explicit._TARGET_SPECS does, so a
+# rebound module attribute (a tracing wrapper, say) is the one that runs.
 ROUTES = {
     "hyperbola": ("d", lambda x: divisor_sum_hyperbola(x)),
     "moebius_kernel": ("two_omega", lambda x: squarefree_divisor_sum(x)),

@@ -622,13 +622,15 @@ def test_exit_resource_unwritable_integers_refuse_quickly(capsys, argv):
     assert "digits" in err
 
 
-def test_sigma_sum_of_4001_digits_still_runs(capsys):
-    rc, out, _ = run(capsys, "sum", "--algorithm", "brute", "--fn", "sigma_4000",
-                     "--x", "10")
+@pytest.mark.parametrize("a, x, digits", [(4000, 10, 4001), (1570, 548, 4300)])
+def test_sigma_sums_that_fit_still_run(capsys, a, x, digits):
+    # sigma_1570 to 548 has exactly the 4300 digits a report may hold
+    rc, out, _ = run(capsys, "sum", "--algorithm", "brute", "--fn", f"sigma_{a}",
+                     "--x", str(x))
     assert rc == 0
     value = int(out.splitlines()[1].split(",")[2])
-    assert value == sum(d ** 4000 * (10 // d) for d in range(1, 11))
-    assert len(str(value)) == 4001
+    assert value == sum(d ** a * (x // d) for d in range(1, x + 1))
+    assert len(str(value)) == digits
 
 
 @pytest.mark.parametrize("command", ["delta", "fit"])
