@@ -33,7 +33,11 @@ import sys
 import tempfile
 from decimal import Decimal
 
-import numpy as np
+# numpy's OpenBLAS starts a helper thread that busy-waits, and no command
+# makes a BLAS call: one thread, unless the environment asks for more
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .arith import FnSpec, dirichlet_coefficients, hermite_divisor_count
 from .bessel import (_SERIES, bessel_J1, bessel_K1, bessel_Y1, _evaluate,
@@ -294,6 +298,9 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
       sum_{d<=m} d^a floor(m/d) <= m sum_{j<m} (m - j)^(a-1)
                                  <= m^a / (1 - e^(-(a - 1)/m)),
       d_k(n) <= k^Omega(n) <= k^(bit_length(m) - 1), times m for the sum.
+    The sigma_a sum is at least m^a and at least m^(a+1)/(a + 1), so its
+    bound overshoots it less than 5-fold; within one digit of the limit
+    _sigma_sum_reaches decides exactly.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or m < 2:
@@ -311,10 +318,38 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
                + (math.log10(m) if summed else 0.0))
     else:
         return
-    if top >= limit:
+    reached = top >= limit
+    if summed and spec.tag == "sigma" and abs(top - limit) < 1:
+        reached = _sigma_sum_reaches(m, spec.a, 10 ** limit)
+    if reached:
         raise ResourceLimitError(
             f"{spec.label()} to {m} reaches integers of more than {limit} "
             "digits, the most a report writes")
+
+
+def _sigma_sum_reaches(m: int, a: int, top: int) -> bool:
+    """Whether sum_{n<=m} sigma_a(n) = sum_{d<=m} d^a floor(m/d) >= top.
+
+    The terms of d near m dominate.  They are summed exactly, from d = m
+    down, in rounds that double the count, until the head reaches top or
+    the head plus a bound on the rest, d <= n, stays below it:
+      sum_{d<=n} d^a <= (n + 1)^(a+1) / (a + 1),
+      sum_{d<=m/2} d^a (floor(m/d) - 1) <= m sum_{d<=m/2} d^(a-1)
+                                        <= m (m/2 + 1)^a / a.
+    The first round of 64 terms decides unless the sum lies within about
+    a/(2m) e^(-64a/m) of top, relatively; a closer sum takes more rounds.
+    """
+    extra = m * (m // 2 + 1) ** a // a + 1
+    head, n = 0, m
+    while n:
+        low = max(n - max(64, m - n), 0)
+        head += sum(d ** a * (m // d) for d in range(n, low, -1))
+        n = low
+        if head >= top:
+            return True
+        if head + (n + 1) ** (a + 1) // (a + 1) + 1 + extra < top:
+            return False
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -526,6 +526,16 @@ def _primes_below(n: int) -> np.ndarray:
     return np.asarray(primes_up_to(n - 1), dtype=np.int64)
 
 
+def __getattr__(name):
+    # ProcessPoolExecutor binds on first lookup, so only a scan that forks
+    # a pool loads concurrent.futures.process and multiprocessing
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
                 weighted: bool = False) -> dict[int, int | float]:
     """Prefix sums of f at each checkpoint, in one streaming pass.
@@ -561,7 +571,7 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_segment_task, tasks, chunksize=1))
     else:
         results = [_segment_task(t) for t in tasks]

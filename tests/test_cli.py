@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 import divisorlab
 from divisorlab import brute_force_sum, cli, FnSpec
-from divisorlab.arith import build_factor_table, eval_arithmetic
+from divisorlab.arith import build_factor_table, eval_arithmetic, sigma
 from divisorlab.cli import SUITES, _read_config_file, main
-from divisorlab.errors import TableFormatError
+from divisorlab.errors import ResourceLimitError, TableFormatError
 from divisorlab.explicit import DeltaSample
 from divisorlab.reports import emit_report, read_delta_csv
 from divisorlab.zeta import default_zero_table
@@ -613,6 +613,8 @@ def test_oracle_bound_message_prints_x_and_bound_in_full(capsys):
     ("sieve", "--fn", "sigma_1000000", "--limit", "3"),
     ("sum", "--algorithm", "brute", "--fn", "sigma_10000", "--x", "100000"),
     ("sum", "--algorithm", "brute", "--fn", "sigma_100000000000", "--x", "10"),
+    # 4301 digits, one past the limit, where the float bound alone cannot tell
+    ("sum", "--algorithm", "brute", "--fn", "sigma_1200", "--x", "3828"),
 ])
 def test_exit_resource_unwritable_integers_refuse_quickly(capsys, argv):
     # each value or sum has more digits than Python writes (4300 by default)
@@ -622,15 +624,52 @@ def test_exit_resource_unwritable_integers_refuse_quickly(capsys, argv):
     assert "digits" in err
 
 
-@pytest.mark.parametrize("a, x, digits", [(4000, 10, 4001), (1570, 548, 4300)])
+@pytest.mark.parametrize("a, x, digits", [(4000, 10, 4001), (1570, 548, 4300),
+                                          (1200, 3827, 4300)])
 def test_sigma_sums_that_fit_still_run(capsys, a, x, digits):
-    # sigma_1570 to 548 has exactly the 4300 digits a report may hold
+    # sigma_1570 to 548 and sigma_1200 to 3827 have exactly the 4300 digits
+    # a report may hold; the float bound on the latter reaches 4301
     rc, out, _ = run(capsys, "sum", "--algorithm", "brute", "--fn", f"sigma_{a}",
                      "--x", str(x))
     assert rc == 0
     value = int(out.splitlines()[1].split(",")[2])
     assert value == sum(d ** a * (x // d) for d in range(1, x + 1))
     assert len(str(value)) == digits
+
+
+@pytest.mark.parametrize("limit, a", [(4300, 1100), (4300, 1200), (4300, 2300),
+                                      (4300, 4000), (640, 200)])
+def test_sigma_sum_refusal_matches_exact_sums_next_to_the_limit(limit, a):
+    # m runs from m^a of about limit - 1 digits to m^a of limit + 1, so the
+    # sums cross 10^limit on the way; each is refused exactly when it
+    # reaches 10^limit
+    lo, hi = math.floor(10 ** ((limit - 1) / a)), math.ceil(10 ** ((limit + 1) / a))
+    spec = FnSpec("sigma", a=a)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        total = sum(d ** a * (lo // d) for d in range(1, lo + 1))
+        verdicts = set()
+        for m in range(lo, hi + 1):
+            total += sigma(m, a) if m > lo else 0
+            try:
+                cli._refuse_unwritable(spec, m, summed=True)
+                refused = False
+            except ResourceLimitError:
+                refused = True
+            assert refused == (total >= 10 ** limit), m
+            verdicts.add(refused)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("m, a", [(3000, 50), (200, 3), (64, 700), (2, 14000)])
+def test_sigma_sum_reaches_is_exact_at_the_sum_itself(m, a):
+    # top = the sum: every round stays undecided until the last term
+    total = sum(d ** a * (m // d) for d in range(1, m + 1))
+    assert cli._sigma_sum_reaches(m, a, total)
+    assert not cli._sigma_sum_reaches(m, a, total + 1)
 
 
 @pytest.mark.parametrize("command", ["delta", "fit"])
