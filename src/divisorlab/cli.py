@@ -50,13 +50,13 @@ from .explicit import (TAIL_VARIANTS, TruncationConfig, delta_error,
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv)
-from .summatory import (ALGORITHMS, ORACLE_BOUND_DEFAULT, ROUTES, SEGMENT_SIZE,
-                        APSpec, _segment_values, _walk_chunks, ap_divisor_sum,
-                        ap_main_term, brute_force_profile, brute_force_sum,
-                        circle_lattice_sum, divisor_sum_from_squarefree,
-                        divisor_sum_hyperbola, floor_sum, fractional_main_term,
-                        fractional_part_sum, harmonic_main_term, harmonic_sum,
-                        squarefree_divisor_sum)
+from .summatory import (ALGORITHMS, ORACLE_BOUND_DEFAULT, POINTWISE_MAX, ROUTES,
+                        SEGMENT_SIZE, APSpec, _segment_values, _walk_chunks,
+                        ap_divisor_sum, ap_main_term, brute_force_profile,
+                        brute_force_sum, circle_lattice_sum,
+                        divisor_sum_from_squarefree, divisor_sum_hyperbola,
+                        floor_sum, fractional_main_term, fractional_part_sum,
+                        harmonic_main_term, harmonic_sum, squarefree_divisor_sum)
 from .zeta import (default_zero_table, load_zero_table, stieltjes, zeta,
                    zeta_derivative, _lgamma_complex)
 
@@ -299,8 +299,9 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
                                  <= m^a / (1 - e^(-(a - 1)/m)),
       d_k(n) <= k^Omega(n) <= k^(bit_length(m) - 1), times m for the sum.
     The sigma_a sum is at least m^a and at least m^(a+1)/(a + 1), so its
-    bound overshoots it less than 5-fold; within one digit of the limit
-    _sigma_sum_reaches decides exactly.
+    bound overshoots it less than 5-fold: where the bound reaches the limit
+    by less than one digit, _sigma_sum_reaches decides exactly, up to
+    POINTWISE_MAX; a longer scan is refused by brute_force_sum anyway.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or m < 2:
@@ -319,8 +320,8 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
     else:
         return
     reached = top >= limit
-    if summed and spec.tag == "sigma" and abs(top - limit) < 1:
-        reached = _sigma_sum_reaches(m, spec.a, 10 ** limit)
+    if summed and spec.tag == "sigma" and top - limit < 1 and m <= POINTWISE_MAX:
+        reached = reached and _sigma_sum_reaches(m, spec.a, 10 ** limit)
     if reached:
         raise ResourceLimitError(
             f"{spec.label()} to {m} reaches integers of more than {limit} "
@@ -331,25 +332,30 @@ def _sigma_sum_reaches(m: int, a: int, top: int) -> bool:
     """Whether sum_{n<=m} sigma_a(n) = sum_{d<=m} d^a floor(m/d) >= top.
 
     The terms of d near m dominate.  They are summed exactly, from d = m
-    down, in rounds that double the count, until the head reaches top or
-    the head plus a bound on the rest, d <= n, stays below it:
-      sum_{d<=n} d^a <= (n + 1)^(a+1) / (a + 1),
-      sum_{d<=m/2} d^a (floor(m/d) - 1) <= m sum_{d<=m/2} d^(a-1)
-                                        <= m (m/2 + 1)^a / a.
-    The first round of 64 terms decides unless the sum lies within about
-    a/(2m) e^(-64a/m) of top, relatively; a closer sum takes more rounds.
+    down, in rounds that double the count, until the head plus a lower
+    bound on the rest, d <= n, reaches top, or the head plus an upper
+    bound stays below it.  As t^a is convex, the trapezoid and midpoint
+    rules bound sum_{d<=n} d^a, and floor(m/d) >= floor(m/n) there:
+      rest >= floor(m/n) (n^(a+1)/(a + 1) + n^a/2),
+      rest <= (n + 1/2)^(a+1)/(a + 1) + m (m/2 + 1)^a / a,
+    the last term for sum_{d<=m/2} d^a (floor(m/d) - 1) <= m sum d^(a-1).
+    The bounds differ by about a(a + 1)/(8 n^2) + 2^-a of the sum, so for
+    m much larger than a the check before the first term decides unless
+    the sum lies that close to top; each round of k terms narrows them by
+    about e^(-ak/m), which settles m near a in a round or two.
     """
     extra = m * (m // 2 + 1) ** a // a + 1
     head, n = 0, m
     while n:
+        power = n ** a
+        if head + (m // n) * (2 * n + a + 1) * power // (2 * a + 2) >= top:
+            return True
+        if head + (2 * n + 1) ** (a + 1) // ((a + 1) << (a + 1)) + 1 + extra < top:
+            return False
         low = max(n - max(64, m - n), 0)
         head += sum(d ** a * (m // d) for d in range(n, low, -1))
         n = low
-        if head >= top:
-            return True
-        if head + (n + 1) ** (a + 1) // (a + 1) + 1 + extra < top:
-            return False
-    return False
+    return head >= top
 
 
 # ---------------------------------------------------------------------------

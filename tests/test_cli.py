@@ -615,6 +615,10 @@ def test_oracle_bound_message_prints_x_and_bound_in_full(capsys):
     ("sum", "--algorithm", "brute", "--fn", "sigma_100000000000", "--x", "10"),
     # 4301 digits, one past the limit, where the float bound alone cannot tell
     ("sum", "--algorithm", "brute", "--fn", "sigma_1200", "--x", "3828"),
+    # the same with m near POINTWISE_MAX, where the terms decay slowly
+    ("sum", "--algorithm", "brute", "--fn", "sigma_664", "--x", "2953998"),
+    # a bound half a digit past the limit, with m far past POINTWISE_MAX
+    ("sum", "--algorithm", "brute", "--fn", "sigma_13", "--x", str(int(1.8e307))),
 ])
 def test_exit_resource_unwritable_integers_refuse_quickly(capsys, argv):
     # each value or sum has more digits than Python writes (4300 by default)
@@ -662,6 +666,28 @@ def test_sigma_sum_refusal_matches_exact_sums_next_to_the_limit(limit, a):
     finally:
         sys.set_int_max_str_digits(old)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("a, m", [(664, 2953997), (700, 1374527), (900, 59669)])
+def test_sigma_sum_refusal_is_exact_and_quick_for_large_m(a, m):
+    # m and m + 1 sit on either side of 10^4300; an exact sum would take
+    # millions of 4300-digit powers, so the side comes from Euler-Maclaurin,
+    #   sum_{d<=m} d^a = m^(a+1)/(a+1) + m^a/2 + a m^(a-1)/12 + ...,
+    # whose next terms and the floor(m/d) > 1 part are below 1e-10 of it
+    spec = FnSpec("sigma", a=a)
+    for n, refused in [(m, False), (m + 1, True)]:
+        log_sum = ((a + 1) * math.log10(n) - math.log10(a + 1)
+                   + math.log10(1 + (a + 1) / (2 * n) + (a + 1) * a / (12 * n * n)))
+        assert (log_sum >= 4300 + 1e-6) if refused else (log_sum < 4300 - 1e-6)
+        gc.collect()
+        t0 = time.perf_counter()
+        try:
+            cli._refuse_unwritable(spec, n, summed=True)
+            got = False
+        except ResourceLimitError:
+            got = True
+        assert time.perf_counter() - t0 < 0.05
+        assert got == refused, n
 
 
 @pytest.mark.parametrize("m, a", [(3000, 50), (200, 3), (64, 700), (2, 14000)])
