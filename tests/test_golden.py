@@ -110,6 +110,10 @@ COMMANDS = (
         "--grid-hi", "262400", "--ratio", "1.0001")]
     # the two verify suites whose lines hold integers only
     + [("verify", "--suite", suite) for suite in ("identities", "summatory")]
+    # integer x averages every piece over x -+ 1/2 for the d and two_omega
+    # targets too, over 50 pairs
+    + [("explicit", "--target", t, "--x", "1000", "--pairs", "50")
+       for t in ("d", "two_omega")]
 )
 
 
