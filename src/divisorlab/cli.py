@@ -52,6 +52,7 @@ from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv)
 from .summatory import (ALGORITHMS, ORACLE_BOUND_DEFAULT, POINTWISE_MAX, ROUTES,
                         SEGMENT_SIZE, APSpec, _segment_values, _walk_chunks,
+                        _walk_dtype,
                         ap_divisor_sum, ap_main_term, brute_force_profile,
                         brute_force_sum, circle_lattice_sum,
                         divisor_sum_from_squarefree, divisor_sum_hyperbola,
@@ -216,10 +217,6 @@ def _build_parser():
     p.add_argument("--tail-variant", default="residue", choices=TAIL_VARIANTS,
                    dest="tail_variant",
                    help="tail coefficient convention (default residue)")
-    p.add_argument("--tail-sign", default="minus", choices=("minus", "plus"),
-                   dest="tail_sign", help="overall sign of the tail (default minus)")
-    p.add_argument("--midpoint-delta", type=float, default=0.5, dest="midpoint_delta",
-                   help="averaging offset for integer x (default 0.5)")
 
     p = subs.add_parser("voronoi", parents=[common],
                         help="Bessel/cosine summation formulas vs exact references")
@@ -286,9 +283,10 @@ def _load_zeros(path: str | None):
     return default_zero_table()
 
 
-def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
+def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> float:
     """Refuse, before any work, a sieve (or with summed, a sum) of spec to m
-    whose report would hold an integer too long to write.
+    whose report would hold an integer too long to write; else return top,
+    the float log10 of the bound below (0.0 where no value grows long).
 
     Python writes no int of more than sys.get_int_max_str_digits() digits
     (0 lifts the limit), and v has floor(log10 v) + 1 of them.  Only sigma_a
@@ -301,11 +299,12 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
     The sigma_a sum is at least m^a and at least m^(a+1)/(a + 1), so its
     bound overshoots it less than 5-fold: where the bound reaches the limit
     by less than one digit, _sigma_sum_reaches decides exactly, up to
-    POINTWISE_MAX; a longer scan is refused by brute_force_sum anyway.
+    POINTWISE_MAX.  brute_force_sum refuses a longer scan anyway, so past
+    it the refusal here stands only where m^(a+1)/(a + 1) reaches the limit.
     """
-    limit = sys.get_int_max_str_digits()
-    if not limit or m < 2:
-        return
+    limit = sys.get_int_max_str_digits() or math.inf
+    if m < 2:
+        return 0.0
     if spec.tag == "sigma" and spec.a >= 2:
         a = spec.a
         if a >= 4 * limit:  # 2^a alone is too long, and a may not fit a float
@@ -318,14 +317,18 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> None:
         top = ((m.bit_length() - 1) * math.log10(spec.k)
                + (math.log10(m) if summed else 0.0))
     else:
-        return
+        return 0.0
     reached = top >= limit
-    if summed and spec.tag == "sigma" and top - limit < 1 and m <= POINTWISE_MAX:
-        reached = reached and _sigma_sum_reaches(m, spec.a, 10 ** limit)
+    if reached and summed and spec.tag == "sigma" and top - limit < 1:
+        if m <= POINTWISE_MAX:
+            reached = _sigma_sum_reaches(m, spec.a, 10 ** limit)
+        else:
+            reached = m ** (spec.a + 1) >= (spec.a + 1) * 10 ** limit
     if reached:
         raise ResourceLimitError(
             f"{spec.label()} to {m} reaches integers of more than {limit} "
             "digits, the most a report writes")
+    return top
 
 
 def _sigma_sum_reaches(m: int, a: int, top: int) -> bool:
@@ -372,7 +375,12 @@ def _cmd_sieve(args):
         raise ResourceLimitError(
             f"sieve emits one row per integer; {limit} exceeds the "
             f"{SIEVE_ROWS_MAX} row cap")
-    _refuse_unwritable(spec, limit, summed=False)
+    # a table of Python ints may write no more digits than one of int64s
+    digits = math.floor(_refuse_unwritable(spec, limit, summed=False)) + 1
+    if _walk_dtype(spec, limit) is object and limit * digits > SIEVE_ROWS_MAX * 19:
+        raise ResourceLimitError(
+            f"sieve of {spec.label()} to {limit} may write {digits}-digit values, "
+            f"{limit * digits} digits in all, past the {SIEVE_ROWS_MAX * 19} of int64s")
     label = spec.label()
     return ({"n": n, "fn": label, "value": v}
             for lo, values in _walk_chunks(spec, 1, limit + 1, SEGMENT_SIZE)
@@ -402,9 +410,7 @@ def _cmd_explicit(args):
     target = resolve_target(args.target)
     zeros = _load_zeros(args.zeros)
     cfg = TruncationConfig(num_zero_pairs=args.pairs, tail_terms=args.tail,
-                           midpoint_delta=args.midpoint_delta,
-                           tail_variant=args.tail_variant,
-                           tail_sign=-1 if args.tail_sign == "minus" else 1)
+                           tail_variant=args.tail_variant)
     return [evaluate_explicit(target, args.x, zeros, cfg,
                               bound=args.oracle_bound)]
 

@@ -18,7 +18,7 @@ with conjugate pairs combined analytically into twice a real part.
 
 Integer x sits on a jump of the summatory function; following the
 arithmetic-average convention the evaluation is the mean of the two
-half-step evaluations at x - delta and x + delta.
+half-step evaluations at x - 1/2 and x + 1/2.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from itertools import accumulate
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .summatory import (
@@ -62,10 +63,9 @@ class _TargetSpec:
     zero_coefficient scales the nontrivial-zero sum, power_shift moves
     both the zero-term exponent (x^{rho/2 - power_shift}) and the tail
     exponent (x^{-2n-1-power_shift}), and tail_coefficient is the
-    magnitude in front of the trivial tail; the sign of the tail is a
-    formula-variant flag carried by TruncationConfig.  exact(ys, bound)
-    is the list of oracle values of the sum at the points ys, from one
-    call: one scan for a brute-force oracle.
+    magnitude in front of the trivial tail, which is subtracted.
+    exact(ys, bound) is the list of oracle values of the sum at the points
+    ys, from one call: one scan for a brute-force oracle.
     """
 
     zero_coefficient: float
@@ -137,45 +137,35 @@ def resolve_target(label: str) -> str:
 class TruncationConfig:
     """How far to carry each truncated piece of the decomposition.
 
-    num_zero_pairs counts conjugate zero pairs, tail_terms counts terms of
-    the trivial-zero tail, and midpoint_delta is the half-step used to
-    average around integer x.  tail_variant selects the denominator of the
-    tail terms ("residue" uses the derivative at the actual trivial zero,
-    "printed" the at-face-value form, see trivial_zero_tail) and tail_sign
-    selects the overall sign of the tail; the defaults are the
-    residue-derived form with the minus sign.
+    num_zero_pairs counts conjugate zero pairs and tail_terms counts terms
+    of the trivial-zero tail.  tail_variant selects the denominator of the
+    tail terms ("residue", the default, uses the derivative at the actual
+    trivial zero, "printed" the at-face-value form, see trivial_zero_tail).
     """
 
     num_zero_pairs: int = 100
     tail_terms: int = 10
-    midpoint_delta: float = 0.5
     tail_variant: str = "residue"
-    tail_sign: int = -1
 
     def __post_init__(self) -> None:
         if self.num_zero_pairs < 0:
             raise ValueError("num_zero_pairs must be >= 0")
         if self.tail_terms < 1:
             raise ValueError("tail_terms must be >= 1")
-        if not 0.0 < self.midpoint_delta < 1.0:
-            raise ValueError("midpoint_delta must lie in (0, 1)")
         if self.tail_variant not in TAIL_VARIANTS:
             raise ValueError(f"tail_variant must be one of {TAIL_VARIANTS}")
-        if self.tail_sign not in (-1, 1):
-            raise ValueError("tail_sign must be -1 or +1")
 
 
 @dataclass(frozen=True)
 class FormulaEvaluation:
     """One fully decomposed truncated evaluation.
 
-    zero_sum_partials holds (num_pairs, partial_sum) rows starting at
-    (0, 0.0); the index is the number of zero pairs consumed and is
-    strictly increasing while the values are free to oscillate.  exact is
-    the oracle value of the target sum when floor(x) is within the oracle
-    bound, else None.  averaged records whether integer-x midpoint
-    averaging was applied, and zero_table_validated mirrors the validation
-    flag of the zero table that produced the partial sums.
+    zero_sum_partials holds the rows (k, s_k) for k = 0..N, s_k the sum
+    over the first k zero pairs, free to oscillate.  exact is the oracle
+    value of the target sum when floor(x) is within the oracle bound, else
+    None.  averaged records whether integer-x midpoint averaging was
+    applied, and zero_table_validated mirrors the validation flag of the
+    zero table that produced the partial sums.
     """
 
     x: float
@@ -188,16 +178,11 @@ class FormulaEvaluation:
     averaged: bool = False
     zero_table_validated: bool = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_partial_index", dict(self.zero_sum_partials))
-
     def zero_sum_at(self, num_pairs: int) -> float:
-        try:
-            return self._partial_index[num_pairs]
-        except KeyError:
+        if not 0 <= num_pairs < len(self.zero_sum_partials):
             raise ValueError(
-                f"no partial sum recorded for {num_pairs} zero pairs") from None
+                f"no partial sum recorded for {num_pairs} zero pairs")
+        return self.zero_sum_partials[num_pairs][1]
 
     def total_at(self, num_pairs: int) -> float:
         return (self.constant_term + self.main_term
@@ -260,28 +245,21 @@ def main_term(target: str, x) -> tuple[float, float]:
 # nontrivial-zero sum
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8192)
-def _half_zeta_squared(t: float) -> complex:
-    """zeta(rho/2)^2 for rho = 1/2 + i t.
-
-    Cached per ordinate: it is x-independent, so a scan over many x values
-    prices each zero once.
-    """
-    half = zeta(complex(0.5, t) / 2.0)
-    return half * half
-
-
-def _pair_weights(zeros: ZeroTable, num_pairs: int) -> Iterator[complex]:
+def _pair_weights(zeros: ZeroTable, num_pairs: int) -> list[complex]:
     """zeta(rho/2)^2 / (rho zeta'(rho)) over the first num_pairs zeros.
 
-    zeta'(rho) is the one the zero table holds.
+    zeta'(rho) is the one the zero table holds.  The weights do not depend
+    on x, so one list serves both midpoints of an evaluation.
     """
+    out = []
     for t, zeta_prime in zip(zeros.ordinates[:num_pairs], zeros.zeta_primes):
-        yield _half_zeta_squared(t) / (complex(0.5, t) * complex(zeta_prime))
+        half = zeta(complex(0.5, t) / 2.0)
+        out.append(half * half / (complex(0.5, t) * complex(zeta_prime)))
+    return out
 
 
-def _pair_terms(spec: _TargetSpec, x: float, zeros: ZeroTable,
-                num_pairs: int) -> list[float]:
+def _pair_terms(spec: _TargetSpec, x: float, ordinates: tuple[float, ...],
+                weights: list[complex]) -> list[float]:
     """Per-pair contributions c * 2 * Re[w_k x^{rho_k/2 - shift}] at one x.
 
     The conjugate zero contributes the conjugate term, so each pair is
@@ -291,30 +269,20 @@ def _pair_terms(spec: _TargetSpec, x: float, zeros: ZeroTable,
     lx = math.log(x)
     scale = 2.0 * spec.zero_coefficient * x ** (0.25 - spec.power_shift)
     out = []
-    for t, w in zip(zeros.ordinates, _pair_weights(zeros, num_pairs)):
+    for t, w in zip(ordinates, weights):
         phase = cmath.exp(complex(0.0, 0.5 * t * lx))
         out.append(scale * (w * phase).real)
     return out
 
 
-def _running_sums(terms) -> list[tuple[int, float]]:
-    """[(1, t_1), (2, t_1 + t_2), ...], accumulated in order."""
-    out = []
-    running = 0.0
-    for k, term in enumerate(terms, start=1):
-        running += term
-        out.append((k, running))
-    return out
-
-
-def _midpoints(xf: float, delta: float) -> tuple[float, ...]:
-    """Where to evaluate: x itself, or x -+ delta when x sits on a jump."""
-    return (xf - delta, xf + delta) if xf.is_integer() else (xf,)
+def _midpoints(xf: float) -> tuple[float, ...]:
+    """Where to evaluate: x itself, or x -+ 1/2 when x sits on a jump."""
+    return (xf - 0.5, xf + 0.5) if xf.is_integer() else (xf,)
 
 
 def _zero_partials(spec: _TargetSpec, points: tuple[float, ...],
                    zeros: ZeroTable, num_pairs: int) -> list[tuple[int, float]]:
-    """[(1, s_1), ..., (num_pairs, s_N)], each term averaged over points.
+    """[(0, 0.0), (1, s_1), ..., (N, s_N)], each term averaged over points.
 
     Refuses more pairs than the table holds; an unvalidated table triggers
     a RuntimeWarning (attributed to the public caller's caller) but still
@@ -329,8 +297,10 @@ def _zero_partials(spec: _TargetSpec, points: tuple[float, ...],
         warnings.warn(
             "zero table failed residual validation; zero-sum values may be unreliable",
             RuntimeWarning, stacklevel=3)
-    term_lists = [_pair_terms(spec, y, zeros, num_pairs) for y in points]
-    return _running_sums(sum(terms) / len(points) for terms in zip(*term_lists))
+    weights = _pair_weights(zeros, num_pairs)
+    term_lists = [_pair_terms(spec, y, zeros.ordinates, weights) for y in points]
+    terms = (sum(ts) / len(points) for ts in zip(*term_lists))
+    return list(enumerate(accumulate(terms, initial=0.0)))
 
 
 def nontrivial_zero_sum(target: str, x, zeros: ZeroTable,
@@ -344,7 +314,7 @@ def nontrivial_zero_sum(target: str, x, zeros: ZeroTable,
     """
     spec = _require_target(target)
     xf = _above_one(x, "nontrivial_zero_sum")
-    return _zero_partials(spec, _midpoints(xf, 0.5), zeros, num_pairs)
+    return _zero_partials(spec, _midpoints(xf), zeros, num_pairs)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +342,10 @@ def _tail_coefficient(n: int, variant: str) -> float:
 
 
 def trivial_zero_tail(target: str, x, tail_terms: int, *,
-                      variant: str = "residue", sign: int = -1) -> float:
-    """Signed truncated trivial-zero tail of the target's formula.
+                      variant: str = "residue") -> float:
+    """Truncated trivial-zero tail of the target's formula.
 
-    Sums tail_terms terms sign * coeff * sum_n c_n x^{-2n-1-shift} where
+    Sums tail_terms terms -coeff * sum_n c_n x^{-2n-1-shift} where
     c_n is the residue-derived (default) or printed coefficient.  The
     terms decay geometrically like x^{-2} on top of rapidly shrinking
     coefficients, so small tail_terms already saturates double precision.
@@ -388,12 +358,10 @@ def trivial_zero_tail(target: str, x, tail_terms: int, *,
         raise ValueError(f"tail_terms capped at {TAIL_TERMS_MAX}")
     if variant not in TAIL_VARIANTS:
         raise ValueError(f"variant must be one of {TAIL_VARIANTS}")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
     total = 0.0
     for n in range(tail_terms):
         total += _tail_coefficient(n, variant) * xf ** (-(2 * n + 1 + spec.power_shift))
-    return sign * spec.tail_coefficient * total
+    return -spec.tail_coefficient * total
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +372,8 @@ def _exact_reference(spec: _TargetSpec, x: float, averaged: bool,
                      bound: int) -> float | None:
     """Oracle value of the target sum, or None when floor(x) passes bound.
 
-    For averaged (integer) x with half-step delta in (0, 1) the exact side
-    is (S(x - delta) + S(x + delta)) / 2 = (S(x - 1) + S(x)) / 2 exactly,
+    For averaged (integer) x the exact side is
+    (S(x - 1/2) + S(x + 1/2)) / 2 = (S(x - 1) + S(x)) / 2 exactly,
     because the summatory function is constant between integers.
     """
     if math.floor(x) > bound:
@@ -419,7 +387,7 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
                       bound: int = ORACLE_BOUND_DEFAULT) -> FormulaEvaluation:
     """Evaluate the truncated explicit formula and attach the exact oracle.
 
-    Integer x is averaged over x +- cfg.midpoint_delta piece by piece.
+    Integer x is averaged over x +- 1/2 piece by piece.
     The zero_sum_partials trajectory starts at (0, 0.0) and records one
     row per additional zero pair.  exact is None when floor(x) passes bound.
     """
@@ -428,11 +396,10 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
         cfg = TruncationConfig()
     xf = _above_one(x, "evaluate_explicit")
     averaged = xf.is_integer()
-    points = _midpoints(xf, cfg.midpoint_delta)
+    points = _midpoints(xf)
     partials = _zero_partials(spec, points, zeros, cfg.num_zero_pairs)
     mains = [spec.main(y) for y in points]
-    tails = [trivial_zero_tail(target, y, cfg.tail_terms,
-                               variant=cfg.tail_variant, sign=cfg.tail_sign)
+    tails = [trivial_zero_tail(target, y, cfg.tail_terms, variant=cfg.tail_variant)
              for y in points]
 
     return FormulaEvaluation(
@@ -440,7 +407,7 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
         target=target,
         main_term=math.fsum(mains) / len(points),
         constant_term=spec.constant,
-        zero_sum_partials=((0, 0.0), *partials),
+        zero_sum_partials=tuple(partials),
         trivial_tail=math.fsum(tails) / len(points),
         exact=_exact_reference(spec, xf, averaged, bound),
         averaged=averaged,

@@ -370,8 +370,8 @@ class ZeroTable:
         """zeta'(1/2 + i t_k) for every ordinate, computed on first use.
 
         A read-only complex array.  load_zero_table's validation sets it
-        from the power arrays its residuals come from, so a validated table
-        never computes it twice.
+        from the power arrays its residuals come from, so a loaded table
+        never computes it twice; a table built by hand computes it here.
         """
         out = np.empty(len(self.ordinates), dtype=np.complex128)
         for k, t in enumerate(self.ordinates):
@@ -398,7 +398,7 @@ def _read_zero_text(source) -> tuple[str, str]:
     return path.read_text(encoding="utf-8"), str(path)
 
 
-def load_zero_table(source, validate: bool = True) -> ZeroTable:
+def load_zero_table(source) -> ZeroTable:
     """Parse a zero-ordinate text file (one ascending ordinate per line).
 
     Comment lines start with '#'.  Ordering and positivity problems raise
@@ -435,20 +435,17 @@ def load_zero_table(source, validate: bool = True) -> ZeroTable:
         prev = t
 
     failures: list[tuple[int, float, float]] = []
-    if validate:
-        primes = np.empty(len(ordinates), dtype=np.complex128)
-        for k, (lineno, t) in enumerate(zip(lines_used, ordinates)):
-            value, primes[k] = zeta_at_ordinate(t)
-            residual = abs(value)
-            if residual >= ZERO_RESIDUAL_TOL:
-                failures.append((lineno, t, residual))
+    primes = np.empty(len(ordinates), dtype=np.complex128)
+    for k, (lineno, t) in enumerate(zip(lines_used, ordinates)):
+        value, primes[k] = zeta_at_ordinate(t)
+        residual = abs(value)
+        if residual >= ZERO_RESIDUAL_TOL:
+            failures.append((lineno, t, residual))
     table = ZeroTable(ordinates=tuple(ordinates), source=name,
-                      validated=validate and not failures,
-                      failures=tuple(failures))
-    if validate:
-        # fills the cached_property, as a first read would
-        primes.flags.writeable = False
-        object.__setattr__(table, "zeta_primes", primes)
+                      validated=not failures, failures=tuple(failures))
+    # fills the cached_property, as a first read would
+    primes.flags.writeable = False
+    object.__setattr__(table, "zeta_primes", primes)
     return table
 
 
@@ -457,7 +454,7 @@ def default_zero_table() -> ZeroTable:
     """The packaged 1000-zero table, or the file named by ZD_ZEROS."""
     env = os.environ.get(ZEROS_ENV_VAR)
     if env:
-        return load_zero_table(env, validate=True)
+        return load_zero_table(env)
     ref = resources.files("divisorlab").joinpath("data/zeros1000.txt")
     with ref.open("r", encoding="utf-8") as fh:
-        return load_zero_table(fh, validate=True)
+        return load_zero_table(fh)

@@ -5,6 +5,7 @@ bytes are asserted exactly; no PATH assumptions.  The one subprocess is the
 sieve memory test, which needs the peak of a process of its own.
 """
 
+import argparse
 import gc
 import json
 import math
@@ -608,6 +609,19 @@ def test_oracle_bound_message_prints_x_and_bound_in_full(capsys):
     assert "x = 100000001.5 exceeds the exact-oracle bound 100000000" in err
 
 
+# refused for the length of the scan or the table, not for a value too long
+# to write: the sum of sigma_600 to 14433227 is about 10^4299.9986, and the
+# sigma_40 table has 281-digit bounds on 10^7 rows
+SIZE_REFUSALS = {
+    ("sum", "--algorithm", "brute", "--fn", "sigma_600", "--x", "14433227"):
+        "sigma_600 outgrows int64, and its exact scans stop at 3000000; "
+        "x=14433227 is past that",
+    ("sieve", "--fn", "sigma_40", "--limit", "1e7"):
+        "sieve of sigma_40 to 10000000 may write 281-digit values, "
+        "2810000000 digits in all, past the 190000000 of int64s",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("sum", "--algorithm", "brute", "--fn", "sigma_100000", "--x", "10"),
     ("sieve", "--fn", "sigma_1000000", "--limit", "3"),
@@ -619,13 +633,24 @@ def test_oracle_bound_message_prints_x_and_bound_in_full(capsys):
     ("sum", "--algorithm", "brute", "--fn", "sigma_664", "--x", "2953998"),
     # a bound half a digit past the limit, with m far past POINTWISE_MAX
     ("sum", "--algorithm", "brute", "--fn", "sigma_13", "--x", str(int(1.8e307))),
+    *SIZE_REFUSALS,
 ])
 def test_exit_resource_unwritable_integers_refuse_quickly(capsys, argv):
     # each value or sum has more digits than Python writes (4300 by default)
     rc, out, err, seconds = run_timed(capsys, *argv)
     assert seconds < 0.05
     assert (rc, out) == (4, "")
-    assert "digits" in err
+    assert SIZE_REFUSALS.get(argv, "digits") in err
+
+
+def test_object_sieve_refusal_edge():
+    # sigma_40 values to 801687 have at most 237 digits, and 801688 rows of
+    # 237 digits pass 19 * SIEVE_ROWS_MAX; the table is built lazily
+    args = argparse.Namespace(fn="sigma_40", limit=801687)
+    cli._cmd_sieve(args)
+    args.limit += 1
+    with pytest.raises(ResourceLimitError):
+        cli._cmd_sieve(args)
 
 
 @pytest.mark.parametrize("a, x, digits", [(4000, 10, 4001), (1570, 548, 4300),
