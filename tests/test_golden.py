@@ -114,6 +114,19 @@ COMMANDS = (
     # targets too, over 50 pairs
     + [("explicit", "--target", t, "--x", "1000", "--pairs", "50")
        for t in ("d", "two_omega")]
+    # many-x grids through the batched hyperbola: d rows on both sides of
+    # FLOAT_SUM_MAX in one batch, a dense two_omega grid whose inner D
+    # values batch across points, Moebius-kernel sums at two x, and a d fit
+    # at the density of the benchmark's d grid
+    + [("delta", "--target", "d", "--grid-lo", "818835500000000", "--grid-hi",
+        "818837500000000", "--ratio", "1.000001", "--oracle-bound",
+        "1000000000000000"),
+       ("delta", "--target", "two_omega", "--grid-lo", "110", "--grid-hi",
+        "99000000", "--ratio", "1.02")]
+    + [("sum", "--algorithm", "moebius_kernel", "--fn", "two_omega", "--x", x)
+       for x in ("1000000007", "170000000001")]
+    + [("fit", "--target", "d", "--grid-lo", "110", "--grid-hi", "99500000",
+        "--ratio", "1.0015")]
 )
 
 
