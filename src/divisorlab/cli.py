@@ -45,8 +45,8 @@ from .bessel import (_SERIES, bessel_J1, bessel_K1, bessel_Y1, _evaluate,
                      voronoi_full, voronoi_truncated)
 from .errors import AccuracyError, PoleError, ResourceLimitError, TableFormatError
 from .explicit import (TAIL_VARIANTS, TruncationConfig, delta_error,
-                       evaluate_explicit, main_term, nontrivial_zero_sum,
-                       resolve_target, trivial_zero_tail)
+                       evaluate_explicit, iter_delta_samples, main_term,
+                       nontrivial_zero_sum, resolve_target, trivial_zero_tail)
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv)
@@ -331,6 +331,39 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> float:
     return top
 
 
+# Rosser and Schoenfeld (1962): sum_{p<=x} 1/p < ln ln x + B + 1/ln^2 x for
+# x > 1, with Mertens' constant B; and sum_p 1/(p(p-1)) = 0.77315... < 0.7732
+MERTENS_B = 0.2614972128476428
+
+
+def _refuse_long_table(spec: FnSpec, m: int) -> None:
+    """Refuse, before any work, a sieve of spec to m that _refuse_unwritable
+    refuses, or whose table of Python ints may write more digits than a
+    table of int64s to SIEVE_ROWS_MAX does (19 a row).
+
+    An int v >= 1 has at most log10(v) + 1 digits.  sigma_a's rows take
+    its row bound m times.  d_k(n) <= k^Omega(n), so a d_k table writes at
+    most sum_{n<=m} (1 + Omega(n) log10 k) digits, where
+      sum_{n<=m} Omega(n) = sum_{p^j<=m} floor(m/p^j)
+                          <= m (sum_{p<=m} 1/p + sum_p 1/(p(p-1)))
+                          <  m (ln ln m + B + 1/ln^2 m + 0.7732).
+    """
+    top = _refuse_unwritable(spec, m, summed=False)
+    if _walk_dtype(spec, m) is not object or m < 2:
+        return
+    if spec.tag == "d_k":
+        ln = math.log(m)
+        omega = m * (math.log(ln) + MERTENS_B + 1 / ln ** 2 + 0.7732)
+        what, total = "", math.ceil(m + math.log10(spec.k) * omega)
+    else:
+        digits = math.floor(top) + 1
+        what, total = f"{digits}-digit values, ", m * digits
+    if total > SIEVE_ROWS_MAX * 19:
+        raise ResourceLimitError(
+            f"sieve of {spec.label()} to {m} may write {what}{total} digits "
+            f"in all, past the {SIEVE_ROWS_MAX * 19} of int64s")
+
+
 def _sigma_sum_reaches(m: int, a: int, top: int) -> bool:
     """Whether sum_{n<=m} sigma_a(n) = sum_{d<=m} d^a floor(m/d) >= top.
 
@@ -375,12 +408,7 @@ def _cmd_sieve(args):
         raise ResourceLimitError(
             f"sieve emits one row per integer; {limit} exceeds the "
             f"{SIEVE_ROWS_MAX} row cap")
-    # a table of Python ints may write no more digits than one of int64s
-    digits = math.floor(_refuse_unwritable(spec, limit, summed=False)) + 1
-    if _walk_dtype(spec, limit) is object and limit * digits > SIEVE_ROWS_MAX * 19:
-        raise ResourceLimitError(
-            f"sieve of {spec.label()} to {limit} may write {digits}-digit values, "
-            f"{limit * digits} digits in all, past the {SIEVE_ROWS_MAX * 19} of int64s")
+    _refuse_long_table(spec, limit)
     label = spec.label()
     return ({"n": n, "fn": label, "value": v}
             for lo, values in _walk_chunks(spec, 1, limit + 1, SEGMENT_SIZE)
@@ -446,7 +474,7 @@ def _cmd_delta(args):
     if args.grid_lo is None or args.grid_hi is None:
         raise ValueError("delta needs --x or both --grid-lo and --grid-hi")
     grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
-    return delta_samples(target, grid, bound=args.oracle_bound)
+    return iter_delta_samples(target, grid, bound=args.oracle_bound)
 
 
 def _cmd_ap(args):

@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ResourceLimitError
 from .summatory import (
@@ -37,8 +37,8 @@ from .summatory import (
     TWO_OMEGA_OVER_N_CONSTANT,
     auxiliary_sums,
     divisor_main_term,
-    divisor_sum_hyperbola,
-    squarefree_divisor_sum,
+    divisor_sums_hyperbola,
+    squarefree_divisor_sums,
     squarefree_main_term,
     two_omega_over_n_main_term,
 )
@@ -65,7 +65,8 @@ class _TargetSpec:
     exponent (x^{-2n-1-power_shift}), and tail_coefficient is the
     magnitude in front of the trivial tail, which is subtracted.
     exact(ys, bound) is the list of oracle values of the sum at the points
-    ys, from one call: one scan for a brute-force oracle.
+    ys, from one call: one scan for a brute-force oracle, one batched
+    hyperbola pass for a sublinear one.
     """
 
     zero_coefficient: float
@@ -84,13 +85,11 @@ _TARGET_SPECS = {
     "divisor_sum": _TargetSpec(
         math.pi ** 2 / 3, 0, math.pi ** 2 / 6,
         constant=-math.pi ** 2 / 12.0, main=divisor_main_term,
-        exact=lambda ys, bound: [float(divisor_sum_hyperbola(y).value)
-                                 for y in ys],
+        exact=lambda ys, bound: [float(v) for v in divisor_sums_hyperbola(ys)],
         aliases=("d", "divisor")),
     "two_omega_sum": _TargetSpec(
         2.0, 0, 1.0, constant=-0.5, main=squarefree_main_term,
-        exact=lambda ys, bound: [float(squarefree_divisor_sum(y).value)
-                                 for y in ys],
+        exact=lambda ys, bound: [float(v) for v in squarefree_divisor_sums(ys)],
         aliases=("two_omega",)),
     "two_omega_over_n_sum": _TargetSpec(
         2.0, 1, 1.0, constant=TWO_OMEGA_OVER_N_CONSTANT,
@@ -194,9 +193,12 @@ class FormulaEvaluation:
         return self.exact - self.total_at(num_pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaSample:
-    """One row of error-term data: delta = exact - predicted."""
+    """One row of error-term data: delta = exact - predicted.
+
+    Slotted: a grid holds thousands of these at once.
+    """
 
     x: float
     exact: float
@@ -419,6 +421,24 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
 # error-term measurement
 # ---------------------------------------------------------------------------
 
+def iter_delta_samples(target: str, grid, *,
+                       bound: int = ORACLE_BOUND_DEFAULT) -> Iterator[DeltaSample]:
+    """delta_samples as an iterator: every check and the exact side now,
+    each sample when it is read, so a report of the grid never holds them all.
+    """
+    spec = _require_target(target)
+    xs = [float(x) for x in grid]
+    for xf in xs:
+        if xf < 1.0:
+            raise ValueError("delta_error needs x >= 1")
+        if math.floor(xf) > bound:
+            raise ResourceLimitError(
+                f"x = {xf!r} exceeds the exact-oracle bound {bound}")
+    # a generator evaluates its outermost iterable, the exact side, at once
+    return (DeltaSample.build(xf, exact, spec.main(xf))
+            for xf, exact in zip(xs, spec.exact(xs, bound)))
+
+
 def delta_samples(target: str, grid, *,
                   bound: int = ORACLE_BOUND_DEFAULT) -> list[DeltaSample]:
     """delta(x) = exact sum - main term at each grid point, in grid order.
@@ -429,16 +449,7 @@ def delta_samples(target: str, grid, *,
     of the target's exact route for the whole grid; a point whose floor
     passes bound raises ResourceLimitError naming the first such point.
     """
-    spec = _require_target(target)
-    xs = [float(x) for x in grid]
-    for xf in xs:
-        if xf < 1.0:
-            raise ValueError("delta_error needs x >= 1")
-        if math.floor(xf) > bound:
-            raise ResourceLimitError(
-                f"x = {xf!r} exceeds the exact-oracle bound {bound}")
-    return [DeltaSample.build(xf, exact, spec.main(xf))
-            for xf, exact in zip(xs, spec.exact(xs, bound))]
+    return list(iter_delta_samples(target, grid, bound=bound))
 
 
 def delta_error(target: str, x, *, bound: int = ORACLE_BOUND_DEFAULT) -> DeltaSample:

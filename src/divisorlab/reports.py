@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import fields, is_dataclass
 
@@ -108,7 +109,13 @@ def _csv_cell(v) -> str:
 
 
 def render_csv(rows) -> str:
-    """CSV text for homogeneous rows, read once in order; delta header frozen."""
+    """CSV text for homogeneous rows, read once in order; delta header frozen.
+
+    A row of floats only is formatted by one '%.15g' template, the same
+    text as a cell at a time; where that text holds "n" (inf or nan) or
+    "e+308" (a float that may read back as infinity) the row goes cell by
+    cell, which refuses it.
+    """
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
@@ -120,13 +127,28 @@ def render_csv(rows) -> str:
     header = ",".join(keys)
     if isinstance(first, DeltaSample) and header != DELTA_CSV_HEADER:
         raise AssertionError("delta CSV header drifted from the contract")
+    # rows of first's dataclass read their fields in one call
+    kind = type(first) if is_dataclass(first) else None
+    get = operator.attrgetter(*keys) if len(keys) > 1 else None
+    floats = (float,) * len(keys)
+    template = ",".join(["%.15g"] * len(keys))
     lines = [header]
     for row in itertools.chain((first,), rows):
-        d = row_dict(row)
-        if list(d) != keys:
-            raise ValueError("CSV rows must share one column set")
-        lines.append(",".join(_csv_cell(v) for v in d.values()))
-    return "\n".join(lines) + "\n"
+        if type(row) is kind and get is not None:
+            values = get(row)
+        else:
+            d = row_dict(row)
+            if list(d) != keys:
+                raise ValueError("CSV rows must share one column set")
+            values = tuple(d.values())
+        if tuple(map(type, values)) == floats:
+            line = template % values
+            if "n" not in line and "e+308" not in line:
+                lines.append(line)
+                continue
+        lines.append(",".join(_csv_cell(v) for v in values))
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def render_json(rows) -> str:

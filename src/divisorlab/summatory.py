@@ -10,8 +10,10 @@ Two independent routes to every headline quantity:
 * sublinear algorithms -- one hyperbola count whose rows are D(x), the AP
   divisor sum and the circle problem's lattice count, the Moebius-kernel
   form of S_2w(x) = sum mu(d) D(x/d^2) and its convolution inverse, all in
-  exact numpy chunks (float64 where that is exact, int64 above).  The
-  kernel and the convolution share one square split:
+  exact numpy chunks (float64 where that is exact, int64 above).  D takes
+  a batch of x in one pass (_divisor_counts), so a grid, and every square
+  split, hands it all its D values at once.  The kernel and the
+  convolution share one square split:
   sum over d <= sqrt(x) of w(d) F(x // d^2), with F from a sublinear route
   while x // d^2 > PREFIX_TABLE_LIMIT and from a prefix table of D or S_2w
   below.  The prefix tables and the kernel's mu(d) come from the brute
@@ -27,6 +29,18 @@ integer.  The same holds for a negative numerator.  The hyperbola divides
 and sums in float64 while m <= FLOAT_SUM_MAX, where its chunk sums are
 exact integers as well, and in int64 above; the prefix-table gathers,
 whose m is at most MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
+
+The batched D kernel divides in 2-D tiles: rows of distinct m, ascending,
+whose roots r = isqrt(m) share one bit length (so lie within a factor 2)
+and one dtype, times a run of columns n, at most KERNEL_CHUNK entries a
+tile; the entries with n > r are zeroed.  A row of a tile is a sum of at
+most KERNEL_CHUNK quotients floor(m/n), each exact, so it is below
+m H(KERNEL_CHUNK) < 11 m: exact in float64 for m <= FLOAT_SUM_MAX (every
+partial sum is an integer below 2^53, whatever order numpy adds in), and
+below 2.1e18 < 2^63 in int64 for m <= HYPERBOLA_MAX.  Each tile's row sums
+are cast to int64 at once and added into one int64 total per m, which
+ends at sum_{n<=r} floor(m/n) <= m (1 + ln r) < 4.2e18 < 2^63; no sum is
+carried from one tile to the next in float64.
 
 Real-valued sums (harmonic, fractional-part, T(x) = sum 2^w(n)/n) are
 chunked: the correctly rounded sum of each chunk of 2^16 terms, then the
@@ -490,13 +504,8 @@ def _segment_task(args):
     """
     f, lo, hi, marks, weighted = args
     if weighted:
-        w = np.empty(hi - lo)
-        for a, vals in _walk_chunks(f, lo, hi, SEGMENT_SIZE):
-            n = np.arange(a, a + vals.size, dtype=np.float64)
-            np.divide(vals, n, out=w[a - lo:a - lo + n.size])
         at, before, j = [], Fraction(0), 0
-        for a in range(lo, hi, SUM_CHUNK):
-            chunk = w[a - lo:a - lo + SUM_CHUNK]
+        for a, chunk in _weighted_chunks(f, lo, hi):
             k = bisect_left(marks, a + chunk.size, j)
             *parts, total = _rounded_sums(chunk, [m + 1 - a for m in marks[j:k]]
                                           + [chunk.size])
@@ -511,6 +520,31 @@ def _segment_task(args):
     sums = list(accumulate(_exact_array_sum(vals[a - lo:b - lo], bound)
                            for a, b in zip(cuts, cuts[1:])))
     return sums[:-1], sums[-1]
+
+
+def _weighted_chunks(f, lo: int, hi: int):
+    """(a, f(n)/n for n in [a, b)) for the SUM_CHUNK chunks [a, b) of [lo, hi).
+
+    Each chunk is divided straight from the walked values into one reused
+    SUM_CHUNK-long float buffer, valid until the next chunk is asked for.
+    The walks are SEGMENT_SIZE long, so a chunk may take its values from
+    several walks, or a walk give them to several chunks.
+    """
+    buf = np.empty(min(SUM_CHUNK, hi - lo))
+    walks = _walk_chunks(f, lo, hi, SEGMENT_SIZE)
+    start, vals = lo, buf[:0]
+    for a in range(lo, hi, SUM_CHUNK):
+        b = min(a + SUM_CHUNK, hi)
+        n = a
+        while n < b:
+            if n == start + vals.size:
+                vals = None  # drop the spent walk before the next is built
+                start, vals = next(walks)
+            c = min(b, start + vals.size)
+            np.divide(vals[n - start:c - start], np.arange(n, c, dtype=np.float64),
+                      out=buf[n - a:c - a])
+            n = c
+        yield a, buf[:b - a]
 
 
 def _worker_primes(hi: int) -> np.ndarray:
@@ -635,8 +669,10 @@ def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
     sum_{b<=r} G(floor(m/b)) - G(r) r; class i adds (t - i) // q + 1 to
     G(t).  The chunk sums are exact in float64 for m <= FLOAT_SUM_MAX and
     in int64 for m <= HYPERBOLA_MAX.  q = 1 is D's g = 1, whose two sums are
-    one: 2 sum floor(m/n) - r^2.
+    one, 2 sum floor(m/n) - r^2: the batched kernel _divisor_counts.
     """
+    if q == 1:
+        return _divisor_counts([m])[0]
     if q > m:
         # an n <= m is i (mod q) only when n = i, as it is modulo m + 1
         q, g = m + 1, tuple((i, w) for i, w in g if i <= m)
@@ -646,23 +682,73 @@ def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
     for lo in range(1, r + 1, KERNEL_CHUNK):
         n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=dtype)
         quot = _floor_div(m, n, out=n)
-        if q == 1:
-            s += int(quot.sum())
-            continue
         for i, w in g:
             t = quot - i
             s += w * (int(quot[(i - lo) % q::q].sum())
                       + int(_floor_div(t, q, out=t).sum()) + t.size)
-    if q == 1:
-        return 2 * s - r * r
     return s - r * sum(w * ((r - i) // q + 1) for i, w in g)
+
+
+def _divisor_counts(ms) -> list[int]:
+    """D(m) = 2 sum_{n<=r} floor(m/n) - r^2, r = isqrt(m), for each m of ms.
+
+    Every m is an int, 1 <= m <= HYPERBOLA_MAX.  The distinct m go through
+    the 2-D tiles of the module docstring in one pass, ascending; repeats
+    and input order cost nothing.  A tile holds rows whose r share a bit
+    length b, so each r is below 2^b: KERNEL_CHUNK >> b rows (at least one)
+    of at most KERNEL_CHUNK columns.
+    """
+    keys = sorted(set(ms))
+    roots = [math.isqrt(m) for m in keys]
+    totals = np.zeros(len(keys), dtype=np.int64)
+    # every tile and its columns reuse two buffers, as float64 or int64
+    tile_buf, cols_buf = np.empty(KERNEL_CHUNK), np.empty(KERNEL_CHUNK)
+    start = 0
+    while start < len(keys):
+        bits, small = roots[start].bit_length(), keys[start] <= FLOAT_SUM_MAX
+        end = start + 1
+        while (end < len(keys) and roots[end].bit_length() == bits
+               and (keys[end] <= FLOAT_SUM_MAX) == small):
+            end += 1
+        dtype = np.float64 if small else np.int64
+        step = max(1, KERNEL_CHUNK >> bits)
+        for i in range(start, end, step):
+            j = min(i + step, end)
+            m = np.array(keys[i:j], dtype=dtype)[:, None]
+            r = np.array(roots[i:j], dtype=dtype)[:, None]
+            width = min(KERNEL_CHUNK // (j - i), roots[j - 1])
+            tile = tile_buf.view(dtype)[:(j - i) * width].reshape(j - i, width)
+            n = cols_buf.view(dtype)[:width]
+            n[:] = 1
+            np.cumsum(n, out=n)  # the columns 1..width
+            for lo in range(1, roots[j - 1] + 1, width):
+                size = min(width, roots[j - 1] + 1 - lo)
+                quot = _floor_div(m, n[:size], out=tile[:, :size])
+                # every row takes its first roots[i] columns
+                cut = max(roots[i] + 1 - lo, 0)
+                if cut < size:
+                    tail = quot[:, cut:]
+                    tail *= n[cut:size] <= r
+                totals[i:j] += quot.sum(axis=1).astype(np.int64)
+                n += width
+        start = end
+    counts = [2 * s - r * r for s, r in zip(totals.tolist(), roots)]
+    return [counts[bisect_left(keys, m)] for m in ms]
+
+
+def divisor_sums_hyperbola(xs) -> list[int]:
+    """Exact D(x) at each x of xs, each at most HYPERBOLA_MAX, in one pass.
+
+    A grid's exact side is one call: the kernel batches the whole grid.
+    """
+    return _divisor_counts([_bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
+                            for x in xs])
 
 
 def divisor_sum_hyperbola(x) -> SummatoryResult:
     """Exact D(x) in O(sqrt x) integer operations, for x <= HYPERBOLA_MAX."""
-    m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
-    return SummatoryResult(x=float(x), fn="d", value=_hyperbola_count(m),
-                           algorithm="hyperbola")
+    (value,) = divisor_sums_hyperbola([x])
+    return SummatoryResult(x=float(x), fn="d", value=value, algorithm="hyperbola")
 
 
 def floor_sum(x) -> int:
@@ -761,26 +847,41 @@ def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
     return total
 
 
-def _square_split(m: int, inner, table: np.ndarray,
-                  mu: np.ndarray | None = None) -> int:
-    """sum_{d <= sqrt(m)} w(d) F(m // d^2), with w = mu (1 without mu).
+def _square_splits(ms, inner, table: np.ndarray,
+                   mu: np.ndarray | None = None) -> list[int]:
+    """sum_{d <= sqrt(m)} w(d) F(m // d^2) for each m of ms, w = mu (1 without mu).
 
-    F is inner while m // d^2 exceeds L, that is for d <= t = isqrt(m //
-    (L+1)), and the prefix table above t.
+    F is the prefix table where m // d^2 <= L, that is for d above t =
+    isqrt(m // (L+1)), and inner below: one call of inner, which maps a
+    list of arguments to their values, for the F(m // d^2) of every m.
     """
-    t = math.isqrt(m // (PREFIX_TABLE_LIMIT + 1))
-    total = 0
-    for d in range(1, t + 1):
-        w = 1 if mu is None else int(mu[d])
-        if w:
-            total += w * inner(m // (d * d))
-    return total + _table_gather(table, m, t + 1, math.isqrt(m), mu)
+    tops = [math.isqrt(m // (PREFIX_TABLE_LIMIT + 1)) for m in ms]
+    top = max(tops, default=0)
+    weights = [1] * (top + 1) if mu is None else mu[:top + 1].tolist()
+    values = iter(inner([m // (d * d) for m, t in zip(ms, tops)
+                         for d in range(1, t + 1) if weights[d]]))
+    return [sum(weights[d] * next(values) for d in range(1, t + 1) if weights[d])
+            + _table_gather(table, m, t + 1, math.isqrt(m), mu)
+            for m, t in zip(ms, tops)]
 
 
-def _squarefree_divisor_sum_int(m: int) -> int:
-    """S_2w(m) = sum_{d <= sqrt(m)} mu(d) * D(m // d^2), D by the hyperbola."""
-    mu = _mobius_sieve(max(math.isqrt(m), 16))
-    return _square_split(m, _hyperbola_count, _prefix_tables()[0], mu)
+def _squarefree_counts(ms) -> list[int]:
+    """S_2w(m) = sum_{d <= sqrt(m)} mu(d) D(m // d^2) for each m of ms.
+
+    The D values of every m come from one batched hyperbola pass.
+    """
+    mu = _mobius_sieve(max(math.isqrt(max(ms, default=1)), 16))
+    return _square_splits(ms, _divisor_counts, _prefix_tables()[0], mu)
+
+
+def squarefree_divisor_sums(xs) -> list[int]:
+    """Exact S_2w(x) at each x of xs, each at most MOEBIUS_KERNEL_MAX.
+
+    A grid's exact side is one call: its D values form one batch.
+    """
+    return _squarefree_counts([_bounded_floor(x, MOEBIUS_KERNEL_MAX,
+                                              "Moebius kernel limit")
+                               for x in xs])
 
 
 def squarefree_divisor_sum(x) -> SummatoryResult:
@@ -788,9 +889,8 @@ def squarefree_divisor_sum(x) -> SummatoryResult:
 
     x is at most MOEBIUS_KERNEL_MAX.
     """
-    m = _bounded_floor(x, MOEBIUS_KERNEL_MAX, "Moebius kernel limit")
-    return SummatoryResult(x=float(x), fn="two_omega",
-                           value=_squarefree_divisor_sum_int(m),
+    (value,) = squarefree_divisor_sums([x])
+    return SummatoryResult(x=float(x), fn="two_omega", value=value,
                            algorithm="moebius_kernel")
 
 
@@ -802,7 +902,7 @@ def divisor_sum_from_squarefree(x) -> SummatoryResult:
     most CONVOLUTION_MAX.
     """
     m = _bounded_floor(x, CONVOLUTION_MAX, "convolution limit")
-    total = _square_split(m, _squarefree_divisor_sum_int, _prefix_tables()[1])
+    (total,) = _square_splits([m], _squarefree_counts, _prefix_tables()[1])
     return SummatoryResult(x=float(x), fn="d", value=total,
                            algorithm="convolution_kernel")
 

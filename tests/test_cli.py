@@ -217,6 +217,33 @@ def test_brute_scan_walks_in_short_blocks():
     assert peak_kib < 48 * 1024
 
 
+def _peak_kib_of(*argv):
+    src = str(pathlib.Path(divisorlab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, sys.executable,
+                          "-m", "divisorlab", *argv],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    rc, peak_kib = map(int, out.stdout.split())
+    assert rc == 0
+    return peak_kib
+
+
+@pytest.mark.parametrize("argv", [
+    # the benchmark's T grid: a weighted two_omega scan to 1.55e6, which
+    # divides each SUM_CHUNK straight from its walk; with a segment-long
+    # float w and a block-long float n it peaked ~8 MiB above a one-point
+    # delta, ~4.6 MiB without them
+    ("delta", "--target", "two_omega_over_n", "--grid-lo", "113",
+     "--grid-hi", "1550000", "--ratio", "1.305"),
+    # the benchmark's d grid, 8384 rows streamed into the report
+    ("delta", "--target", "d", "--grid-lo", "110", "--grid-hi", "99500000",
+     "--ratio", "1.0015"),
+])
+def test_benchmark_grids_peak_within_6_mib_of_a_one_point_delta(argv):
+    floor = _peak_kib_of("delta", "--target", "d", "--x", "10.5")
+    assert _peak_kib_of(*argv) - floor < 6 * 1024
+
+
 def test_voronoi_row_keys(capsys):
     rc, out, _ = run(capsys, "voronoi", "--x", "100.5", "--kind", "truncated",
                      "--terms", "50", "--format", "json")
@@ -651,6 +678,39 @@ def test_object_sieve_refusal_edge():
     args.limit += 1
     with pytest.raises(ResourceLimitError):
         cli._cmd_sieve(args)
+
+
+def test_d_k_table_refusal_bounds_the_total_digits():
+    # d_22 needs Python ints; its rows average a few digits, so tables to
+    # the row cap run, while a huge k is still refused there, each in
+    # well under 50 ms
+    for spec, limit, refused in [(FnSpec("d_k", k=22), 6333334, False),
+                                 (FnSpec("d_k", k=22), cli.SIEVE_ROWS_MAX, False),
+                                 (FnSpec("d_k", k=10 ** 30), cli.SIEVE_ROWS_MAX, True)]:
+        gc.collect()
+        t0 = time.perf_counter()
+        try:
+            cli._refuse_long_table(spec, limit)
+            got = False
+        except ResourceLimitError as exc:
+            got = True
+            assert "digits in all" in str(exc)
+        assert time.perf_counter() - t0 < 0.05
+        assert got == refused, (spec, limit)
+
+
+@pytest.mark.parametrize("m", [2, 3, 30, 1000, 30000])
+def test_d_k_digit_bound_holds(m):
+    # the bound on sum_{n<=m} Omega(n), and on the digits of a d_33 table
+    table = build_factor_table(m)
+    big_omega = sum(sum(e for _, e in table.factorize(n)) for n in range(1, m + 1))
+    ln = math.log(m)
+    assert big_omega < m * (math.log(ln) + cli.MERTENS_B + 1 / ln ** 2 + 0.7732)
+    k = 33
+    digits = sum(len(str(math.prod(math.comb(e + k - 1, k - 1)
+                                   for _, e in table.factorize(n))))
+                 for n in range(1, m + 1))
+    assert digits <= m + math.log10(k) * big_omega
 
 
 @pytest.mark.parametrize("a, x, digits", [(4000, 10, 4001), (1570, 548, 4300),

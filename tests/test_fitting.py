@@ -10,10 +10,13 @@ import math
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divisorlab import (DeltaSample, delta_error, divisor_sum_hyperbola,
                         emit_report, exponent_fit, render_csv, render_json)
 from divisorlab.errors import ResourceLimitError
+from divisorlab.explicit import iter_delta_samples
 from divisorlab.fitting import (GRID_STEPS_MAX, LANDMARK_EXPONENTS,
                                 MainConstantFit, delta_samples,
                                 fit_main_constant, half_integer_grid)
@@ -232,6 +235,50 @@ def test_a_bad_row_leaves_no_partial_report(tmp_path, capsys):
             emit_report(iter(rows), "csv", dest)
     assert not path.exists()
     assert capsys.readouterr().out == ""
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=6))
+@example([-0.0, 0.0, 5e-324, 1e308, -1e308, 1.7976931348623e308])
+@example([1e16, 2.5e-5, 123456789012345678.0])
+def test_float_row_template_matches_cell_by_cell(values):
+    # a row of floats goes through one '%.15g' template: the same bytes as
+    # formatting each cell, and the same refusals
+    row = {f"c{i}": v for i, v in enumerate(values)}
+    try:
+        want = ",".join(format_number(v) for v in values)
+    except ValueError:
+        with pytest.raises(ValueError):
+            render_csv([row])
+        return
+    assert render_csv([row, row]) == f"{','.join(row)}\n{want}\n{want}\n"
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"),
+                                 1.7976931348623157e308, -1.79769313486232e308])
+def test_float_row_template_keeps_the_refusals(bad):
+    samples = [DeltaSample.build(100.5, 482.0, 481.0),
+               DeltaSample(100.5, bad, 1.0, 1.0, 1.0, 1.0)]
+    with pytest.raises(ValueError):
+        render_csv(samples)
+    with pytest.raises(ValueError):
+        render_csv([{"x": 1.0, "v": bad}])
+
+
+def test_mixed_rows_keep_exact_ints_and_strings():
+    rows = [{"x": 2.5, "fn": "d", "value": 2 ** 60 + 1},
+            {"x": 3.5, "fn": "d", "value": 3.0}]
+    assert render_csv(rows) == ("x,fn,value\n2.5,d,1152921504606846977\n"
+                                "3.5,d,3\n")
+
+
+def test_delta_samples_iterator_checks_before_any_row():
+    grid = [10.5, 100.5, 1000.5]
+    assert list(iter_delta_samples("divisor_sum", grid)) == delta_samples(
+        "divisor_sum", grid)
+    with pytest.raises(ResourceLimitError):
+        iter_delta_samples("divisor_sum", grid, bound=100)
 
 
 def test_csv_rejects_metacharacters():

@@ -362,6 +362,64 @@ def test_hyperbola_rows_on_both_sides_of_a_moved_switch(m, monkeypatch):
     assert 4 * count(m, *HYPERBOLA_ROWS["chi4"]) == column_lattice_count(m)
 
 
+def per_point_divisor_count(m):
+    # g = 1 written with period 2 runs the periodic loop, not the D batch
+    return summatory._hyperbola_count(m, 2, ((1, 1), (2, 1)))
+
+
+# roots r = isqrt(m) at the tile edges of the D batch: the steps of r's bit
+# length, which cut a tile, and the column-chunk edges of one-row tiles
+TILE_ROOTS = (1, 2, 3, 4, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097,
+              *(k * summatory.KERNEL_CHUNK + j for k in (1, 2) for j in (-1, 0, 1)))
+BATCH_VALUES = st.one_of(
+    st.integers(1, 10 ** 10),
+    st.builds(lambda r, e: max(1, r * r - e),
+              st.one_of(st.sampled_from(TILE_ROOTS), st.integers(1, 10 ** 5)),
+              st.integers(0, 1)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(BATCH_VALUES, max_size=30))
+@example([])
+@example([1])
+@example([5, 1, 3, 1, 5, 2, 4, 4])  # unsorted, with repeats and m = 1
+@example([r * r - e for r in TILE_ROOTS for e in (0, 1) if r * r > e])
+def test_batched_divisor_counts_match_the_per_point_route(ms):
+    assert summatory._divisor_counts(ms) == [per_point_divisor_count(m) for m in ms]
+
+
+def test_batched_divisor_counts_across_the_float_switch_and_2_53():
+    # one batch, unsorted, holds float64 rows and int64 rows; every total
+    # here passes 2^53, so a sum carried across chunks in float64 would
+    # round
+    ms = [2 ** 53 + 1, summatory.FLOAT_SUM_MAX - 1, 2 ** 53 - 1,
+          summatory.FLOAT_SUM_MAX + 1]
+    got = summatory._divisor_counts(ms)
+    assert got == [per_point_divisor_count(m) for m in ms]
+    assert min(got) > 2 ** 53
+    # 2 sum_{n<=r} floor(m/n) <= 2 m (1 + ln r) stays in int64 to the limit
+    m = summatory.HYPERBOLA_MAX
+    assert 2 * m * (1 + math.log(math.isqrt(m))) < 2 ** 63
+
+
+def test_square_splits_batch_every_point_of_a_grid():
+    # unsorted, repeated, below the prefix table and above it; all the D
+    # values of a grid go to the hyperbola in one batch
+    xs = [123_456_789, 10, L, 123_456_789, L + 1, 4 * (L + 1), 99_999_999.5]
+    calls = []
+    real = summatory._divisor_counts
+
+    def spy(ms):
+        calls.append(len(ms))
+        return real(ms)
+
+    want = [literal_squarefree_sum(math.floor(x)) for x in xs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summatory, "_divisor_counts", spy)
+        assert summatory.squarefree_divisor_sums(xs) == want
+    assert len(calls) == 1 and calls[0] > len(xs)
+
+
 def fsum_bits(values):
     """math.fsum's float as hex, or None where fsum overflows on the way."""
     try:
