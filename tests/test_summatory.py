@@ -397,15 +397,16 @@ def test_batched_divisor_counts_across_the_float_switch_and_2_53():
     got = summatory._divisor_counts(ms)
     assert got == [per_point_divisor_count(m) for m in ms]
     assert min(got) > 2 ** 53
-    # 2 sum_{n<=r} floor(m/n) <= 2 m (1 + ln r) stays in int64 to the limit
+    # each int64 total sum_{n<=r} floor(m/n) <= m (1 + ln r) fits to the limit
     m = summatory.HYPERBOLA_MAX
-    assert 2 * m * (1 + math.log(math.isqrt(m))) < 2 ** 63
+    assert m * (1 + math.log(math.isqrt(m))) < 2 ** 63
 
 
-def test_square_splits_batch_every_point_of_a_grid():
+def test_square_splits_batch_every_point_of_a_grid(monkeypatch):
     # unsorted, repeated, below the prefix table and above it; all the D
     # values of a grid go to the hyperbola in one batch
     xs = [123_456_789, 10, L, 123_456_789, L + 1, 4 * (L + 1), 99_999_999.5]
+    want = [literal_squarefree_sum(math.floor(x)) for x in xs]
     calls = []
     real = summatory._divisor_counts
 
@@ -413,10 +414,8 @@ def test_square_splits_batch_every_point_of_a_grid():
         calls.append(len(ms))
         return real(ms)
 
-    want = [literal_squarefree_sum(math.floor(x)) for x in xs]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(summatory, "_divisor_counts", spy)
-        assert summatory.squarefree_divisor_sums(xs) == want
+    monkeypatch.setattr(summatory, "_divisor_counts", spy)
+    assert summatory.squarefree_divisor_sums(xs) == want
     assert len(calls) == 1 and calls[0] > len(xs)
 
 
