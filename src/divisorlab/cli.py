@@ -45,8 +45,8 @@ from .bessel import (_SERIES, bessel_J1, bessel_K1, bessel_Y1, _evaluate,
                      voronoi_full, voronoi_truncated)
 from .errors import AccuracyError, PoleError, ResourceLimitError, TableFormatError
 from .explicit import (TAIL_VARIANTS, TruncationConfig, delta_error,
-                       evaluate_explicit, iter_delta_samples, main_term,
-                       nontrivial_zero_sum, resolve_target, trivial_zero_tail)
+                       evaluate_explicit, main_term, nontrivial_zero_sum,
+                       resolve_target, trivial_zero_tail)
 from .fitting import delta_samples, exponent_fit, half_integer_grid
 from .reports import (DELTA_CSV_HEADER, FORMATS, emit_report, read_delta_csv,
                       render_csv)
@@ -474,7 +474,11 @@ def _cmd_delta(args):
     if args.grid_lo is None or args.grid_hi is None:
         raise ValueError("delta needs --x or both --grid-lo and --grid-hi")
     grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
-    return iter_delta_samples(target, grid, bound=args.oracle_bound)
+    samples = delta_samples(target, grid, bound=args.oracle_bound)
+    # hand the rows over one by one, dropping each as it is read, so the
+    # report's lines never sit beside the whole grid's samples
+    samples.reverse()
+    return (samples.pop() for _ in range(len(samples)))
 
 
 def _cmd_ap(args):

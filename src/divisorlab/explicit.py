@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .summatory import (
@@ -421,24 +421,6 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
 # error-term measurement
 # ---------------------------------------------------------------------------
 
-def iter_delta_samples(target: str, grid, *,
-                       bound: int = ORACLE_BOUND_DEFAULT) -> Iterator[DeltaSample]:
-    """delta_samples as an iterator: every check and the exact side now,
-    each sample when it is read, so a report of the grid never holds them all.
-    """
-    spec = _require_target(target)
-    xs = [float(x) for x in grid]
-    for xf in xs:
-        if xf < 1.0:
-            raise ValueError("delta_error needs x >= 1")
-        if math.floor(xf) > bound:
-            raise ResourceLimitError(
-                f"x = {xf!r} exceeds the exact-oracle bound {bound}")
-    # a generator evaluates its outermost iterable, the exact side, at once
-    return (DeltaSample.build(xf, exact, spec.main(xf))
-            for xf, exact in zip(xs, spec.exact(xs, bound)))
-
-
 def delta_samples(target: str, grid, *,
                   bound: int = ORACLE_BOUND_DEFAULT) -> list[DeltaSample]:
     """delta(x) = exact sum - main term at each grid point, in grid order.
@@ -449,7 +431,16 @@ def delta_samples(target: str, grid, *,
     of the target's exact route for the whole grid; a point whose floor
     passes bound raises ResourceLimitError naming the first such point.
     """
-    return list(iter_delta_samples(target, grid, bound=bound))
+    spec = _require_target(target)
+    xs = [float(x) for x in grid]
+    for xf in xs:
+        if xf < 1.0:
+            raise ValueError("delta_error needs x >= 1")
+        if math.floor(xf) > bound:
+            raise ResourceLimitError(
+                f"x = {xf!r} exceeds the exact-oracle bound {bound}")
+    return [DeltaSample.build(xf, exact, spec.main(xf))
+            for xf, exact in zip(xs, spec.exact(xs, bound))]
 
 
 def delta_error(target: str, x, *, bound: int = ORACLE_BOUND_DEFAULT) -> DeltaSample:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import fields, is_dataclass
 
@@ -127,20 +126,14 @@ def render_csv(rows) -> str:
     header = ",".join(keys)
     if isinstance(first, DeltaSample) and header != DELTA_CSV_HEADER:
         raise AssertionError("delta CSV header drifted from the contract")
-    # rows of first's dataclass read their fields in one call
-    kind = type(first) if is_dataclass(first) else None
-    get = operator.attrgetter(*keys) if len(keys) > 1 else None
     floats = (float,) * len(keys)
     template = ",".join(["%.15g"] * len(keys))
     lines = [header]
     for row in itertools.chain((first,), rows):
-        if type(row) is kind and get is not None:
-            values = get(row)
-        else:
-            d = row_dict(row)
-            if list(d) != keys:
-                raise ValueError("CSV rows must share one column set")
-            values = tuple(d.values())
+        d = row_dict(row)
+        if list(d) != keys:
+            raise ValueError("CSV rows must share one column set")
+        values = tuple(d.values())
         if tuple(map(type, values)) == floats:
             line = template % values
             if "n" not in line and "e+308" not in line:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from divisorlab import (DeltaSample, delta_error, divisor_sum_hyperbola,
                         emit_report, exponent_fit, render_csv, render_json)
 from divisorlab.errors import ResourceLimitError
-from divisorlab.explicit import iter_delta_samples
 from divisorlab.fitting import (GRID_STEPS_MAX, LANDMARK_EXPONENTS,
                                 MainConstantFit, delta_samples,
                                 fit_main_constant, half_integer_grid)
@@ -271,14 +270,6 @@ def test_mixed_rows_keep_exact_ints_and_strings():
             {"x": 3.5, "fn": "d", "value": 3.0}]
     assert render_csv(rows) == ("x,fn,value\n2.5,d,1152921504606846977\n"
                                 "3.5,d,3\n")
-
-
-def test_delta_samples_iterator_checks_before_any_row():
-    grid = [10.5, 100.5, 1000.5]
-    assert list(iter_delta_samples("divisor_sum", grid)) == delta_samples(
-        "divisor_sum", grid)
-    with pytest.raises(ResourceLimitError):
-        iter_delta_samples("divisor_sum", grid, bound=100)
 
 
 def test_csv_rejects_metacharacters():
