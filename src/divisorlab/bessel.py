@@ -18,9 +18,10 @@ On top of them sit three summation formulas for a non-integer x:
     voronoi_truncated (x^{1/4}/(pi sqrt 2)) sum_{n<=N} d(n) n^{-3/4} cos(4 pi sqrt(nx) - pi/4)
     sierpinski_sum    pi x + sqrt(x) sum_{n<=N} r2(n)/sqrt(n) J1(2 pi sqrt(nx))
 
-The three are rows of one chunk loop.  Each chunk (64 at most) takes d(n)
-or r2(n) from its own prime-exponent walk, forms its terms (the Bessel
-rows as arrays, the cosine row one Python float at a time) and feeds every
+The three are rows of one chunk loop, over as many SERIES_CHUNK-long
+chunks as the terms need (977 for 4e6 terms).  Each chunk takes d(n) or
+r2(n) from its own prime-exponent walk, forms its terms (the Bessel rows
+as arrays, the cosine row one Python float at a time) and feeds every
 term, in ascending n, to one math.fsum, which rounds the exact sum once:
 the chunking cannot move a bit, and only one chunk's terms are held at a
 time, so the truncated sum's memory does not grow with N.  No

@@ -470,11 +470,12 @@ def _cmd_delta(args):
     if args.x is not None and has_grid:
         raise ValueError("give either --x or a --grid-lo/--grid-hi pair, not both")
     if args.x is not None:
-        return [delta_error(target, args.x, bound=args.oracle_bound)]
-    if args.grid_lo is None or args.grid_hi is None:
+        points = [args.x]
+    elif args.grid_lo is None or args.grid_hi is None:
         raise ValueError("delta needs --x or both --grid-lo and --grid-hi")
-    grid = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
-    samples = delta_samples(target, grid, bound=args.oracle_bound)
+    else:
+        points = half_integer_grid(args.grid_lo, args.grid_hi, args.ratio)
+    samples = delta_samples(target, points, bound=args.oracle_bound)
     # hand the rows over one by one, dropping each as it is read, so the
     # report's lines never sit beside the whole grid's samples
     samples.reverse()

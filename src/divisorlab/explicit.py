@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
-from .errors import ResourceLimitError
+from .errors import AccuracyError, ResourceLimitError
 from .summatory import (
     ORACLE_BOUND_DEFAULT,
     TWO_OMEGA_OVER_N_CONSTANT,
@@ -392,6 +392,7 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
     Integer x is averaged over x +- 1/2 piece by piece.
     The zero_sum_partials trajectory starts at (0, 0.0) and records one
     row per additional zero pair.  exact is None when floor(x) passes bound.
+    A main term past the float range raises AccuracyError.
     """
     spec = _require_target(target)
     if cfg is None:
@@ -399,15 +400,19 @@ def evaluate_explicit(target: str, x, zeros: ZeroTable,
     xf = _above_one(x, "evaluate_explicit")
     averaged = xf.is_integer()
     points = _midpoints(xf)
+    # the midpoints' halves, exact, so two finite main terms never overflow
+    main = math.fsum(spec.main(y) / len(points) for y in points)
+    if not math.isfinite(main):
+        raise AccuracyError(f"{target}: at x = {xf!r} the main term "
+                            f"overflows the float range")
     partials = _zero_partials(spec, points, zeros, cfg.num_zero_pairs)
-    mains = [spec.main(y) for y in points]
     tails = [trivial_zero_tail(target, y, cfg.tail_terms, variant=cfg.tail_variant)
              for y in points]
 
     return FormulaEvaluation(
         x=xf,
         target=target,
-        main_term=math.fsum(mains) / len(points),
+        main_term=main,
         constant_term=spec.constant,
         zero_sum_partials=tuple(partials),
         trivial_tail=math.fsum(tails) / len(points),

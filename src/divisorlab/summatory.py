@@ -47,8 +47,9 @@ chunked: the correctly rounded sum of each chunk of 2^16 terms, then the
 correctly rounded sum of the chunk sums.  math.fsum's result is
 the correctly rounded exact sum, so any correctly rounded sum gives its
 bits; _rounded_sums adds each chunk's 53-bit mantissas exactly per binary
-exponent and rounds once.  The result is independent of how work was
-split across processes.
+exponent and rounds once.  The chunks are counted from the first term, so
+no result depends on the length of the walks that supply the terms, and
+T at a point is the same float whatever other points share its walk.
 """
 
 from __future__ import annotations
@@ -491,28 +492,12 @@ def _rounded_sum(w: np.ndarray) -> float:
 
 
 def _segment_task(args):
-    """Worker body: f (or f(n)/n) summed over [lo, hi), to each checkpoint.
+    """Worker body: f summed exactly over [lo, hi), to each checkpoint.
 
-    Returns (the sums from lo to each checkpoint, the segment's sum).
-    Integer sums are exact, over one walk of [lo, hi).  A weighted segment
-    starts on a SUM_CHUNK edge counted from n = 1 and is walked in blocks of
-    SEGMENT_SIZE.  A scan to n alone takes the float sum to n as the
-    rounded sum of the rounded sums of the SUM_CHUNK chunks before n's
-    chunk and of n's chunk up to n.  The chunk sums are added here as exact
-    Fractions, so each checkpoint rounds once, to that same float, whatever
-    other checkpoints the scan has.
+    Returns (the sums from lo to each checkpoint, the segment's sum), from
+    one walk of [lo, hi).
     """
-    f, lo, hi, marks, weighted = args
-    if weighted:
-        at, before, j = [], Fraction(0), 0
-        for a, chunk in _weighted_chunks(f, lo, hi):
-            k = bisect_left(marks, a + chunk.size, j)
-            *parts, total = _rounded_sums(chunk, [m + 1 - a for m in marks[j:k]]
-                                          + [chunk.size])
-            at += [before + Fraction(p) for p in parts]
-            before += Fraction(total)
-            j = k
-        return at, before
+    f, lo, hi, marks = args
     vals = _segment_values(f, lo, hi)
     # only int64 values need a pass: |int32| <= 2^31, object sums ignore it
     bound = int(np.abs(vals).max()) if vals.dtype == np.int64 else 1 << 31
@@ -520,31 +505,6 @@ def _segment_task(args):
     sums = list(accumulate(_exact_array_sum(vals[a - lo:b - lo], bound)
                            for a, b in zip(cuts, cuts[1:])))
     return sums[:-1], sums[-1]
-
-
-def _weighted_chunks(f, lo: int, hi: int):
-    """(a, f(n)/n for n in [a, b)) for the SUM_CHUNK chunks [a, b) of [lo, hi).
-
-    Each chunk is divided straight from the walked values into one reused
-    SUM_CHUNK-long float buffer, valid until the next chunk is asked for.
-    The walks are SEGMENT_SIZE long, so a chunk may take its values from
-    several walks, or a walk give them to several chunks.
-    """
-    buf = np.empty(min(SUM_CHUNK, hi - lo))
-    walks = _walk_chunks(f, lo, hi, SEGMENT_SIZE)
-    start, vals = lo, buf[:0]
-    for a in range(lo, hi, SUM_CHUNK):
-        b = min(a + SUM_CHUNK, hi)
-        n = a
-        while n < b:
-            if n == start + vals.size:
-                vals = None  # drop the spent walk before the next is built
-                start, vals = next(walks)
-            c = min(b, start + vals.size)
-            np.divide(vals[n - start:c - start], np.arange(n, c, dtype=np.float64),
-                      out=buf[n - a:c - a])
-            n = c
-        yield a, buf[:b - a]
 
 
 def _worker_primes(hi: int) -> np.ndarray:
@@ -570,13 +530,12 @@ def __getattr__(name):
     return ProcessPoolExecutor
 
 
-def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
-                weighted: bool = False) -> dict[int, int | float]:
-    """Prefix sums of f at each checkpoint, in one streaming pass.
+def _brute_scan(f, checkpoints: list[int], bound: int,
+                workers: int = 1) -> dict[int, int]:
+    """Exact prefix sums of f at each checkpoint, in one streaming pass.
 
-    f is an FnSpec or a _RULES name.  The sums are exact ints, or with
-    weighted the chunked float sums of f(n)/n, as auxiliary_sums takes
-    T(x).  The pool never has more workers than segments or CPUs.
+    f is an FnSpec or a _RULES name.  The pool never has more workers than
+    segments or CPUs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -592,17 +551,9 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
             f"{f.label()} outgrows int64, and its exact scans stop at "
             f"{POINTWISE_MAX}; x={m} is past that")
 
-    # a weighted segment holds whole SUM_CHUNK chunks, so its chunk sums do
-    # not depend on the block length
-    size = -(-SEGMENT_SIZE // SUM_CHUNK) * SUM_CHUNK if weighted else SEGMENT_SIZE
-    tasks = []
-    lo = 1
-    while lo <= m:
-        hi = min(lo + size, m + 1)
-        inside = marks[bisect_left(marks, lo):bisect_left(marks, hi)]
-        tasks.append((f, lo, hi, inside, weighted))
-        lo = hi
-
+    tasks = [(f, lo, min(lo + SEGMENT_SIZE, m + 1),
+              marks[bisect_left(marks, lo):bisect_left(marks, lo + SEGMENT_SIZE)])
+             for lo in range(1, m + 1, SEGMENT_SIZE)]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
@@ -610,12 +561,11 @@ def _brute_scan(f, checkpoints: list[int], bound: int, workers: int = 1,
     else:
         results = [_segment_task(t) for t in tasks]
 
-    value = float if weighted else int
     out = dict.fromkeys(marks, 0)
     before = 0
     for task, (at_marks, total) in zip(tasks, results):
         for c, at in zip(task[3], at_marks):
-            out[c] = value(before + at)
+            out[c] = before + at
         before += total
     return out
 
@@ -993,16 +943,54 @@ def ap_main_term(x, ap: APSpec) -> float:
 # T(x) = sum_{n<=x} 2^omega(n)/n, the exact side of the over-n target
 # ---------------------------------------------------------------------------
 
+def _weighted_sums(f, checkpoints: list[int], bound: int) -> dict[int, float]:
+    """The chunked float sum of f(n)/n, f a _RULES name, to each checkpoint.
+
+    Each SUM_CHUNK chunk [a, b) is divided straight from the walked values
+    into one reused float buffer; the walks are SEGMENT_SIZE long, so a
+    chunk may take its values from several walks, or a walk give them to
+    several chunks.  The sum to n is the rounded sum of the rounded sums of
+    the chunks before n's and of n's chunk up to n: the chunk sums add up as
+    exact Fractions, and each checkpoint rounds once.
+    """
+    marks = sorted(set(checkpoints))
+    top = marks[-1] if marks else 0
+    if top > bound:
+        raise ResourceLimitError(f"x={top} exceeds the oracle bound {bound}")
+    buf = np.empty(min(SUM_CHUNK, top))
+    walks = _walk_chunks(f, 1, top + 1, SEGMENT_SIZE)
+    out, before, j = {}, Fraction(0), 0
+    start, vals = 1, buf[:0]
+    for a in range(1, top + 1, SUM_CHUNK):
+        b = min(a + SUM_CHUNK, top + 1)
+        n = a
+        while n < b:
+            if n == start + vals.size:
+                vals = None  # drop the spent walk before the next is built
+                start, vals = next(walks)
+            c = min(b, start + vals.size)
+            np.divide(vals[n - start:c - start], np.arange(n, c, dtype=np.float64),
+                      out=buf[n - a:c - a])
+            n = c
+        k = bisect_left(marks, b, j)
+        *parts, total = _rounded_sums(buf[:b - a], [m + 1 - a for m in marks[j:k]]
+                                      + [b - a])
+        out.update((m, float(before + Fraction(p))) for m, p in zip(marks[j:k], parts))
+        before += Fraction(total)
+        j = k
+    return out
+
+
 def auxiliary_sums(xs, *, bound: int = ORACLE_BOUND_DEFAULT) -> list[float]:
-    """T(x) at each x of xs from one weighted two_omega scan.
+    """T(x) at each x of xs from one weighted two_omega walk.
 
     Each value is the chunked exact float sum, the same float at each x as
-    a scan to that x alone.
+    a walk to that x alone.
     """
     ms = [floor_to_int(x) for x in xs]
     if any(m < 1 for m in ms):
         raise ValueError("x must be >= 1")
-    table = _brute_scan("two_omega", ms, bound, weighted=True)
+    table = _weighted_sums("two_omega", ms, bound)
     return [table[m] for m in ms]
 
 

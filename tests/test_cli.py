@@ -229,7 +229,7 @@ def _peak_kib_of(*argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # the benchmark's T grid: a weighted two_omega scan to 1.55e6, which
+    # the benchmark's T grid: one walk of 2^omega(n)/n to 1.55e6, which
     # divides each SUM_CHUNK straight from its walk; with a segment-long
     # float w and a block-long float n it peaked ~8 MiB above a one-point
     # delta, ~4.6 MiB without them
@@ -609,6 +609,20 @@ def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
     rc, out, _ = run(capsys, "explicit", "--x", "2000.5", "--pairs", "5",
                      "--zeros", zeros_file)
     assert '"exact":15518' in out
+
+
+@pytest.mark.parametrize("target", ["d", "two_omega"])
+def test_explicit_main_term_past_the_float_range_exits_4(capsys, zeros_file, target):
+    # x log x passes the float range between 2^1014 and 2^1015; at 2^1014
+    # both midpoints' main terms are finite, though their sum is not
+    explicit = ("explicit", "--target", target, "--pairs", "2", "--zeros", zeros_file)
+    rc, out, _ = run(capsys, *explicit, "--x", str(int(2.0 ** 1014)))
+    assert rc == 0
+    assert math.isfinite(json.loads(out)[0]["main_term"])
+    x = 2.0 ** 1017
+    rc, out, err = run(capsys, *explicit, "--x", str(int(x)))
+    assert (rc, out) == (4, "")
+    assert f"at x = {x!r} the main term overflows" in err
 
 
 def test_oracle_bound_compares_the_floor_of_x(capsys, zeros_file):

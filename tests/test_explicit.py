@@ -290,7 +290,7 @@ def test_exact_routes_take_the_bound_and_their_oracle_at_call_time(monkeypatch):
 
 def test_one_scan_per_grid(monkeypatch):
     # a grid, an omega scan and an integer x (checkpoints x - 1 and x)
-    # each take one pass of the brute engine, with every checkpoint's
+    # each take one weighted walk, with every checkpoint's
     # value equal to that of a scan to it alone
     target = "two_omega_over_n_sum"
     grid = half_integer_grid(10, 200000, 1.4)
@@ -299,13 +299,13 @@ def test_one_scan_per_grid(monkeypatch):
     cfg = TruncationConfig(num_zero_pairs=2, tail_terms=2)
     below, at = (auxiliary_sums([y])[0] for y in (65536, 65537))
     scans = []
-    real = summatory._brute_scan
+    real = summatory._weighted_sums
 
     def counting(f, checkpoints, *args, **kwargs):
         scans.append(sorted(checkpoints))
         return real(f, checkpoints, *args, **kwargs)
 
-    monkeypatch.setattr(summatory, "_brute_scan", counting)
+    monkeypatch.setattr(summatory, "_weighted_sums", counting)
     assert [s.exact for s in delta_samples(target, grid)] == alone
     assert len(scans) == 1
     assert omega_scan(target, grid).count == len(grid)

@@ -662,9 +662,8 @@ def chunked_fsum(rule, m):
 
 
 def weighted_scan(rule, ms):
-    """f(n)/n summed to each m of ms, from one weighted scan."""
-    table = summatory._brute_scan(rule, ms, summatory.ORACLE_BOUND_DEFAULT,
-                                  weighted=True)
+    """f(n)/n summed to each m of ms, from one weighted walk."""
+    table = summatory._weighted_sums(rule, ms, summatory.ORACLE_BOUND_DEFAULT)
     return [table[m] for m in ms]
 
 
@@ -693,8 +692,8 @@ def test_weighted_profile_rounds_once_per_checkpoint():
 
 def test_scans_keep_their_values_in_1024_long_blocks(monkeypatch):
     # hundreds of block edges, and walks whose batched primes start at
-    # T = 32; a weighted segment still holds whole SUM_CHUNK chunks (cut
-    # into 1024-long segments, a dozen of these sums move in the last bit)
+    # T = 32; a weighted walk still sums whole SUM_CHUNK chunks (summed
+    # in 1024-long pieces, a dozen of these sums move in the last bit)
     xs = sorted({1, 1023, 1024, 1025, 3 * summatory.SUM_CHUNK + 1, 250_001,
                  *(math.floor(x) for x in half_integer_grid(110, 250_001, 1.1))})
     rules = ("d", "mu", "r2", FnSpec("sigma", a=1), FnSpec("d_k", k=22))
@@ -949,6 +948,22 @@ def test_auxiliary_sums_small_oracles():
     got, = auxiliary_sums([m])
     want = math.fsum(2.0 ** omega_distinct(n) / n for n in range(1, m + 1))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_auxiliary_sums_refuse_past_bound_before_any_walk(monkeypatch):
+    walks = []
+
+    def spy(f, lo, hi):
+        walks.append((lo, hi))
+        return _segment_values(f, lo, hi)
+
+    monkeypatch.setattr(summatory, "_segment_values", spy)
+    with pytest.raises(ResourceLimitError, match="x=2001 exceeds the oracle bound 2000"):
+        auxiliary_sums([10.5, 2001.5, 300], bound=2000)
+    assert walks == []
+    # the bound holds floor(x): 2000.5 walks to 2000
+    auxiliary_sums([2000.5], bound=2000)
+    assert walks == [(1, 2001)]
 
 
 def brute_2_big_omega(n):
