@@ -613,8 +613,9 @@ def test_explicit_above_oracle_bound_reports_no_exact(capsys, zeros_file):
 
 @pytest.mark.parametrize("target", ["d", "two_omega"])
 def test_explicit_main_term_past_the_float_range_exits_4(capsys, zeros_file, target):
-    # x log x passes the float range between 2^1014 and 2^1015; at 2^1014
-    # both midpoints' main terms are finite, though their sum is not
+    # D's main term passes the float range between 2^1014 and 2^1015, S_2w's
+    # between 2^1015 and 2^1016; at 2^1014 D's two midpoint main terms are
+    # finite, though their sum is not
     explicit = ("explicit", "--target", target, "--pairs", "2", "--zeros", zeros_file)
     rc, out, _ = run(capsys, *explicit, "--x", str(int(2.0 ** 1014)))
     assert rc == 0

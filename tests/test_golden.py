@@ -127,6 +127,9 @@ COMMANDS = (
        for x in ("1000000007", "170000000001")]
     + [("fit", "--target", "d", "--grid-lo", "110", "--grid-hi", "99500000",
         "--ratio", "1.0015")]
+    # a single delta --x of each target as CSV; T's walk to 262145 ends on
+    # the first n of its second 2^18-long block
+    + [("delta", "--target", t, "--x", "262145.5") for t in TARGETS]
 )
 
 

@@ -692,8 +692,9 @@ def test_weighted_profile_rounds_once_per_checkpoint():
 
 def test_scans_keep_their_values_in_1024_long_blocks(monkeypatch):
     # hundreds of block edges, and walks whose batched primes start at
-    # T = 32; a weighted walk still sums whole SUM_CHUNK chunks (summed
-    # in 1024-long pieces, a dozen of these sums move in the last bit)
+    # T = 32; a weighted walk still sums whole SUM_CHUNK chunks (chunks
+    # cut at the 1024-long walk edges would move a dozen of these sums in
+    # the last bit)
     xs = sorted({1, 1023, 1024, 1025, 3 * summatory.SUM_CHUNK + 1, 250_001,
                  *(math.floor(x) for x in half_integer_grid(110, 250_001, 1.1))})
     rules = ("d", "mu", "r2", FnSpec("sigma", a=1), FnSpec("d_k", k=22))
