@@ -130,6 +130,13 @@ COMMANDS = (
     # a single delta --x of each target as CSV; T's walk to 262145 ends on
     # the first n of its second 2^18-long block
     + [("delta", "--target", t, "--x", "262145.5") for t in TARGETS]
+    # the D batch at r = 2^14 - 1, 2^14 and 2^14 (the last column of one
+    # 2^14-column chunk, then a second chunk), and a grid whose roots cross
+    # the bit-length step at 2^14
+    + [("sum", "--algorithm", "hyperbola", "--x", x)
+       for x in ("268435455", "268435456", "268468224")]
+    + [("delta", "--target", "d", "--grid-lo", "268400000", "--grid-hi",
+        "268500000", "--ratio", "1.00002", "--oracle-bound", "300000000")]
 )
 
 
