@@ -33,14 +33,16 @@ whose m is at most MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
 The batched D kernel divides in 2-D tiles: rows of distinct m, ascending,
 whose roots r = isqrt(m) share one bit length (so lie within a factor 2)
 and one dtype, times a run of columns n, at most KERNEL_CHUNK entries a
-tile; the entries with n > r are zeroed.  A row of a tile is a sum of at
-most KERNEL_CHUNK quotients floor(m/n), each exact, so it is below
-m H(KERNEL_CHUNK) < 11 m: exact in float64 for m <= FLOAT_SUM_MAX (every
-partial sum is an integer below 2^53, whatever order numpy adds in), and
-below 2.1e18 < 2^63 in int64 for m <= HYPERBOLA_MAX.  Each tile's row sums
-are cast to int64 at once and added into one int64 total per m, which
-ends at sum_{n<=r} floor(m/n) <= m (1 + ln r) < 4.2e18 < 2^63; no sum is
-carried from one tile to the next in float64.
+tile; the entries with n > r are zeroed.  The columns are a slice of the
+int32 table _COLUMNS = 1..KERNEL_CHUNK, built once and exact in float64,
+offset only past the first KERNEL_CHUNK columns of a one-row tile.  A row
+of a tile is a sum of at most KERNEL_CHUNK exact quotients floor(m/n), so
+below m H(KERNEL_CHUNK) < 11 m: exact in float64 for m <= FLOAT_SUM_MAX
+(every partial sum is an integer below 2^53, whatever order numpy adds
+in), and below 2.1e18 < 2^63 in int64 for m <= HYPERBOLA_MAX.  Each tile's
+row sums are cast to int64 at once and added into one int64 total per m,
+which ends at sum_{n<=r} floor(m/n) <= m (1 + ln r) < 4.2e18 < 2^63; no
+sum is carried from one tile to the next in float64.
 
 Real-valued sums (harmonic, fractional-part, T(x) = sum 2^w(n)/n) are
 chunked: the correctly rounded sum of each chunk of 2^16 terms, then the
@@ -61,7 +63,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -100,6 +102,7 @@ PREFIX_TABLE_LIMIT = 1 << 16
 # Length of the int64 chunks of the sublinear routes, and the shortest walk
 # of the mu and prefix tables (one 2^16-long walk peaks ~1.4 MiB higher).
 KERNEL_CHUNK = 1 << 14
+_COLUMNS = np.arange(1, KERNEL_CHUNK + 1, dtype=np.int32)
 
 # Block length of the walk: one pool task of a scan, the longest walk of the
 # mu table and the chunk of `sieve` rows.  A 2^18 block is 1 MiB per int32
@@ -646,42 +649,38 @@ def _divisor_counts(ms) -> list[int]:
     the 2-D tiles of the module docstring in one pass, ascending; repeats
     and input order cost nothing.  A tile holds rows whose r share a bit
     length b, so each r is below 2^b: KERNEL_CHUNK >> b rows (at least one)
-    of at most KERNEL_CHUNK columns.
+    of at most KERNEL_CHUNK columns, all in one buffer of at most the rows
+    times the largest r entries: r for one point, none for an empty batch.
     """
+    if not ms:
+        return []
     keys = sorted(set(ms))
     roots = [math.isqrt(m) for m in keys]
     totals = np.zeros(len(keys), dtype=np.int64)
-    # every tile and its columns reuse two buffers, as float64 or int64
-    tile_buf, cols_buf = np.empty(KERNEL_CHUNK), np.empty(KERNEL_CHUNK)
-    start = 0
-    while start < len(keys):
-        bits, small = roots[start].bit_length(), keys[start] <= FLOAT_SUM_MAX
-        end = start + 1
-        while (end < len(keys) and roots[end].bit_length() == bits
-               and (keys[end] <= FLOAT_SUM_MAX) == small):
-            end += 1
+    # every tile reuses one buffer, as float64 or int64
+    tile_buf = np.empty(min(KERNEL_CHUNK, len(keys) * roots[-1]))
+    groups = groupby(range(len(keys)), lambda k: (roots[k].bit_length(),
+                                                  keys[k] <= FLOAT_SUM_MAX))
+    for (bits, small), group in groups:
+        group = list(group)
         dtype = np.float64 if small else np.int64
         step = max(1, KERNEL_CHUNK >> bits)
-        for i in range(start, end, step):
-            j = min(i + step, end)
+        for i in range(group[0], group[-1] + 1, step):
+            j = min(i + step, group[-1] + 1)
             m = np.array(keys[i:j], dtype=dtype)[:, None]
-            r = np.array(roots[i:j], dtype=dtype)[:, None]
             width = min(KERNEL_CHUNK // (j - i), roots[j - 1])
             tile = tile_buf.view(dtype)[:(j - i) * width].reshape(j - i, width)
-            n = cols_buf.view(dtype)[:width]
-            n[:] = 1
-            np.cumsum(n, out=n)  # the columns 1..width
-            for lo in range(1, roots[j - 1] + 1, width):
-                size = min(width, roots[j - 1] + 1 - lo)
-                quot = _floor_div(m, n[:size], out=tile[:, :size])
-                # every row takes its first roots[i] columns
-                cut = max(roots[i] + 1 - lo, 0)
+            for lo in range(0, roots[j - 1], width):
+                size = min(width, roots[j - 1] - lo)
+                n = _COLUMNS[:size] + lo if lo else _COLUMNS[:size]
+                quot = _floor_div(m, n, out=tile[:, :size])
+                # every row takes its first roots[i] columns (only a tile of
+                # several rows, and one column chunk, has rows with more)
+                cut = max(roots[i] - lo, 0)
                 if cut < size:
                     tail = quot[:, cut:]
-                    tail *= n[cut:size] <= r
+                    tail *= n[cut:] <= np.array(roots[i:j], dtype=dtype)[:, None]
                 totals[i:j] += quot.sum(axis=1).astype(np.int64)
-                n += width
-        start = end
     counts = [2 * s - r * r for s, r in zip(totals.tolist(), roots)]
     return [counts[bisect_left(keys, m)] for m in ms]
 

@@ -378,14 +378,23 @@ BATCH_VALUES = st.one_of(
               st.integers(0, 1)))
 
 
+TILE_EDGES = [r * r - e for r in TILE_ROOTS for e in (0, 1) if r * r > e]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.lists(BATCH_VALUES, max_size=30))
-@example([])
-@example([1])
-@example([5, 1, 3, 1, 5, 2, 4, 4])  # unsorted, with repeats and m = 1
-@example([r * r - e for r in TILE_ROOTS for e in (0, 1) if r * r > e])
-def test_batched_divisor_counts_match_the_per_point_route(ms):
-    assert summatory._divisor_counts(ms) == [per_point_divisor_count(m) for m in ms]
+@given(st.lists(BATCH_VALUES, max_size=30), st.just(summatory.FLOAT_SUM_MAX))
+@example([], summatory.FLOAT_SUM_MAX)
+@example([1], summatory.FLOAT_SUM_MAX)
+# unsorted, with repeats and m = 1
+@example([5, 1, 3, 1, 5, 2, 4, 4], summatory.FLOAT_SUM_MAX)
+@example(TILE_EDGES, summatory.FLOAT_SUM_MAX)
+# int64 tiles of several rows, which no m <= FLOAT_SUM_MAX reaches unpatched
+@example(TILE_EDGES, -1)
+def test_batched_divisor_counts_match_the_per_point_route(ms, sum_max):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summatory, "FLOAT_SUM_MAX", sum_max)
+        want = [per_point_divisor_count(m) for m in ms]
+        assert summatory._divisor_counts(ms) == want
 
 
 def test_batched_divisor_counts_across_the_float_switch_and_2_53():
