@@ -33,16 +33,17 @@ whose m is at most MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
 The batched D kernel divides in 2-D tiles: rows of distinct m, ascending,
 whose roots r = isqrt(m) share one bit length (so lie within a factor 2)
 and one dtype, times a run of columns n, at most KERNEL_CHUNK entries a
-tile; the entries with n > r are zeroed.  The columns are a slice of the
-int32 table _COLUMNS = 1..KERNEL_CHUNK, built once and exact in float64,
-offset only past the first KERNEL_CHUNK columns of a one-row tile.  A row
-of a tile is a sum of at most KERNEL_CHUNK exact quotients floor(m/n), so
-below m H(KERNEL_CHUNK) < 11 m: exact in float64 for m <= FLOAT_SUM_MAX
-(every partial sum is an integer below 2^53, whatever order numpy adds
-in), and below 2.1e18 < 2^63 in int64 for m <= HYPERBOLA_MAX.  Each tile's
-row sums are cast to int64 at once and added into one int64 total per m,
-which ends at sum_{n<=r} floor(m/n) <= m (1 + ln r) < 4.2e18 < 2^63; no
-sum is carried from one tile to the next in float64.
+tile; the entries with n > r are zeroed.  The columns are a slice of
+_COLUMNS[dtype] = 1..KERNEL_CHUNK, one table per dtype built at import (so
+no division casts them), offset only past a one-row tile's first chunk.
+A row of a tile is a sum of at most KERNEL_CHUNK exact quotients
+floor(m/n), so below m H(KERNEL_CHUNK) < 11 m: exact in float64 for
+m <= FLOAT_SUM_MAX (every partial sum is an integer below 2^53, whatever
+order numpy adds in), and below 2.1e18 < 2^63 in int64 for
+m <= HYPERBOLA_MAX.  Each tile's row sums are cast to int64 at once and
+added into one int64 total per m, which ends at sum_{n<=r} floor(m/n) <=
+m (1 + ln r) < 4.2e18 < 2^63; no sum is carried from one tile to the next
+in float64.
 
 Real-valued sums (harmonic, fractional-part, T(x) = sum 2^w(n)/n) are
 chunked: the correctly rounded sum of each chunk of 2^16 terms, then the
@@ -102,7 +103,7 @@ PREFIX_TABLE_LIMIT = 1 << 16
 # Length of the int64 chunks of the sublinear routes, and the shortest walk
 # of the mu and prefix tables (one 2^16-long walk peaks ~1.4 MiB higher).
 KERNEL_CHUNK = 1 << 14
-_COLUMNS = np.arange(1, KERNEL_CHUNK + 1, dtype=np.int32)
+_COLUMNS = {t: np.arange(1, KERNEL_CHUNK + 1, dtype=t) for t in (np.float64, np.int64)}
 
 # Block length of the walk: one pool task of a scan, the longest walk of the
 # mu table and the chunk of `sieve` rows.  A 2^18 block is 1 MiB per int32
@@ -664,7 +665,7 @@ def _divisor_counts(ms) -> list[int]:
     for (bits, small), group in groups:
         group = list(group)
         dtype = np.float64 if small else np.int64
-        step = max(1, KERNEL_CHUNK >> bits)
+        step, cols = max(1, KERNEL_CHUNK >> bits), _COLUMNS[dtype]
         for i in range(group[0], group[-1] + 1, step):
             j = min(i + step, group[-1] + 1)
             m = np.array(keys[i:j], dtype=dtype)[:, None]
@@ -672,7 +673,7 @@ def _divisor_counts(ms) -> list[int]:
             tile = tile_buf.view(dtype)[:(j - i) * width].reshape(j - i, width)
             for lo in range(0, roots[j - 1], width):
                 size = min(width, roots[j - 1] - lo)
-                n = _COLUMNS[:size] + lo if lo else _COLUMNS[:size]
+                n = cols[:size] + lo if lo else cols[:size]
                 quot = _floor_div(m, n, out=tile[:, :size])
                 # every row takes its first roots[i] columns (only a tile of
                 # several rows, and one column chunk, has rows with more)
