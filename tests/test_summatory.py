@@ -388,7 +388,7 @@ TILE_EDGES = [r * r - e for r in TILE_ROOTS for e in (0, 1) if r * r > e]
 # unsorted, with repeats and m = 1
 @example([5, 1, 3, 1, 5, 2, 4, 4], summatory.FLOAT_SUM_MAX)
 @example(TILE_EDGES, summatory.FLOAT_SUM_MAX)
-# int64 tiles of several rows, which no m <= FLOAT_SUM_MAX reaches unpatched
+# int64 tiles of several rows (unpatched, an int64 row has r > 2^14, alone)
 @example(TILE_EDGES, -1)
 def test_batched_divisor_counts_match_the_per_point_route(ms, sum_max):
     with pytest.MonkeyPatch.context() as patch:
