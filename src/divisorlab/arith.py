@@ -216,14 +216,36 @@ def two_squares_count(n: int, table: FactorTable | None = None) -> int:
 _SIMPLE_TAGS = ("d", "mu", "mu_squared", "omega", "big_omega",
                 "two_omega", "two_big_omega", "r2")
 
+# parametrized tag -> label prefix and parameter names, "_"-joined in its label
+# (d_restricted_4_1: q = 4, a = 1); parse tries d_restricted before d_k's "d_"
+_PARAM_TAGS = {"d_restricted": ("d_restricted", ("q", "a")),
+               "d_k": ("d", ("k",)),
+               "sigma": ("sigma", ("a",))}
+
+LABEL_FORMS = (*_SIMPLE_TAGS, *("_".join([prefix, *map(str.upper, names)])
+                                for prefix, names in _PARAM_TAGS.values()))
+
+
+@dataclass(frozen=True)
+class APSpec:
+    """Arithmetic progression n = a (mod q) with gcd(a, q) = 1."""
+
+    q: int
+    a: int
+
+    def __post_init__(self):
+        if self.q < 2:
+            raise ValueError("APSpec requires q >= 2")
+        if not 1 <= self.a < self.q:
+            raise ValueError("APSpec requires 1 <= a < q")
+        if math.gcd(self.a, self.q) != 1:
+            raise ValueError("APSpec requires gcd(a, q) = 1")
+
 
 @dataclass(frozen=True)
 class FnSpec:
-    """Selector for one arithmetic function, with parameters where needed.
-
-    Tags: d | d_k | sigma | mu | mu_squared | omega | big_omega |
-    two_omega | two_big_omega | r2 | d_restricted.
-    """
+    """Selector for one arithmetic function: a tag of _SIMPLE_TAGS, or one of
+    _PARAM_TAGS with its parameters."""
 
     tag: str
     k: int | None = None      # d_k order, k >= 2
@@ -241,23 +263,13 @@ class FnSpec:
             if self.a is None or self.a < 0:
                 raise ValueError("sigma requires integer exponent a >= 0")
         elif self.tag == "d_restricted":
-            if self.q is None or self.q < 2:
-                raise ValueError("d_restricted requires q >= 2")
-            if self.a is None or not 1 <= self.a < self.q:
-                raise ValueError("d_restricted requires 1 <= a < q")
-            if math.gcd(self.a, self.q) != 1:
-                raise ValueError("d_restricted requires gcd(a, q) = 1")
+            APSpec(self.q, self.a)  # refuses a q, a that is no residue class
         else:
             raise ValueError(f"unknown function tag {self.tag!r}")
 
     def label(self) -> str:
-        if self.tag == "d_k":
-            return f"d_{self.k}"
-        if self.tag == "sigma":
-            return f"sigma_{self.a}"
-        if self.tag == "d_restricted":
-            return f"d_restricted_{self.q}_{self.a}"
-        return self.tag
+        prefix, names = _PARAM_TAGS.get(self.tag, (self.tag, ()))
+        return "_".join([prefix, *(str(getattr(self, name)) for name in names)])
 
     @classmethod
     def parse(cls, text: str) -> "FnSpec":
@@ -265,22 +277,12 @@ class FnSpec:
         token = text.strip()
         if token in _SIMPLE_TAGS:
             return cls(tag=token)
-        if token.startswith("d_restricted_"):
-            parts = token.split("_")
-            if len(parts) == 4 and parts[2].isdigit() and parts[3].isdigit():
-                return cls(tag="d_restricted", q=int(parts[2]), a=int(parts[3]))
-            raise ValueError(f"bad d_restricted spec {text!r}")
-        if token.startswith("d_"):
-            rest = token[2:]
-            if rest.isdigit():
-                return cls(tag="d_k", k=int(rest))
-            raise ValueError(f"bad d_k spec {text!r}")
-        if token.startswith("sigma_"):
-            rest = token[6:]
-            try:
-                return cls(tag="sigma", a=int(rest))
-            except ValueError:
-                raise ValueError(f"bad sigma spec {text!r}") from None
+        for tag, (prefix, names) in _PARAM_TAGS.items():
+            if token.startswith(prefix + "_"):
+                values = token[len(prefix) + 1:].split("_")  # decimal digits each
+                if len(values) != len(names) or not all(map(str.isdecimal, values)):
+                    raise ValueError(f"bad {tag} spec {text!r}")
+                return cls(tag, **dict(zip(names, map(int, values))))
         raise ValueError(f"unknown function spec {text!r}")
 
 

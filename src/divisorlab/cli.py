@@ -39,12 +39,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from .arith import FnSpec, dirichlet_coefficients, hermite_divisor_count
+from .arith import LABEL_FORMS, FnSpec, dirichlet_coefficients, hermite_divisor_count
 from .bessel import (_SERIES, bessel_J1, bessel_K1, bessel_Y1, _evaluate,
                      default_terms, divisor_delta_reference, sierpinski_sum,
                      voronoi_full, voronoi_truncated)
 from .errors import AccuracyError, PoleError, ResourceLimitError, TableFormatError
-from .explicit import (TAIL_VARIANTS, TruncationConfig, delta_error,
+from .explicit import (_LABELS, TAIL_VARIANTS, TruncationConfig, delta_error,
                        evaluate_explicit, main_term, nontrivial_zero_sum,
                        resolve_target, trivial_zero_tail)
 from .fitting import delta_samples, exponent_fit, half_integer_grid
@@ -175,7 +175,9 @@ def _build_parser():
     common.add_argument("--output", default="-", metavar="PATH",
                         help="report destination, - for stdout (default -)")
     common.add_argument("--format", choices=FORMATS, default=None,
-                        help="report format (default csv; explicit and fit default json)")
+                        help="report format, default first: " + ", ".join(
+                            f"{name} {'|'.join(formats)}"
+                            for name, (_, formats) in _HANDLERS.items()))
     common.add_argument("--workers", type=_worker_count, default=1,
                         help="worker processes for brute-force scans (default 1)")
     common.add_argument("--oracle-bound", type=_whole, default=ORACLE_BOUND_DEFAULT,
@@ -192,8 +194,7 @@ def _build_parser():
     p.add_argument("--limit", type=_whole, required=True,
                    help=f"tabulate n = 1..limit (at most {SIEVE_ROWS_MAX} rows)")
     p.add_argument("--fn", default="d",
-                   help="function label: d, d_3, sigma_1, mu, mu_squared, omega, "
-                        "big_omega, two_omega, two_big_omega, r2, d_restricted_4_1, ...")
+                   help=f"function label: {', '.join(LABEL_FORMS)}")
 
     p = subs.add_parser("sum", parents=[common],
                         help="one summatory value sum_{n<=x} f(n)")
@@ -205,8 +206,7 @@ def _build_parser():
     p = subs.add_parser("explicit", parents=[common],
                         help="truncated explicit-formula evaluation")
     p.add_argument("--target", default="d",
-                   help="divisor_sum (d), two_omega_sum (two_omega), or "
-                        "two_omega_over_n_sum (two_omega_over_n)")
+                   help=f"target name or alias: {', '.join(_LABELS)}")
     p.add_argument("--x", type=_real, required=True, help="evaluation point x > 1")
     p.add_argument("--zeros", metavar="PATH",
                    help="zero-ordinate file; default is ZD_ZEROS or the packaged table")
@@ -244,7 +244,7 @@ def _build_parser():
                         help="divisor, harmonic, or fractional-part sums on a progression")
     p.add_argument("--x", type=_real, required=True, help="upper limit x >= 1")
     p.add_argument("--kind", default="divisor",
-                   choices=("divisor", "harmonic", "fractional"),
+                   choices=("divisor", *_AP_SUMS),
                    help="which progression sum to evaluate (default divisor)")
     p.add_argument("--q", type=int, default=None, help="modulus q >= 2")
     p.add_argument("--a", type=int, default=None,
@@ -432,9 +432,6 @@ def _cmd_sum(args):
 
 
 def _cmd_explicit(args):
-    if args.format == "csv":
-        raise ValueError("explicit reports are JSON only; the partial-sum "
-                         "trajectory does not fit a flat CSV row")
     target = resolve_target(args.target)
     zeros = _load_zeros(args.zeros)
     cfg = TruncationConfig(num_zero_pairs=args.pairs, tail_terms=args.tail,
@@ -482,6 +479,11 @@ def _cmd_delta(args):
     return (samples.pop() for _ in range(len(samples)))
 
 
+# ap --kind -> its sum and main term on the progression, or over every n
+_AP_SUMS = {"harmonic": (harmonic_sum, harmonic_main_term),
+            "fractional": (fractional_part_sum, fractional_main_term)}
+
+
 def _cmd_ap(args):
     if (args.q is None) != (args.a is None):
         raise ValueError("--q and --a must be given together")
@@ -491,17 +493,11 @@ def _cmd_ap(args):
         if ap is None:
             raise ValueError("--kind divisor needs --q and --a")
         res = ap_divisor_sum(xf, ap)
-        value: float | int = res.value
-        predicted = ap_main_term(xf, ap)
-        label = res.fn
-    elif args.kind == "harmonic":
-        value = harmonic_sum(xf, ap, bound=args.oracle_bound)
-        predicted = harmonic_main_term(xf, ap)
-        label = f"harmonic_{ap.q}_{ap.a}" if ap else "harmonic"
+        value, predicted, label = res.value, ap_main_term(xf, ap), res.fn
     else:
-        value = fractional_part_sum(xf, ap, bound=args.oracle_bound)
-        predicted = fractional_main_term(xf, ap)
-        label = f"fractional_{ap.q}_{ap.a}" if ap else "fractional"
+        exact, main = _AP_SUMS[args.kind]
+        value, predicted = exact(xf, ap, bound=args.oracle_bound), main(xf, ap)
+        label = f"{args.kind}_{ap.q}_{ap.a}" if ap else args.kind
     residual = value - predicted
     return [{"x": xf, "fn": label, "value": value, "predicted": predicted,
              "residual": residual, "residual_times_x": residual * xf}]
@@ -773,14 +769,16 @@ def _cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# command -> its handler and the formats its report is written in, default
+# first; an explicit report's partial-sum trajectory fits no flat CSV row
 _HANDLERS = {
-    "sieve": _cmd_sieve,
-    "sum": _cmd_sum,
-    "explicit": _cmd_explicit,
-    "voronoi": _cmd_voronoi,
-    "delta": _cmd_delta,
-    "ap": _cmd_ap,
-    "fit": _cmd_fit,
+    "sieve": (_cmd_sieve, FORMATS),
+    "sum": (_cmd_sum, FORMATS),
+    "explicit": (_cmd_explicit, ("json",)),
+    "voronoi": (_cmd_voronoi, FORMATS),
+    "delta": (_cmd_delta, FORMATS),
+    "ap": (_cmd_ap, FORMATS),
+    "fit": (_cmd_fit, ("json", "csv")),
 }
 
 
@@ -819,10 +817,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        rows = _HANDLERS[args.command](args)
-        fmt = args.format or ("json" if args.command in ("explicit", "fit")
-                              else "csv")
-        emit_report(rows, fmt, args.output)
+        handler, formats = _HANDLERS[args.command]
+        fmt = args.format or formats[0]
+        if fmt not in formats:
+            raise ValueError(f"{args.command} reports are "
+                             f"{' or '.join(formats).upper()} only")
+        emit_report(handler(args), fmt, args.output)
         return EXIT_OK
     except (TableFormatError, OSError) as exc:
         return _fail(EXIT_INPUT, str(exc))

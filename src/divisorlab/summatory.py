@@ -68,7 +68,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from .arith import FnSpec, primes_up_to
+from .arith import APSpec, FnSpec, primes_up_to
 from .errors import ResourceLimitError
 from .zeta import EULER_GAMMA, ZETA_PRIME_2, generalized_euler_constant
 
@@ -151,22 +151,6 @@ class SummatoryResult:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm tag {self.algorithm!r}")
-
-
-@dataclass(frozen=True)
-class APSpec:
-    """Arithmetic progression n = a (mod q) with gcd(a, q) = 1."""
-
-    q: int
-    a: int
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("APSpec requires q >= 2")
-        if not 1 <= self.a < self.q:
-            raise ValueError("APSpec requires 1 <= a < q")
-        if math.gcd(self.a, self.q) != 1:
-            raise ValueError("APSpec requires gcd(a, q) = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +802,11 @@ def _square_splits(ms, inner, table: np.ndarray,
 def _squarefree_counts(ms) -> list[int]:
     """S_2w(m) = sum_{d <= sqrt(m)} mu(d) D(m // d^2) for each m of ms.
 
-    The D values of every m come from one batched hyperbola pass.
+    The D values of every m come from one batched hyperbola pass.  An
+    empty batch sizes no mu table and builds no prefix table.
     """
+    if not ms:
+        return []
     mu = _mobius_sieve(max(math.isqrt(max(ms, default=1)), 16))
     return _square_splits(ms, _divisor_counts, _prefix_tables()[0], mu)
 
@@ -927,7 +914,8 @@ def ap_divisor_sum(x, ap: APSpec) -> SummatoryResult:
     if not isinstance(ap, APSpec):
         raise TypeError("ap must be an APSpec")
     m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
-    return SummatoryResult(x=float(x), fn=f"d_restricted_{ap.q}_{ap.a}",
+    return SummatoryResult(x=float(x),
+                           fn=FnSpec("d_restricted", q=ap.q, a=ap.a).label(),
                            value=_hyperbola_count(m, ap.q, ((ap.a, 1),)),
                            algorithm="hyperbola")
 

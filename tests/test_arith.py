@@ -247,8 +247,16 @@ def test_fnspec_rejects_bad_specs():
         FnSpec("d_restricted", q=4, a=2)
     with pytest.raises(ValueError):
         FnSpec("unknown_tag")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown function spec"):
         FnSpec.parse("zeta")
+    # each parameter is a run of decimal digits, as label() writes it
+    for text, tag in [("sigma_+2", "sigma"), ("sigma_-1", "sigma"),
+                      ("sigma_2_0", "sigma"), ("sigma_", "sigma"),
+                      ("d_3_4", "d_k"), ("d_restricted", "d_k"),
+                      ("d_restricted_4", "d_restricted"),
+                      ("d_restricted_4_1_1", "d_restricted")]:
+        with pytest.raises(ValueError, match=f"bad {tag} spec"):
+            FnSpec.parse(text)
 
 
 def test_eval_arithmetic_matches_parts():

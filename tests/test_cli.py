@@ -271,6 +271,18 @@ def test_ap_divisor_row(capsys):
     # serialized at 15 significant digits, so compare to that precision
     assert row["residual"] == pytest.approx(row["value"] - row["predicted"],
                                             abs=1e-9)
+    # the fn cell parses to the spec whose brute sum prints the same value,
+    # at an x past q 2^16 (and so past the brute walk's 2^18 segment edges)
+    for q, a in [(4, 3), (97, 45)]:
+        x = str((q << 16) + 1)
+        rc, out, _ = run(capsys, "ap", "--kind", "divisor", "--q", str(q),
+                         "--a", str(a), "--x", x, "--format", "json")
+        (row,) = json.loads(out)
+        spec = FnSpec.parse(row["fn"])
+        assert (rc, spec) == (0, FnSpec("d_restricted", q=q, a=a))
+        rc, out, _ = run(capsys, "sum", "--algorithm", "brute", "--fn",
+                         spec.label(), "--x", x, "--format", "json")
+        assert (rc, json.loads(out)[0]["value"]) == (0, row["value"])
 
 
 def test_fit_smoke(capsys, tmp_path):

@@ -428,6 +428,21 @@ def test_square_splits_batch_every_point_of_a_grid(monkeypatch):
     assert len(calls) == 1 and calls[0] > len(xs)
 
 
+def test_convolution_below_the_prefix_table_sets_up_no_kernel(monkeypatch):
+    # at x <= L every S_2w(x // d^2) comes from the prefix table: the
+    # kernel gets an empty batch, which sizes no mu table and fetches no D
+    # table, so the one prefix table fetch is the convolution's own
+    calls = dict.fromkeys(("_mobius_sieve", "_prefix_tables"), 0)
+    for name in calls:
+        def spy(*args, real=getattr(summatory, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(summatory, name, spy)
+    assert divisor_sum_from_squarefree(1000).value == 7069
+    assert calls == {"_mobius_sieve": 0, "_prefix_tables": 1}
+
+
 def fsum_bits(values):
     """math.fsum's float as hex, or None where fsum overflows on the way."""
     try:
