@@ -137,6 +137,13 @@ COMMANDS = (
        for x in ("268435455", "268435456", "268468224")]
     + [("delta", "--target", "d", "--grid-lo", "268400000", "--grid-hi",
         "268500000", "--ratio", "1.00002", "--oracle-bound", "300000000")]
+    # every pair weight of the other two targets, and one run at the
+    # default pair count
+    + [("explicit", "--target", "two_omega", "--x", "704252.5", "--pairs",
+        "1000"),
+       ("explicit", "--target", "two_omega_over_n", "--x", "5000.5",
+        "--pairs", "1000"),
+       ("explicit", "--target", "two_omega", "--x", "123456.5")]
 )
 
 
