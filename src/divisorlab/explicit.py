@@ -42,7 +42,8 @@ from .summatory import (
     squarefree_main_term,
     two_omega_over_n_main_term,
 )
-from .zeta import ZeroTable, zeta, zeta_derivative, zeta_negative_special
+from .zeta import (ZeroTable, zeta, zeta_at_ordinate, zeta_derivative,
+                   zeta_negative_special)
 
 TAIL_VARIANTS = ("residue", "printed")
 
@@ -250,13 +251,13 @@ def main_term(target: str, x) -> tuple[float, float]:
 def _pair_weights(zeros: ZeroTable, num_pairs: int) -> list[complex]:
     """zeta(rho/2)^2 / (rho zeta'(rho)) over the first num_pairs zeros.
 
-    zeta'(rho) is the one the zero table holds.  The weights do not depend
-    on x, so one list serves both midpoints of an evaluation.
+    zeta'(rho) is formed here, for these pairs only.  The weights do not
+    depend on x, so one list serves both midpoints of an evaluation.
     """
     out = []
-    for t, zeta_prime in zip(zeros.ordinates[:num_pairs], zeros.zeta_primes):
+    for t in zeros.ordinates[:num_pairs]:
         half = zeta(complex(0.5, t) / 2.0)
-        out.append(half * half / (complex(0.5, t) * complex(zeta_prime)))
+        out.append(half * half / (complex(0.5, t) * zeta_at_ordinate(t)[1]))
     return out
 
 

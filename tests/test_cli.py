@@ -537,6 +537,15 @@ def test_exit_input_missing_zeros(capsys, tmp_path):
     assert "missing.txt" in err
 
 
+def test_exit_resource_zeros_past_the_envelope(capsys, tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("100001.5\n")
+    rc, out, err = run(capsys, "explicit", "--x", "10.5", "--pairs", "1",
+                       "--zeros", str(path))
+    assert (rc, out) == (4, "")
+    assert "exceeds the supported envelope" in err
+
+
 def test_exit_resource_limit(capsys):
     rc, _, err = run(capsys, "sum", "--fn", "mu", "--x", "2000000000",
                      "--algorithm", "brute")

@@ -5,6 +5,7 @@ Euler-Maclaurin machinery, and these tests confirm that independently.
 """
 
 import cmath
+import importlib
 import math
 import random
 import subprocess
@@ -15,15 +16,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import (ZeroTable, bernoulli_number, default_zero_table,
-                        digamma, generalized_euler_constant, load_zero_table,
+from divisorlab import (TruncationConfig, ZeroTable, bernoulli_number,
+                        default_zero_table, digamma, evaluate_explicit,
+                        generalized_euler_constant, load_zero_table,
                         stieltjes, zeta, zeta_derivative,
                         zeta_exact_negative_odd, zeta_negative_special)
+from divisorlab.explicit import _pair_weights
 from divisorlab.zeta import EULER_GAMMA as PACKAGE_GAMMA
-from divisorlab.zeta import ZETA_PRIME_2, zeta_at_ordinate
-from divisorlab.errors import PoleError, TableFormatError
+from divisorlab.zeta import (ZETA_PRIME_2, _zeta_check, _zeta_em_pair,
+                             zeta_at_ordinate)
+from divisorlab.errors import AccuracyError, PoleError, TableFormatError
 
 mpmath.mp.dps = 30
+
+# the submodule: the package's zeta attribute is the function
+zeta_module = importlib.import_module("divisorlab.zeta")
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -214,6 +221,81 @@ def test_zero_table_comments_and_validation(tmp_path):
     assert not table.validated
     assert len(table.failures) == 1
     assert table.failures[0][1] == 17.5
+    # (line, t, |zeta(1/2 + i t)|), the residual as the check reads it
+    want = abs(complex(mpmath.zeta(mpmath.mpc(0.5, 17.5))))
+    assert table.failures[0] == (2, 17.5, pytest.approx(want, abs=1e-9))
+
+
+def test_comment_only_zero_table_is_empty(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("# no ordinates here\n\n# nor here\n")
+    table = load_zero_table(str(path))
+    assert (len(table), table.validated, table.failures) == (0, True, ())
+    assert table.zeta_primes.shape == (0,)
+
+
+def test_ordinate_past_the_envelope_is_refused_before_any_sum(tmp_path,
+                                                               monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed a zero table past the envelope")
+    monkeypatch.setattr(zeta_module, "_zeta_check", no_sum)
+    monkeypatch.setattr(zeta_module, "_zeta_em_pair", no_sum)
+    path = tmp_path / "zeros.txt"
+    for body in ("100001.5\n", "14.134725141734693\n100001.5\n200000\n"):
+        path.write_text(body)
+        with pytest.raises(AccuracyError,
+                           match=r"\|Im s\| = 1e\+05 exceeds the supported"):
+            load_zero_table(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the zero-table check
+# ---------------------------------------------------------------------------
+
+def check_bound(t):
+    """The documented error of the zero-table check at 1/2 + i t: Edwards'
+    remainder after 10 correction terms at N = max(20, ceil(t/2)), plus
+    16 eps t for the rounding of the phases t log n."""
+    s = complex(0.5, t)
+    N = max(20, math.ceil(t / 2))
+    b22 = bernoulli_number(22)
+    first_omitted = (abs(b22.numerator / b22.denominator) / math.factorial(22)
+                     * math.prod(abs(s + k) for k in range(21)) * N ** -21.5)
+    return (abs(s + 21) / 21.5 * first_omitted
+            + 16 * sys.float_info.epsilon * t)
+
+
+def test_zero_check_agrees_with_mpmath_within_its_bound():
+    # every packaged zero, and t drawn over the envelope: 40 of them where
+    # the N = 20 floor applies (t <= 40) or just past it
+    rng = random.Random(3401)
+    drawn = sorted([rng.uniform(14.0, 60.0) for _ in range(40)]
+                   + [math.exp(rng.uniform(math.log(60.0), math.log(1e5)))
+                      for _ in range(160)])
+    assert check_bound(1e5) < 6e-10       # the documented envelope-wide bound
+    with mpmath.workdps(15):
+        for ordinates in (default_zero_table().ordinates, drawn):
+            got = _zeta_check(ordinates).tolist()
+            assert len(got) == len(ordinates)
+            for t, value in zip(ordinates, got):
+                want = complex(mpmath.zeta(mpmath.mpc(0.5, t)))
+                assert abs(value - want) <= check_bound(t), t
+
+
+def test_zero_check_tells_a_moved_ordinate(tmp_path):
+    table = default_zero_table()
+    path = tmp_path / "zeros.txt"
+    path.write_text("".join(f"{t + 1e-9!r}\n" for t in table.ordinates))
+    assert load_zero_table(str(path)).validated
+    path.write_text("".join(f"{t + 1e-4!r}\n" for t in table.ordinates))
+    moved = load_zero_table(str(path))
+    assert not moved.validated
+    assert [f[:2] for f in moved.failures] == [
+        (line, t + 1e-4) for line, t in enumerate(table.ordinates, start=1)]
+    # each residual is |zeta'(rho)| 1e-4 to first order
+    for (_, _, residual), prime in zip(moved.failures,
+                                       table.zeta_primes.tolist()):
+        assert residual == pytest.approx(abs(prime) * 1e-4, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +356,18 @@ def test_zero_table_zeta_prime_is_the_engine_derivative():
         assert repr(zeta_at_ordinate(t)[0]) == repr(zeta(rho))
 
 
-def test_zeta_primes_come_from_validation_or_first_use(tmp_path):
+def test_zeta_primes_come_from_first_use(tmp_path):
     packaged = default_zero_table()
     path = tmp_path / "zeros.txt"
     path.write_text("".join(f"{t!r}\n" for t in packaged.ordinates[:40]))
-    # validation hands over the values it computed ...
-    validated = load_zero_table(str(path))
-    assert "zeta_primes" in vars(validated)
-    assert validated.zeta_primes.tolist() == packaged.zeta_primes[:40].tolist()
-    # ... a table built by hand computes them when first read
+    # loading forms no zeta' ...
+    loaded = load_zero_table(str(path))
+    assert "zeta_primes" not in vars(loaded)
+    # ... the first read forms zeta_derivative(rho), bit for bit
+    assert [repr(p) for p in loaded.zeta_primes.tolist()] == [
+        repr(zeta_derivative(complex(0.5, t))) for t in loaded.ordinates]
+    assert loaded.zeta_primes.tolist() == packaged.zeta_primes[:40].tolist()
+    # ... and so does a table built by hand
     built = ZeroTable(ordinates=packaged.ordinates[:40], source="inline",
                       validated=False)
     assert "zeta_primes" not in vars(built)
@@ -295,3 +380,53 @@ def test_fused_sums_match_the_separate_ones_off_the_line():
     for _ in range(200):
         s = complex(rng.uniform(0.0, 30.0), rng.uniform(-3000.0, 3000.0))
         assert repr((zeta(s), zeta_derivative(s))) == repr(em_reference(s))
+
+
+def test_zeta_sums_no_derivative_and_keeps_its_bits(monkeypatch):
+    rng = random.Random(3402)
+    points = [complex(0.5, t) / 2.0 for t in default_zero_table().ordinates]
+    points += [complex(rng.uniform(0.0, 30.0), rng.uniform(-3000.0, 3000.0))
+               for _ in range(200)]
+    asked = []
+
+    def spy(s, derivative=True):
+        asked.append(derivative)
+        return _zeta_em_pair(s, derivative)
+    monkeypatch.setattr(zeta_module, "_zeta_em_pair", spy)
+    for s in points:
+        assert repr(zeta(s)) == repr(_zeta_em_pair(s)[0]), s
+    assert asked == [False] * len(points)
+
+
+def test_one_pair_forms_zeta_prime_at_one_ordinate(tmp_path, monkeypatch):
+    path = tmp_path / "zeros.txt"
+    path.write_text("".join(
+        f"{t!r}\n" for t in default_zero_table().ordinates[:40]))
+    on_the_line = []
+
+    def spy(s, derivative=True):
+        if derivative and s.real == 0.5:
+            on_the_line.append(s)
+        return _zeta_em_pair(s, derivative)
+    monkeypatch.setattr(zeta_module, "_zeta_em_pair", spy)
+    table = load_zero_table(str(path))
+    assert on_the_line == []
+    for x in (10.5, 1000):      # one midpoint, then two
+        evaluate_explicit("divisor_sum", x, table,
+                          TruncationConfig(num_zero_pairs=1))
+    assert on_the_line == [complex(0.5, table.ordinates[0])] * 2
+
+
+def test_pair_weights_keep_the_bits_of_the_table_held_zeta_prime():
+    # zeta(rho/2)^2 / (rho zeta'(rho)) as the weights were formed from the
+    # zeta' that validation kept, with both sums taken separately; the
+    # weights do not depend on the target, so this covers all three
+    table = default_zero_table()
+    got = _pair_weights(table, 1000)
+    assert len(got) == 1000
+    for t, w in zip(table.ordinates, got):
+        rho = complex(0.5, t)
+        half = em_reference(rho / 2.0)[0]
+        want = half * half / (rho * em_reference(rho)[1])
+        assert (w.real.hex(), w.imag.hex()) == (want.real.hex(),
+                                                 want.imag.hex()), t
