@@ -449,7 +449,7 @@ def _zeta_check(ordinates) -> np.ndarray:
             hi += 1
         N = cutoffs[hi - 1]
         ns[lo:hi] = N
-        width = max(1, _CHECK_CHUNK // (hi - lo))
+        width = _CHECK_CHUNK // (hi - lo)
         for a in range(0, N - 1, width):
             b = min(a + width, N - 1)
             block = np.multiply.outer(ts[lo:hi], phases[a:b])
