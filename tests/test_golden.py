@@ -144,6 +144,9 @@ COMMANDS = (
        ("explicit", "--target", "two_omega_over_n", "--x", "5000.5",
         "--pairs", "1000"),
        ("explicit", "--target", "two_omega", "--x", "123456.5")]
+    # the zeta and explicit self-checks print the engine's values and
+    # errors to three digits and more
+    + [("verify", "--suite", suite) for suite in ("zeta", "explicit")]
 )
 
 

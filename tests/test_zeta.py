@@ -75,6 +75,60 @@ def test_zeta_derivative_against_mpmath():
         assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), s
 
 
+# repr of zeta(s) and zeta'(s) left of the critical strip, pinned: the
+# reflection formula's log sin and log cos branch at |Im(pi s/2)| = 20
+# (|Im s| = 40/pi) and zeta's own at |Im s| = 20, and each is crossed; the
+# last two points are trivial zeros
+REFLECTED = [
+    ((-0.25+3j), (0.3951051437936913-0.012411557175760285j),
+     (0.17275757279964815-0.0978913852215124j)),
+    ((-5-5j), (-0.6485920271510653+0.05993515432409524j),
+     (0.0647257433174431-0.554180175505676j)),
+    ((-0.125+7.5j), (1.144464802055206+0.5556905506882167j),
+     (-0.010853691932283915-0.3035990464034654j)),
+    ((-1.5-12.5j), (1.1049120462944213+3.472225709451192j),
+     (-0.8674811347996971-2.552283567062202j)),
+    ((-4.75+12.9j), (33.279615310603816-36.32846526718233j),
+     (-40.62207165511041+16.71975910310137j)),
+    ((-9-13j), (631.8142852699472-1984.2727602187888j),
+     (657.0498872069932+2267.015075250644j)),
+    ((-17-15j), (29097837.14916822+72739404.81860386j),
+     (-100539528.51168413-69453642.87976821j)),
+    ((-15.5+19.75j), (-310040905.48261267-253125690.49486998j),
+     (260935238.26357347+564876692.6644969j)),
+    ((-0.75-19.99j), (-1.5017994232057805+3.812625422521222j),
+     (2.8602013675658764-4.133602891162342j)),
+    ((-2.5+20.01j), (-15.669484199339017-28.703312531676172j),
+     (16.105880212078045+35.04013829019013j)),
+    ((-6.25-20.5j), (-939.4203405432156+3154.230329978935j),
+     (170.09845132615482-4189.084638020967j)),
+    ((-12+33j), (1314125628.0767772+283916735.9652393j),
+     (-2164955351.8714867-965898605.1640105j)),
+    ((-0.5-45j), (7.121401947237821-9.435007642391767j),
+     (-8.500518367536309+16.446057943398618j)),
+    ((-3+300j), (-230743.60643304416+749472.4878125102j),
+     (873659.1698304457-2882023.491041095j)),
+    ((-8.5-2500j), (8.650011319170976e+22-2.3461003186332818e+23j),
+     (-5.167248874153126e+23+1.4047388349064295e+24j)),
+    ((-1+10000j), (53631.93907944866+28672.793009064968j),
+     (-407976.2021584737-200950.76947836266j)),
+    ((-11+0.5j), (0.0263829288283715-0.00823252272169781j),
+     (-0.024099119372030287-0.021045032809171457j)),
+    ((-3.5+0j), (0.004441011335479433+0j),
+     (0.009154213629941512+0j)),
+    ((-2+0j), 0j,
+     (-0.030448457058393285+3.728860547553696e-18j)),
+    ((-14+0j), 0j,
+     (-0.2916577247438738+3.5717769905418516e-17j)),
+]
+
+
+@pytest.mark.parametrize("s, value, derivative", REFLECTED)
+def test_reflected_values_keep_their_bits(s, value, derivative):
+    assert repr(zeta(s)) == repr(value)
+    assert repr(zeta_derivative(s)) == repr(derivative)
+
+
 def test_pole_rejected():
     with pytest.raises(PoleError):
         zeta(1.0)
