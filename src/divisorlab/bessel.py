@@ -1,7 +1,8 @@
 """Order-one Bessel functions and the oscillatory lattice-sum formulas.
 
 Hand-rolled J1, Y1, K1 in double precision: ascending series below the
-switch point (one loop for J and I1, one psi-weighted loop for Y1 and K1),
+switch point (one loop for J_nu and I1, one psi-weighted loop for Y_nu and
+K1, nu in {0, 1}),
 large-argument asymptotic expansions above it, sharing one coefficient
 recurrence a_m -> a_m * (4 - (2m-1)^2) / (8 m z).  One
 table-driven _evaluate serves them (and J0, Y0) for a float or an array:
@@ -91,20 +92,21 @@ def _series_J(nu: int, z: float) -> float:
     return _ascending(nu, 0.25 * z * z, (0.5 * z) ** nu / math.factorial(nu))
 
 
-def _psi_weighted(q: float, term: float) -> float:
-    """sum_k term_k (psi(k+1) + psi(k+2)), term_k = term_{k-1} (-q) / (k (k+1)).
+def _psi_weighted(nu: int, q: float, term: float) -> float:
+    """sum_k term_k (psi(k+1) + psi(k+1+nu)), term_k = term_{k-1} (-q) / (k (k+nu)),
+    nu in {0, 1}.
 
-    psi(k+1) = -gamma + H_k.  This is the log-series tail of Y_1 (q = z^2/4,
-    term_0 = z/2) and of K_1 (q = -z^2/4, term_0 = 1).
+    psi(k+1) = -gamma + H_k.  This is the log-series tail of Y_nu (q = z^2/4,
+    term_0 = (z/2)^nu / nu!) and of K_1 (nu = 1, q = -z^2/4, term_0 = 1).
     """
     h_k = 0.0
-    h_k1 = 1.0
-    acc = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
+    h_knu = float(nu)           # H_nu
+    acc = term * (-2.0 * EULER_GAMMA + h_k + h_knu)
     for k in range(1, SERIES_CUTOFF + 1):
-        term *= -q / (k * (k + 1))
+        term *= -q / (k * (k + nu))
         h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        piece = term * (-2.0 * EULER_GAMMA + h_k + h_k1)
+        h_knu += 1.0 / (k + nu)
+        piece = term * (-2.0 * EULER_GAMMA + h_k + h_knu)
         acc += piece
         if abs(piece) < 1e-18 * (1.0 + abs(acc)):
             break
@@ -112,34 +114,21 @@ def _psi_weighted(q: float, term: float) -> float:
 
 
 def _series_Y(nu: int, z: float) -> float:
-    """Y_nu by the standard log-series, nu in {0, 1}."""
-    lg = math.log(0.5 * z)
-    q = 0.25 * z * z
-    if nu == 0:
-        # (2/pi) [ (log(z/2) + gamma) J0 + sum_{k>=1} (-1)^{k+1} H_k q^k / (k!)^2 ]
-        term = 1.0
-        harmonic = 0.0
-        acc = 0.0
-        for k in range(1, SERIES_CUTOFF + 1):
-            term *= q / (k * k)
-            harmonic += 1.0 / k
-            piece = term * harmonic
-            acc += piece if k % 2 == 1 else -piece
-            if term * harmonic < 1e-18 * (1.0 + abs(acc)):
-                break
-        return (2.0 / math.pi) * ((lg + EULER_GAMMA) * _series_J(0, z) + acc)
-    # nu = 1:
-    #   (2/pi) log(z/2) J1 - 2/(pi z)
-    #   - (1/pi) sum_{k>=0} (psi(k+1) + psi(k+2)) (-1)^k (z/2)^{2k+1} / (k! (k+1)!)
-    return ((2.0 / math.pi) * lg * _series_J(1, z) - 2.0 / (math.pi * z)
-            - _psi_weighted(q, 0.5 * z) / math.pi)
+    """Y_nu by the standard log-series, nu in {0, 1}:
+
+        (2/pi) log(z/2) J_nu - nu 2/(pi z)
+        - (1/pi) sum_{k>=0} (psi(k+1) + psi(k+1+nu)) (-1)^k (z/2)^{2k+nu} / (k! (k+nu)!)
+    """
+    tail = _psi_weighted(nu, 0.25 * z * z, (0.5 * z) ** nu / math.factorial(nu))
+    return ((2.0 / math.pi) * math.log(0.5 * z) * _series_J(nu, z)
+            - nu * 2.0 / (math.pi * z) - tail / math.pi)
 
 
 def _series_K1(z: float) -> float:
     """K_1 ascending series: 1/z + log(z/2) I1 - (z/4) sum ... ."""
     q = -0.25 * z * z
     return (1.0 / z + math.log(0.5 * z) * _ascending(1, q, 0.5 * z)
-            - 0.25 * z * _psi_weighted(q, 1.0))
+            - 0.25 * z * _psi_weighted(1, q, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -680,7 +680,7 @@ def _suite_bessel(args) -> list[tuple[str, bool, str]]:
 
 def _suite_explicit(args) -> list[tuple[str, bool, str]]:
     checks = []
-    zeros = _load_zeros(getattr(args, "zeros", None))
+    zeros = _load_zeros(args.zeros)
 
     got = nontrivial_zero_sum("two_omega_sum", 100.5, zeros, 1)[0][1]
     want = 1.368549735280956

@@ -42,8 +42,7 @@ from .summatory import (
     squarefree_main_term,
     two_omega_over_n_main_term,
 )
-from .zeta import (ZeroTable, zeta, zeta_at_ordinate, zeta_derivative,
-                   zeta_negative_special)
+from .zeta import ZeroTable, zeta, zeta_derivative, zeta_negative_special
 
 TAIL_VARIANTS = ("residue", "printed")
 
@@ -256,8 +255,9 @@ def _pair_weights(zeros: ZeroTable, num_pairs: int) -> list[complex]:
     """
     out = []
     for t in zeros.ordinates[:num_pairs]:
-        half = zeta(complex(0.5, t) / 2.0)
-        out.append(half * half / (complex(0.5, t) * zeta_at_ordinate(t)[1]))
+        rho = complex(0.5, t)
+        half = zeta(rho / 2.0)
+        out.append(half * half / (rho * zeta_derivative(rho)))
     return out
 
 

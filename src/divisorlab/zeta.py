@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -170,8 +170,9 @@ def _lgamma_complex(z: complex) -> complex:
             + cmath.log(x))
 
 
-def _log_sin(z: complex) -> complex:
-    """log sin z, stable for large |Im z|; an exact zero of sin gives -inf.
+def _log_sin_cos(z: complex) -> tuple[complex, complex]:
+    """log sin z and log cos z, stable for large |Im z|; an exact zero of
+    sin gives -inf for its log.
 
     Past |Im z| > 20 the neglected correction log(1 -+ e^{+-2iz}) is below
     e^-40, smaller than double rounding, so the asymptotic branch is exact
@@ -180,22 +181,14 @@ def _log_sin(z: complex) -> complex:
     b = z.imag
     if abs(b) <= 20.0:
         sv = cmath.sin(z)
-        return complex(-math.inf, 0.0) if sv == 0 else cmath.log(sv)
+        return (complex(-math.inf, 0.0) if sv == 0 else cmath.log(sv),
+                cmath.log(cmath.cos(z)))
     if b > 0:
-        # sin z ~ e^{-iz} * i/2
-        return -1j * z + complex(-math.log(2), math.pi / 2)
-    return 1j * z + complex(-math.log(2), -math.pi / 2)
-
-
-def _log_cos(z: complex) -> complex:
-    """log cos z, stable for large |Im z| (same branch note as _log_sin)."""
-    b = z.imag
-    if abs(b) <= 20.0:
-        return cmath.log(cmath.cos(z))
-    if b > 0:
-        # cos z ~ e^{-iz} / 2
-        return -1j * z - math.log(2)
-    return 1j * z - math.log(2)
+        # cos z ~ e^{-iz} / 2 and sin z ~ i cos z
+        log_cos = -1j * z - math.log(2)
+        return log_cos + 0.5j * math.pi, log_cos
+    log_cos = 1j * z - math.log(2)
+    return log_cos - 0.5j * math.pi, log_cos
 
 
 def _digamma_complex(z: complex) -> complex:
@@ -251,7 +244,7 @@ def zeta(s) -> complex:
     zw = _zeta_em_pair(w, derivative=False)[0]
     if abs(s.imag) <= 20:
         return cmath.exp(ln_pref) * cmath.sin(math.pi * s / 2) * zw
-    ln_total = ln_pref + _log_sin(math.pi * s / 2)
+    ln_total = ln_pref + _log_sin_cos(math.pi * s / 2)[0]
     return cmath.exp(ln_total) * zw
 
 
@@ -266,8 +259,9 @@ def zeta_derivative(s) -> complex:
     w = 1 - s
     ln_pref = (s * math.log(2) + (s - 1) * math.log(math.pi)
                + _lgamma_complex(w))
-    a_sin = cmath.exp(ln_pref + _log_sin(math.pi * s / 2))
-    a_cos = cmath.exp(ln_pref + _log_cos(math.pi * s / 2))
+    log_sin, log_cos = _log_sin_cos(math.pi * s / 2)
+    a_sin = cmath.exp(ln_pref + log_sin)
+    a_cos = cmath.exp(ln_pref + log_cos)
     zw, zwp = _zeta_em_pair(w)
     coef = math.log(2 * math.pi) - _digamma_complex(w)
     return (coef * a_sin + (math.pi / 2) * a_cos) * zw - a_sin * zwp
@@ -386,28 +380,6 @@ class ZeroTable:
     def __iter__(self):
         return iter(self.ordinates)
 
-    @cached_property
-    def zeta_primes(self) -> np.ndarray:
-        """zeta'(1/2 + i t_k) for every ordinate, computed on first read.
-
-        A read-only complex array of zeta_at_ordinate(t_k)[1].  Loading a
-        table forms no zeta'; the explicit formula forms it for the pairs
-        an evaluation uses, so only a caller that wants them all reads this.
-        """
-        out = np.empty(len(self.ordinates), dtype=np.complex128)
-        for k, t in enumerate(self.ordinates):
-            out[k] = zeta_at_ordinate(t)[1]
-        out.flags.writeable = False
-        return out
-
-
-def zeta_at_ordinate(t: float) -> tuple[complex, complex]:
-    """zeta and zeta' at 1/2 + i t, from one power array.
-
-    Both equal zeta(1/2 + i t) and zeta_derivative(1/2 + i t) bit for bit.
-    """
-    return _zeta_em_pair(_check_argument(complex(0.5, t)))
-
 
 # The zero-table check sums n < N = max(20, ceil(t * _CHECK_N_PER_T)), a
 # quarter of the engine's cutoff, in blocks of at most _CHECK_CHUNK terms.
@@ -462,19 +434,9 @@ def _zeta_check(ordinates) -> np.ndarray:
     return _em_tail(s, ns, lnN, np.exp(-s * lnN), main)[0]
 
 
-def _read_zero_text(source) -> tuple[str, str]:
-    if hasattr(source, "read"):
-        raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        return raw, getattr(source, "name", "<stream>")
-    path = Path(source)
-    return path.read_text(encoding="utf-8"), str(path)
-
-
-def load_zero_table(source) -> ZeroTable:
-    """Parse and check a zero-ordinate text file (one ascending ordinate
-    per line).
+def load_zero_table(path: str | os.PathLike) -> ZeroTable:
+    """Parse and check the zero-ordinate text file at path (one ascending
+    ordinate per line).
 
     Comment lines start with '#'.  Ordering and positivity problems raise
     TableFormatError with the offending line number; then an ordinate past
@@ -484,7 +446,8 @@ def load_zero_table(source) -> ZeroTable:
     collected as (line, t, residual) and the table is marked unvalidated.
     No zeta' is formed here.
     """
-    text, name = _read_zero_text(source)
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
     ordinates: list[float] = []
     lines_used: list[int] = []
     prev = None
@@ -520,7 +483,7 @@ def load_zero_table(source) -> ZeroTable:
     failures = tuple((line, t, r)
                      for line, t, r in zip(lines_used, ordinates, residuals)
                      if r >= ZERO_RESIDUAL_TOL)
-    return ZeroTable(ordinates=tuple(ordinates), source=name,
+    return ZeroTable(ordinates=tuple(ordinates), source=str(path),
                      validated=not failures, failures=failures)
 
 
@@ -531,5 +494,5 @@ def default_zero_table() -> ZeroTable:
     if env:
         return load_zero_table(env)
     ref = resources.files("divisorlab").joinpath("data/zeros1000.txt")
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_zero_table(fh)
+    with resources.as_file(ref) as path:
+        return load_zero_table(path)

@@ -1,14 +1,16 @@
 """Bessel kernels and the summation formulas built on them.
 
-scipy is the sweep oracle; slow Simpson quadrature of the integral
-representations is the from-scratch oracle for the anchor points.  The
-summation formulas are checked against exact lattice counts.
+scipy is the sweep oracle (mpmath for Y0's series); slow Simpson
+quadrature of the integral representations is the from-scratch oracle for
+the anchor points.  The summation formulas are checked against exact
+lattice counts.
 """
 
 import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -94,6 +96,16 @@ def test_wronskian_identity():
         z = rng.uniform(0.5, 50.0)
         w = bessel_J1(z) * _bessel_Y0(z) - _bessel_J0(z) * bessel_Y1(z)
         assert w == pytest.approx(2.0 / (math.pi * z), abs=1e-8)
+
+
+def test_y0_series_against_mpmath():
+    # the psi-weighted log series on (0, 12]: its alternating terms reach
+    # ~1e4 near z = 12, so rounding leaves ~1e-12 (1.9e-12 with Y0's former
+    # separate harmonic-number loop on this grid)
+    zs = [k / 500 for k in range(1, 6001)]
+    with mpmath.workdps(20):
+        worst = max(abs(_bessel_Y0(z) - float(mpmath.bessely(0, z))) for z in zs)
+    assert worst <= 1.5e-12, worst
 
 
 def test_k1_asymptotic_law():
