@@ -100,8 +100,7 @@ def test_wronskian_identity():
 
 def test_y0_series_against_mpmath():
     # the psi-weighted log series on (0, 12]: its alternating terms reach
-    # ~1e4 near z = 12, so rounding leaves ~1e-12 (1.9e-12 with Y0's former
-    # separate harmonic-number loop on this grid)
+    # ~1e4 near z = 12, so rounding leaves about 1e-12 there
     zs = [k / 500 for k in range(1, 6001)]
     with mpmath.workdps(20):
         worst = max(abs(_bessel_Y0(z) - float(mpmath.bessely(0, z))) for z in zs)
