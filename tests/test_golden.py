@@ -67,10 +67,12 @@ COMMANDS = (
                         ("5000.25", ("--terms", "4999")),
                         ("123456.5", ()),
                         ("300000.5", ("--terms", "200000")))]
-    # x = 2 * 2^21 + 1: each brute scan crosses sixteen 2^18 block edges
+    # x = 2 * 2^21 + 1: each brute scan crosses sixteen 2^18 block edges,
+    # every oracle tag of the benchmark (d, two_omega, mu, r2) among them
     + [("sum", "--algorithm", "brute", "--workers", "2", "--fn", fn,
         "--x", "4194305")
-       for fn in ("d", "omega", "big_omega", "mu_squared", "two_big_omega")]
+       for fn in ("d", "omega", "big_omega", "mu_squared", "two_big_omega",
+                  "two_omega", "mu", "r2")]
     # a fine d grid up to the 1e8 oracle bound; hyperbola sums on both sides
     # of the largest m whose chunk sums of quotients stay below 2^53 in
     # floats (11 m < 2^53) and of m = 2^53 (2^53 + 1 reads as 2^53, so
