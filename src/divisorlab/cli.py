@@ -179,7 +179,8 @@ def _build_parser():
                             f"{name} {'|'.join(formats)}"
                             for name, (_, formats) in _HANDLERS.items()))
     common.add_argument("--workers", type=_worker_count, default=1,
-                        help="worker processes for brute-force scans (default 1)")
+                        help="forked walkers of a brute-force scan's 2^18-long blocks, "
+                             "at most one per block and per CPU (default 1)")
     common.add_argument("--oracle-bound", type=_whole, default=ORACLE_BOUND_DEFAULT,
                         dest="oracle_bound",
                         help=f"ceiling for linear-time exact scans (default {ORACLE_BOUND_DEFAULT})")

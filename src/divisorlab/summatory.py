@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import math
 import os
-import sys
+import pickle
+import select
+import signal
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,12 +75,14 @@ from .errors import ResourceLimitError
 from .zeta import EULER_GAMMA, ZETA_PRIME_2, generalized_euler_constant
 
 # Default ceiling for the linear oracle; a cold d scan at this size takes
-# ~3.1 s with one worker and ~1.8 s with two.  Callers can raise it.
+# ~2.4 s in one process and ~1.4 s with two walkers on 2 CPUs.  Callers can
+# raise it.
 ORACLE_BOUND_DEFAULT = 10 ** 8
 
 # Largest x of a scan whose walk needs object (Python int) values: sigma_a
-# once 4 x^a >= 2^62, d_k for k > 21.  A cold scan at the cap takes ~2.6 s
-# for sigma_3 and ~6.4 s for sigma_40 on 2 CPUs.
+# once 4 x^a >= 2^62, d_k for k > 21.  A cold scan at the cap takes ~1.2 s
+# for sigma_3 and ~3.3 s for sigma_40 with two walkers on 2 CPUs (~1.9 and
+# ~5.5 s in one process).
 POINTWISE_MAX = 3 * 10 ** 6
 
 # Largest x each sublinear route takes; larger x is refused before any loop
@@ -105,7 +109,7 @@ PREFIX_TABLE_LIMIT = 1 << 16
 KERNEL_CHUNK = 1 << 14
 _COLUMNS = {t: np.arange(1, KERNEL_CHUNK + 1, dtype=t) for t in (np.float64, np.int64)}
 
-# Block length of the walk: one pool task of a scan, the longest walk of the
+# Block length of the walk: one claim of a walker, the longest walk of the
 # mu table and the chunk of `sieve` rows.  A 2^18 block is 1 MiB per int32
 # array, and its primes above isqrt(2^18) = 512 fold in one array pass
 # (_fold_large_primes).  In process on 2 CPUs, per 2^21 values walked as
@@ -227,9 +231,19 @@ def _r2_factor(p, e):
             return e.dtype.type(1)
         # e & 1 is several times faster than e % 2 on int32
         return e + 1 if p % 4 == 1 else 1 - (e & 1)
-    # arrays of primes and exponents, in e's dtype
-    r = p & 3
-    return np.where(r == 1, e + 1, (r == 2) | ((e & 1) == 0))
+    # an array of primes, and exponents of its length or of length 1:
+    # [r = 1] e + 1 - [r = 3] (e & 1) in e's dtype, in place on r = p & 3,
+    # since (r & 1) - [r = 3] is [r = 1] on primes.  A where() over a bool
+    # branch took four times as long and held two more arrays at once.
+    r = np.bitwise_and(p, 3, dtype=e.dtype)
+    three = r == 3
+    r &= 1
+    r -= three
+    r *= e
+    r += 1
+    three &= (e & 1) == 1
+    r -= three
+    return r
 
 
 def _sigma_factor(a: int, p, e):
@@ -328,8 +342,9 @@ def _walk_segment_values(f, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     rem = np.floor_divide(np.arange(lo, hi, dtype=index), ext,
                           out=ext).astype(dtype, copy=False)
     unit = fold.identity
-    lead = np.multiply(rem > 1, factor(rem, np.ones(1, dtype=index)) - unit,
-                       out=rem)
+    beyond = rem > 1
+    lead = np.subtract(factor(rem, np.ones(1, dtype=index)), unit, out=rem)
+    lead *= beyond
     lead += unit
     fold(out, lead, out=out)
     return out
@@ -509,8 +524,9 @@ def _primes_below(n: int) -> np.ndarray:
 
 
 def __getattr__(name):
-    # ProcessPoolExecutor binds on first lookup, so only a scan that forks
-    # a pool loads concurrent.futures.process and multiprocessing
+    # perfbench/trace_boot.py wraps this name when it installs its spans, the
+    # one name it reads here; the scan forks its own walkers (_forked_map),
+    # so only this lookup loads concurrent.futures.process
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor
@@ -518,12 +534,114 @@ def __getattr__(name):
     return ProcessPoolExecutor
 
 
+# Bytes of one block index on the claims pipe.  Every write of the parent is
+# a whole number of indices, at most PIPE_BUF bytes, so it lands at once,
+# and a walker's read of this many bytes takes one whole index.
+_CLAIM_BYTES = 4
+
+
+def _claims(lo: int, hi: int) -> bytes:
+    return b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(lo, hi))
+
+
+def _walker(task, tasks: list, claims: int, feed: int, results: int) -> None:
+    """Body of a forked walker: task(tasks[i]) for each index i it claims.
+
+    Each result goes back on results as one length-prefixed pickle of (i,
+    the result, None), or of (i, None, the exception), after which the
+    walker stops.  It ends when the claims pipe does, that is when the
+    parent is gone, and it never returns into its caller's frames.
+    """
+    try:
+        os.close(feed)  # else the claims pipe never ends
+        with open(results, "wb") as out:
+            while claim := os.read(claims, _CLAIM_BYTES):
+                i = int.from_bytes(claim, "little")
+                try:
+                    message = (i, task(tasks[i]), None)
+                except Exception as exc:
+                    message = (i, None, exc)
+                data = pickle.dumps(message)
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+                if message[2] is not None:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    """size bytes from fd, or None if its writer closes it first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return bytes(data)
+
+
+def _forked_map(task, tasks: list, workers: int) -> list:
+    """[task(t) for t in tasks], walked by `workers` forked walkers.
+
+    The parent walks no task itself.  It feeds task indices into one claims
+    pipe, at most two per walker ahead of the results, and a walker claims
+    the next index only when it has sent its last result: a walker that
+    gets no CPU holds up one task at most, and no task count can fill the
+    pipe.  Each walker sends its results on a pipe of its own, and the
+    parent puts them in order.  A walker's exception is raised here, its
+    type and message unchanged.  Every walker is killed and reaped on the
+    way out, whatever ends the scan.
+    """
+    claims, feed = os.pipe()
+    fds, walkers = [claims, feed], {}
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            fds += (r, w)
+            pid = os.fork()
+            if pid == 0:
+                _walker(task, tasks, claims, feed, w)
+            walkers[r] = pid
+            fds.remove(w)
+            os.close(w)
+        poll = select.poll()
+        for r in walkers:
+            poll.register(r, select.POLLIN)
+        sent = min(len(tasks), 2 * workers)
+        os.write(feed, _claims(0, sent))
+        out = [None] * len(tasks)
+        for _ in tasks:
+            fd = poll.poll()[0][0]
+            head = _read_exactly(fd, 8)
+            body = head and _read_exactly(fd, int.from_bytes(head, "little"))
+            if not body:
+                raise ChildProcessError(
+                    f"brute-scan walker {walkers[fd]} exited with tasks left")
+            i, value, error = pickle.loads(body)
+            if error is not None:
+                raise error
+            out[i] = value
+            if sent < len(tasks):
+                os.write(feed, _claims(sent, sent + 1))
+                sent += 1
+        return out
+    finally:
+        for pid in walkers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 def _brute_scan(f, checkpoints: list[int], bound: int,
                 workers: int = 1) -> dict[int, int]:
     """Exact prefix sums of f at each checkpoint, in one streaming pass.
 
-    f is an FnSpec or a _RULES name.  The pool never has more workers than
-    segments or CPUs.
+    f is an FnSpec or a _RULES name.  The blocks are walked by
+    min(workers, blocks, CPUs) forked walkers (_forked_map) when that is
+    more than one, and in this process otherwise or where os.fork is
+    missing.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -543,9 +661,8 @@ def _brute_scan(f, checkpoints: list[int], bound: int,
               marks[bisect_left(marks, lo):bisect_left(marks, lo + SEGMENT_SIZE)])
              for lo in range(1, m + 1, SEGMENT_SIZE)]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_segment_task, tasks, chunksize=1))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _forked_map(_segment_task, tasks, workers)
     else:
         results = [_segment_task(t) for t in tasks]
 

@@ -370,7 +370,6 @@ class ZeroTable:
     """Ascending ordinates t_k of nontrivial zeros 1/2 + i t_k."""
 
     ordinates: tuple[float, ...]
-    source: str
     validated: bool
     failures: tuple[tuple[int, float, float], ...] = ()
 
@@ -483,8 +482,8 @@ def load_zero_table(path: str | os.PathLike) -> ZeroTable:
     failures = tuple((line, t, r)
                      for line, t, r in zip(lines_used, ordinates, residuals)
                      if r >= ZERO_RESIDUAL_TOL)
-    return ZeroTable(ordinates=tuple(ordinates), source=str(path),
-                     validated=not failures, failures=failures)
+    return ZeroTable(ordinates=tuple(ordinates), validated=not failures,
+                     failures=failures)
 
 
 @lru_cache(maxsize=1)

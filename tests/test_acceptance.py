@@ -392,7 +392,7 @@ def test_criterion_10_worker_determinism(tmp_path):
                    "--algorithm", "brute"]),
         ("sum_mu_json", ["sum", "--fn", "mu", "--x", "200000",
                          "--algorithm", "brute", "--format", "json"]),
-        # eighteen 2^18-long blocks, so workers=4 runs the process pool
+        # eighteen 2^18-long blocks, so workers=4 forks walkers
         ("sum_mu_segments", ["sum", "--algorithm", "brute", "--fn", "mu",
                              "--x", "4500000"]),
         ("delta_grid", ["delta", "--target", "d", "--grid-lo", "100",

@@ -204,7 +204,7 @@ def test_sieve_streams_its_rows():
 
 
 def test_brute_scan_walks_in_short_blocks():
-    # a pool worker holds one 2^18-long block at a time; with one 2^21-long
+    # a walker holds one 2^18-long block at a time; with one 2^21-long
     # segment per task this command peaked at ~70 MiB
     src = str(pathlib.Path(divisorlab.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD, sys.executable,
@@ -953,3 +953,15 @@ def test_worker_count_invisible_in_output(capsys, tmp_path):
         assert rc == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("fn", ["d", "two_omega", "mu", "r2"])
+def test_forked_scans_print_the_one_process_bytes_at_block_edges(capsys, fn):
+    # x = k 2^18 - 1, k 2^18 and k 2^18 + 1: the last block is one short,
+    # full, or one long; k = 1 forks only for the one-value second block
+    for k in (1, 4):
+        for x in (k * 2 ** 18 - 1, k * 2 ** 18, k * 2 ** 18 + 1):
+            argv = ("sum", "--algorithm", "brute", "--fn", fn, "--x", str(x))
+            one = run(capsys, *argv, "--workers", "1")
+            assert run(capsys, *argv, "--workers", "2") == one, (fn, x)
+            assert one[0] == 0

@@ -82,7 +82,7 @@ def test_zero_sum_integer_midpoint():
 
 def test_unvalidated_table_warns():
     table = ZeroTable(ordinates=(14.134725141734693, 21.022039638771554),
-                      source="inline", validated=False)
+                      validated=False)
     with pytest.warns(RuntimeWarning):
         nontrivial_zero_sum("divisor_sum", 50.5, table, 1)
 

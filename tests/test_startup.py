@@ -38,24 +38,17 @@ OLD_EXPORTS = """
     zeta_exact_negative_odd zeta_negative_special
 """.split()
 
-# runs divlab's main(argv) and prints its report, the max_workers of each
-# process pool it opened and what it left loaded and set, as one JSON line;
-# the pools are seen through summatory.ProcessPoolExecutor, whatever the
-# start method, and the wrapper imports nothing until a pool opens
+# runs divlab's main(argv) and prints its report, the number of processes
+# it forked and what it left loaded and set, as one JSON line
 _RUN_MAIN = """
 import contextlib, io, json, os, sys
-import divisorlab.summatory as summatory
-pools = []
-def pool(max_workers):
-    from concurrent.futures import ProcessPoolExecutor
-    pools.append(max_workers)
-    return ProcessPoolExecutor(max_workers=max_workers)
-summatory.ProcessPoolExecutor = pool
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
 from divisorlab.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "report": out.getvalue(), "pools": pools,
+print(json.dumps({"rc": rc, "report": out.getvalue(), "forks": len(forks),
                   "modules": sorted(sys.modules),
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
@@ -136,20 +129,21 @@ print(json.dumps({n: [n in names, n in divisorlab.__all__,
 def test_commands_without_a_pool_load_no_pool_machinery(argv):
     got = run_main(*argv)
     assert got["rc"] == 0
-    assert got["pools"] == []
+    assert got["forks"] == 0
     assert "concurrent.futures.process" not in got["modules"]
     assert "multiprocessing" not in got["modules"]
 
 
 def test_a_scan_of_several_blocks_runs_a_two_worker_pool():
-    # three 2^18-long blocks at --workers 2: the multi-process path runs,
-    # and prints what one process prints
+    # three 2^18-long blocks at --workers 2: two walkers fork, no pool
+    # machinery loads, and the report is what one process prints
     argv = ("sum", "--algorithm", "brute", "--fn", "mu", "--x", "600000")
     pooled = run_main(*argv, "--workers", "2")
     single = run_main(*argv, "--workers", "1")
-    assert pooled["pools"] == [2]
-    assert "concurrent.futures.process" in pooled["modules"]
-    assert single["pools"] == []
+    assert pooled["forks"] == 2
+    assert "concurrent.futures.process" not in pooled["modules"]
+    assert "multiprocessing" not in pooled["modules"]
+    assert single["forks"] == 0
     assert pooled["report"] == single["report"]
     assert single["report"] == "x,fn,value,algorithm\n600000,mu,-230,brute\n"
 

@@ -7,7 +7,9 @@ down here.
 """
 
 import math
+import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -740,32 +742,88 @@ def test_scans_keep_their_values_in_1024_long_blocks(monkeypatch):
 
 
 def test_pool_never_exceeds_segments_or_cpus(monkeypatch):
-    requested = []
+    forks = []
+    real_fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def fork():
+        forks[-1] += 1
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+    def scan(workers):
+        forks.append(0)
+        return brute_force_sum(FnSpec("mu"), 3000, workers=workers).value
 
     want = brute_force_sum(FnSpec("mu"), 3000).value
-    monkeypatch.setattr(summatory, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(summatory.os, "fork", fork)
     monkeypatch.setattr(summatory, "SEGMENT_SIZE", 1000)
     monkeypatch.setattr(summatory.os, "cpu_count", lambda: 64)
-    assert brute_force_sum(FnSpec("mu"), 3000, workers=10 ** 9).value == want
+    assert scan(10 ** 9) == want
     monkeypatch.setattr(summatory.os, "cpu_count", lambda: 2)
-    assert brute_force_sum(FnSpec("mu"), 3000, workers=10 ** 9).value == want
-    assert brute_force_sum(FnSpec("mu"), 3000, workers=1).value == want
-    assert requested == [3, 2]
+    assert scan(10 ** 9) == want
+    assert scan(1) == want
+    assert forks == [3, 2, 0]
     with pytest.raises(ValueError):
         brute_force_sum(FnSpec("mu"), 3000, workers=0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def two_walkers(monkeypatch):
+    # 1000-long blocks, and two walkers whatever the host's CPU count
+    monkeypatch.setattr(summatory, "SEGMENT_SIZE", 1000)
+    monkeypatch.setattr(summatory.os, "cpu_count", lambda: 2)
+
+
+def test_a_walker_exception_is_raised_with_its_type_and_message(monkeypatch,
+                                                               two_walkers):
+    real_task = summatory._segment_task
+
+    def task(args):
+        if args[1] > 2000:
+            raise ResourceLimitError(f"no block from {args[1]}")
+        return real_task(args)
+
+    monkeypatch.setattr(summatory, "_segment_task", task)
+    with pytest.raises(ResourceLimitError) as caught:
+        brute_force_sum(FnSpec("mu"), 3000, workers=2)
+    assert type(caught.value) is ResourceLimitError
+    assert str(caught.value) == "no block from 2001"
+    assert_no_child_left()
+
+
+def test_no_walker_outlives_its_scan(monkeypatch, two_walkers):
+    want = brute_force_sum(FnSpec("d"), 5000).value
+    assert brute_force_sum(FnSpec("d"), 5000, workers=2).value == want
+    assert_no_child_left()
+    # a walker that dies without a word
+    monkeypatch.setattr(summatory, "_segment_task", lambda args: os._exit(3))
+    with pytest.raises(ChildProcessError, match="exited with tasks left"):
+        brute_force_sum(FnSpec("d"), 5000, workers=2)
+    assert_no_child_left()
+
+    # an exception in the parent while the walkers walk
+    class Interrupt(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupt
+
+    monkeypatch.setattr(summatory, "_segment_task", lambda args: time.sleep(30))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        t0 = time.perf_counter()
+        with pytest.raises(Interrupt):
+            brute_force_sum(FnSpec("d"), 5000, workers=2)
+        assert time.perf_counter() - t0 < 10
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
 
 
 def test_floor_sum_identity():

@@ -51,7 +51,7 @@ def test_trace_boot_names_exist():
     ("sum", "--algorithm", "convolution_kernel", "--x", "1e9"),
     ("delta", "--target", "two_omega", "--grid-lo", "100", "--grid-hi", "1e8",
      "--ratio", "2"),
-    # eighteen 2^18-long blocks, so forked pool workers write counter files
+    # eighteen 2^18-long blocks, so walkers fork from the traced process
     ("sum", "--algorithm", "brute", "--fn", "mu", "--x", "4500000", "--workers", "2"),
     ("fit", "--target", "two_omega", "--grid-lo", "110", "--grid-hi", "1000000",
      "--ratio", "1.05"),
