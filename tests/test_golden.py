@@ -146,6 +146,11 @@ COMMANDS = (
        ("explicit", "--target", "two_omega_over_n", "--x", "5000.5",
         "--pairs", "1000"),
        ("explicit", "--target", "two_omega", "--x", "123456.5")]
+    # 1000 pairs at an integer x, where both midpoints read every weight,
+    # and T's shifted exponent at a half-integer x
+    + [("explicit", "--target", "d", "--x", "300000", "--pairs", "1000"),
+       ("explicit", "--target", "two_omega_over_n", "--x", "99999.5",
+        "--pairs", "1000")]
     # the zeta and explicit self-checks print the engine's values and
     # errors to three digits and more
     + [("verify", "--suite", suite) for suite in ("zeta", "explicit")]
