@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from itertools import accumulate
 from typing import Callable
 
@@ -247,22 +248,58 @@ def main_term(target: str, x) -> tuple[float, float]:
 # nontrivial-zero sum
 # ---------------------------------------------------------------------------
 
-def _pair_weights(zeros: ZeroTable, num_pairs: int) -> list[complex]:
-    """zeta(rho/2)^2 / (rho zeta'(rho)) over the first num_pairs zeros.
+@lru_cache(maxsize=1)
+def _packaged_pair_weights() -> tuple[tuple[float, ...], tuple[complex, ...]]:
+    """(ordinates, weights) of the packaged data/weights1000.txt.
 
-    zeta'(rho) is formed here, for these pairs only.  The weights do not
-    depend on x, so one list serves both midpoints of an evaluation.
+    Read once per process, through importlib.resources, so a package
+    imported from a zip archive reads it too.  Each line holds an
+    ordinate's repr and the float.hex of Re and Im of its weight, as
+    tests/write_pair_weights.py writes them from _form_pair_weights.
     """
+    text = resources.files("divisorlab").joinpath(
+        "data/weights1000.txt").read_text(encoding="utf-8")
+    ordinates, weights = [], []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        t, re_hex, im_hex = line.split()
+        ordinates.append(float(t))
+        weights.append(complex(float.fromhex(re_hex), float.fromhex(im_hex)))
+    return tuple(ordinates), tuple(weights)
+
+
+def _form_pair_weights(ordinates) -> tuple[complex, ...]:
+    """zeta(rho/2)^2 / (rho zeta'(rho)) at rho = 1/2 + i t for each ordinate,
+    from the zeta engine."""
     out = []
-    for t in zeros.ordinates[:num_pairs]:
+    for t in ordinates:
         rho = complex(0.5, t)
         half = zeta(rho / 2.0)
         out.append(half * half / (rho * zeta_derivative(rho)))
-    return out
+    return tuple(out)
+
+
+def _pair_weights(zeros: ZeroTable, num_pairs: int) -> tuple[complex, ...]:
+    """zeta(rho/2)^2 / (rho zeta'(rho)) over the first num_pairs zeros.
+
+    When the table's first num_pairs ordinates equal the packaged weight
+    file's first num_pairs (float equality, so a copy of the packaged
+    zero table qualifies wherever it is read from), the weights are read
+    from that file; they are the bits _form_pair_weights gives.  Any other
+    table forms all num_pairs weights, zeta'(rho) for these pairs only.
+    The weights do not depend on x, so one list serves both midpoints of
+    an evaluation.
+    """
+    ordinates = zeros.ordinates[:num_pairs]
+    known, weights = _packaged_pair_weights()
+    if ordinates == known[:num_pairs]:
+        return weights[:num_pairs]
+    return _form_pair_weights(ordinates)
 
 
 def _pair_terms(spec: _TargetSpec, x: float, ordinates: tuple[float, ...],
-                weights: list[complex]) -> list[float]:
+                weights: tuple[complex, ...]) -> list[float]:
     """Per-pair contributions c * 2 * Re[w_k x^{rho_k/2 - shift}] at one x.
 
     The conjugate zero contributes the conjugate term, so each pair is

@@ -7,6 +7,7 @@ frozen one-off evaluations that were verified by hand.
 """
 
 import math
+import pathlib
 
 import pytest
 
@@ -17,8 +18,11 @@ from divisorlab import (divisor_delta_reference, divisor_main_term,
 from divisorlab import (DeltaSample, FormulaEvaluation, TruncationConfig,
                         ZeroTable, auxiliary_sums, default_zero_table,
                         delta_error, delta_samples, divisor_sum_hyperbola,
-                        evaluate_explicit, main_term, nontrivial_zero_sum,
-                        omega_scan, squarefree_divisor_sum, trivial_zero_tail)
+                        evaluate_explicit, load_zero_table, main_term,
+                        nontrivial_zero_sum, omega_scan,
+                        squarefree_divisor_sum, trivial_zero_tail,
+                        zeta_derivative)
+from divisorlab.cli import main
 from divisorlab.errors import ResourceLimitError
 from divisorlab.explicit import TAIL_TERMS_MAX, TARGETS
 from divisorlab.fitting import half_integer_grid
@@ -85,6 +89,84 @@ def test_unvalidated_table_warns():
                       validated=False)
     with pytest.warns(RuntimeWarning):
         nontrivial_zero_sum("divisor_sum", 50.5, table, 1)
+
+
+# ---------------------------------------------------------------------------
+# packaged pair weights
+# ---------------------------------------------------------------------------
+
+DATA = pathlib.Path(explicit.__file__).with_name("data")
+
+
+def _hexes(weights):
+    return [(w.real.hex(), w.imag.hex()) for w in weights]
+
+
+def _spy_zeta_prime(monkeypatch):
+    """The ordinates at which explicit forms zeta'(rho), in call order."""
+    seen = []
+
+    def spy(s):
+        if s.real == 0.5:
+            seen.append(s.imag)
+        return zeta_derivative(s)
+    monkeypatch.setattr(explicit, "zeta_derivative", spy)
+    return seen
+
+
+def test_packaged_weights_sit_at_the_packaged_ordinates():
+    ordinates, weights = explicit._packaged_pair_weights()
+    zeros = load_zero_table(DATA / "zeros1000.txt")
+    assert len(ordinates) == len(weights) == 1000
+    assert ordinates == zeros.ordinates
+
+
+def test_packaged_weights_are_the_bits_the_engine_forms():
+    ordinates, weights = explicit._packaged_pair_weights()
+    formed = explicit._form_pair_weights(ordinates)
+    stale = [t for t, got, want in zip(ordinates, _hexes(weights),
+                                       _hexes(formed)) if got != want]
+    assert not stale, (
+        f"{len(stale)} packaged pair weights differ from the zeta engine's, "
+        f"the first at t = {stale[0]!r}; if the engine change is meant to "
+        f"move them, rewrite the file with "
+        f"PYTHONPATH=src python tests/write_pair_weights.py")
+
+
+def test_a_packaged_table_forms_no_zeta_prime(monkeypatch):
+    seen = _spy_zeta_prime(monkeypatch)
+    ev = evaluate_explicit("divisor_sum", 300000, default_zero_table(),
+                           TruncationConfig(num_zero_pairs=1000))
+    assert len(ev.zero_sum_partials) == 1001
+    assert seen == []
+
+
+def test_a_moved_ordinate_forms_every_weight_from_its_index_on(monkeypatch):
+    known, packaged = explicit._packaged_pair_weights()
+    k = 3           # the third ordinate moves
+    moved = (*known[:k - 1], known[k - 1] + 1e-9, *known[k:8])
+    table = ZeroTable(ordinates=moved, validated=True)
+    seen = _spy_zeta_prime(monkeypatch)
+    for n in range(8):
+        seen.clear()
+        got = explicit._pair_weights(table, n)
+        if n < k:
+            assert (seen, _hexes(got)) == ([], _hexes(packaged[:n]))
+        else:
+            assert seen == list(moved[:n])
+            assert _hexes(got) == _hexes(explicit._form_pair_weights(moved[:n]))
+
+
+def test_only_a_zero_sum_reads_the_weight_file(capsys):
+    read = explicit._packaged_pair_weights
+    read.cache_clear()
+    for argv in (["sum", "--x", "1000"], ["delta", "--target", "d", "--x", "10.5"],
+                 ["voronoi", "--kind", "full", "--x", "10.5", "--terms", "10"]):
+        assert main(argv) == 0
+    assert read.cache_info().misses == 0
+    for _ in range(2):
+        assert main(["explicit", "--x", "10.5", "--pairs", "1"]) == 0
+    assert read.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

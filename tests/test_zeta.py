@@ -291,7 +291,8 @@ def test_zero_table_path_may_be_str_or_pathlike(tmp_path):
 
 def test_packaged_table_loads_from_a_zipped_package(tmp_path):
     # importlib.resources hands a zip member to as_file, which extracts it
-    # to a temporary file for the path reader
+    # to a temporary file for the path reader, and reads the pair weights
+    # from the archive
     archive = tmp_path / "divisorlab.zip"
     package = pathlib.Path(divisorlab.__file__).parent
     with zipfile.ZipFile(archive, "w") as zf:
@@ -307,6 +308,13 @@ def test_packaged_table_loads_from_a_zipped_package(tmp_path):
     module, count, validated = out.stdout.split()
     assert module.startswith(str(archive))
     assert (count, validated) == ("1000", "True")
+    # the pair weights are read from the archive too, to the same bytes
+    argv = [sys.executable, "-m", "divisorlab", "explicit", "--x", "123456.5",
+            "--pairs", "1000"]
+    reports = [subprocess.run(argv, capture_output=True, text=True, check=True,
+                              env={**env, "PYTHONPATH": str(where)}).stdout
+               for where in (archive, package.parent)]
+    assert reports[0] == reports[1]
 
 
 def test_comment_only_zero_table_is_empty(tmp_path):
@@ -449,9 +457,11 @@ def test_zeta_sums_no_derivative_and_keeps_its_bits(monkeypatch):
 
 
 def test_one_pair_forms_zeta_prime_at_one_ordinate(tmp_path, monkeypatch):
+    # the first ordinate moved by 1e-9, so the table is not the packaged
+    # one and its weights are formed, not read
+    first, *rest = default_zero_table().ordinates[:40]
     path = tmp_path / "zeros.txt"
-    path.write_text("".join(
-        f"{t!r}\n" for t in default_zero_table().ordinates[:40]))
+    path.write_text("".join(f"{t!r}\n" for t in (first + 1e-9, *rest)))
     on_the_line = []
 
     def spy(s, derivative=True):
