@@ -157,7 +157,7 @@ def test_a_moved_ordinate_forms_every_weight_from_its_index_on(monkeypatch):
             assert _hexes(got) == _hexes(explicit._form_pair_weights(moved[:n]))
 
 
-def test_only_a_zero_sum_reads_the_weight_file(capsys):
+def test_only_a_zero_sum_reads_the_weight_file():
     read = explicit._packaged_pair_weights
     read.cache_clear()
     for argv in (["sum", "--x", "1000"], ["delta", "--target", "d", "--x", "10.5"],
