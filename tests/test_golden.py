@@ -151,6 +151,14 @@ COMMANDS = (
     + [("explicit", "--target", "d", "--x", "300000", "--pairs", "1000"),
        ("explicit", "--target", "two_omega_over_n", "--x", "99999.5",
         "--pairs", "1000")]
+    # AP divisor rows of the hyperbola at FLOAT_SUM_MAX (the last float64
+    # row) and one above (the first int64 row), with a modulus above x, and
+    # at r = KERNEL_CHUNK with a large modulus
+    + [("ap", "--kind", "divisor", "--q", q, "--a", a, "--x", x)
+       for q, a, x in (("4", "3", "818836295885544"),
+                       ("4", "3", "818836295885545"),
+                       ("7", "3", "5"),
+                       ("1000003", "2", "268468224"))]
     # the zeta and explicit self-checks print the engine's values and
     # errors to three digits and more
     + [("verify", "--suite", suite) for suite in ("zeta", "explicit")]
