@@ -7,13 +7,13 @@ Two independent routes to every headline quantity:
   above, or object where int64 could overflow) and sums it into exact
   integers before the next.  This is the oracle everything else is
   checked against.
-* sublinear algorithms -- one hyperbola count whose rows are D(x), the AP
-  divisor sum and the circle problem's lattice count, the Moebius-kernel
-  form of S_2w(x) = sum mu(d) D(x/d^2) and its convolution inverse, all in
-  exact numpy chunks (float64 where that is exact, int64 above).  D takes
-  a batch of x in one pass (_divisor_counts), so a grid, and every square
-  split, hands it all its D values at once.  The kernel and the
-  convolution share one square split:
+* sublinear algorithms -- one hyperbola kernel (_hyperbola_counts) whose
+  rows are D(x), the AP divisor sum and the circle problem's lattice
+  count, the Moebius-kernel form of S_2w(x) = sum mu(d) D(x/d^2) and its
+  convolution inverse, all in exact numpy chunks (float64 where that is
+  exact, int64 above).  The kernel takes a batch of x in one pass, so a
+  grid, and every square split, hands it all its D values at once.  The
+  kernel and the convolution share one square split:
   sum over d <= sqrt(x) of w(d) F(x // d^2), with F from a sublinear route
   while x // d^2 > PREFIX_TABLE_LIMIT and from a prefix table of D or S_2w
   below.  The prefix tables and the kernel's mu(d) come from the brute
@@ -27,23 +27,9 @@ otherwise floor(m/n) + 1 - m/n >= 1/n, which exceeds half an ulp of m/n
 (at most m 2^-53 / n), so the rounded quotient never reaches the next
 integer.  The same holds for a negative numerator.  The hyperbola divides
 and sums in float64 while m <= FLOAT_SUM_MAX, where its chunk sums are
-exact integers as well, and in int64 above; the prefix-table gathers,
-whose m is at most MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
-
-The batched D kernel divides in 2-D tiles: rows of distinct m, ascending,
-whose roots r = isqrt(m) share one bit length (so lie within a factor 2)
-and one dtype, times a run of columns n, at most KERNEL_CHUNK entries a
-tile; the entries with n > r are zeroed.  The columns are a slice of
-_COLUMNS[dtype] = 1..KERNEL_CHUNK, one table per dtype built at import (so
-no division casts them), offset only past a one-row tile's first chunk.
-A row of a tile is a sum of at most KERNEL_CHUNK exact quotients
-floor(m/n), so below m H(KERNEL_CHUNK) < 11 m: exact in float64 for
-m <= FLOAT_SUM_MAX (every partial sum is an integer below 2^53, whatever
-order numpy adds in), and below 2.1e18 < 2^63 in int64 for
-m <= HYPERBOLA_MAX.  Each tile's row sums are cast to int64 at once and
-added into one int64 total per m, which ends at sum_{n<=r} floor(m/n) <=
-m (1 + ln r) < 4.2e18 < 2^63; no sum is carried from one tile to the next
-in float64.
+exact integers as well, and in int64 above (its tiles and their bounds are
+in _hyperbola_counts); the prefix-table gathers, whose m is at most
+MOEBIUS_KERNEL_MAX < 2^53, always divide in float64.
 
 Real-valued sums (harmonic, fractional-part, T(x) = sum 2^w(n)/n) are
 chunked: the correctly rounded sum of each chunk of 2^16 terms, then the
@@ -62,7 +48,7 @@ import os
 import pickle
 import select
 import signal
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -88,17 +74,15 @@ POINTWISE_MAX = 3 * 10 ** 6
 # Largest x each sublinear route takes; larger x is refused before any loop
 # or table.  Cold single calls on 2 CPUs: hyperbola ~3 s at 2e17 for D,
 # Moebius kernel ~2.6 s at 1e15 (~0.9 s of it walking mu to 3.2e7),
-# convolution ~3.4 s at 5e13.  HYPERBOLA_MAX also bounds the int64 chunk
-# sums of every hyperbola row, since |g| <= 1: a chunk of KERNEL_CHUNK
-# quotients m // n sums to at most m (1 + ln KERNEL_CHUNK) ~ 2.1e18 < 2^63.
+# convolution ~3.4 s at 5e13.  HYPERBOLA_MAX also keeps the hyperbola's
+# int64 chunk sums below 2^63 (_hyperbola_counts).
 HYPERBOLA_MAX = 2 * 10 ** 17
 MOEBIUS_KERNEL_MAX = 10 ** 15
 CONVOLUTION_MAX = 5 * 10 ** 13
 
 # The hyperbola chunks divide and sum in float64 while m <= FLOAT_SUM_MAX,
-# in int64 above.  The float quotients are exact below 2^53 (see the module
-# docstring), and a chunk of KERNEL_CHUNK quotients sums to at most
-# m H(KERNEL_CHUNK) < 11 m, so its float sums are exact integers too.
+# in int64 above: their quotients and their sums, below 11 m, are exact
+# integers in float64 there (_hyperbola_counts).
 FLOAT_SUM_MAX = (1 << 53) // 11
 
 # Top of the D and S_2w prefix tables, int32 (D(2^16) is 736974).
@@ -704,87 +688,82 @@ def brute_force_profile(f, xs, *, bound: int = ORACLE_BOUND_DEFAULT,
 # sublinear exact algorithms
 # ---------------------------------------------------------------------------
 
-def _floor_div(a, b, out: np.ndarray) -> np.ndarray:
-    """floor(a / b) into out, for integers a and b >= 1.
+def _hyperbola_counts(ms, q: int = 1, g=((1, 1),)) -> list[int]:
+    """sum_{ab <= m} g(a) for each m of the list ms, g q-periodic: w at n = i (mod q).
 
-    A float64 out takes the float floor of the float quotient, exact while
-    |a| < 2^53 and b <= 2^53 (see the module docstring); an int64 out takes
-    int64 floor division.
-    """
-    if out.dtype == np.float64:
-        return np.floor(np.divide(a, b, out=out), out=out)
-    return np.floor_divide(a, b, out=out)
+    g lists the classes 1 <= i <= q where g is not 0, as (i, w) with w = 1
+    or -1; q = 1 means g = 1, D(m).  Every m is an int, 1 <= m <=
+    HYPERBOLA_MAX.  With r = isqrt(m) and G(t) = g(1) + ... + g(t) the row
+    is sum_{a<=r} g(a) floor(m/a) + sum_{b<=r} G(floor(m/b)) - r G(r);
+    class i adds (t + q - i) // q to G(t), 0 at t = 0.  For D the two sums
+    are one, 2 sum_{n<=r} floor(m/n) - r^2.  A q above every m is read as
+    max(m) + 1 without the classes above max(m): an n <= m is i (mod q)
+    only when n = i, as it is modulo max(m) + 1.
 
-
-def _hyperbola_count(m: int, q: int = 1, g=((1, 1),)) -> int:
-    """sum_{ab <= m} g(a), g q-periodic: w at n = i (mod q) for (i, w) in g.
-
-    g lists the classes 1 <= i <= q where g is not 0, |w| <= 1.  With r =
-    isqrt(m) and G(t) = g(1) + ... + g(t) it is sum_{a<=r} g(a) floor(m/a) +
-    sum_{b<=r} G(floor(m/b)) - G(r) r; class i adds (t - i) // q + 1 to
-    G(t).  The chunk sums are exact in float64 for m <= FLOAT_SUM_MAX and
-    in int64 for m <= HYPERBOLA_MAX.  q = 1 is D's g = 1, whose two sums are
-    one, 2 sum floor(m/n) - r^2: the batched kernel _divisor_counts.
-    """
-    if q == 1:
-        return _divisor_counts([m])[0]
-    if q > m:
-        # an n <= m is i (mod q) only when n = i, as it is modulo m + 1
-        q, g = m + 1, tuple((i, w) for i, w in g if i <= m)
-    r = math.isqrt(m)
-    dtype = np.float64 if m <= FLOAT_SUM_MAX else np.int64
-    s = 0
-    for lo in range(1, r + 1, KERNEL_CHUNK):
-        n = np.arange(lo, min(lo + KERNEL_CHUNK, r + 1), dtype=dtype)
-        quot = _floor_div(m, n, out=n)
-        for i, w in g:
-            t = quot - i
-            s += w * (int(quot[(i - lo) % q::q].sum())
-                      + int(_floor_div(t, q, out=t).sum()) + t.size)
-    return s - r * sum(w * ((r - i) // q + 1) for i, w in g)
-
-
-def _divisor_counts(ms) -> list[int]:
-    """D(m) = 2 sum_{n<=r} floor(m/n) - r^2, r = isqrt(m), for each m of ms.
-
-    Every m is an int, 1 <= m <= HYPERBOLA_MAX.  The distinct m go through
-    the 2-D tiles of the module docstring in one pass, ascending; repeats
-    and input order cost nothing.  A tile holds rows whose r share a bit
-    length b, so each r is below 2^b: KERNEL_CHUNK >> b rows (at least one)
-    of at most KERNEL_CHUNK columns, all in one buffer of at most the rows
-    times the largest r entries: r for one point, none for an empty batch.
+    The distinct m, ascending, divide in 2-D tiles: rows whose r share a
+    bit length b (so r < 2^b) and one dtype, KERNEL_CHUNK >> b of them (at
+    least one), times runs of at most K = KERNEL_CHUNK columns n, slices of
+    _COLUMNS[dtype]; entries with n > r are zeroed.  A tile of several rows
+    is one run.  One row divides as a vector, and its run sums are added as
+    Python ints; repeats and input order cost nothing.  A class of a q > 1
+    row adds to (quotient + q - i) // q the quotients of its own columns.
+    A run of D sums to at most m H(K) < 11 m, and a class's run to at most
+    m (H(K)/q + 1 + H(K/q)/q) + K < 10.94 m + K (q = 2 and the first run
+    are the worst).  So every run sum is an exact integer: in float64,
+    whatever order numpy adds in, while m and q - 1 are at most
+    FLOAT_SUM_MAX (both bounds are then below 2^53), and in int64 (below
+    2.2e18 < 2^63) for m <= HYPERBOLA_MAX.
     """
     if not ms:
         return []
     keys = sorted(set(ms))
-    roots = [math.isqrt(m) for m in keys]
-    totals = np.zeros(len(keys), dtype=np.int64)
-    # every tile reuses one buffer, as float64 or int64
-    tile_buf = np.empty(min(KERNEL_CHUNK, len(keys) * roots[-1]))
-    groups = groupby(range(len(keys)), lambda k: (roots[k].bit_length(),
-                                                  keys[k] <= FLOAT_SUM_MAX))
-    for (bits, small), group in groups:
-        group = list(group)
-        dtype = np.float64 if small else np.int64
-        step, cols = max(1, KERNEL_CHUNK >> bits), _COLUMNS[dtype]
-        for i in range(group[0], group[-1] + 1, step):
-            j = min(i + step, group[-1] + 1)
+    if q > keys[-1]:
+        q, g = keys[-1] + 1, [(i, w) for i, w in g if i <= keys[-1]]
+    roots = list(map(math.isqrt, keys))
+    split = bisect_right(keys, FLOAT_SUM_MAX if q - 1 <= FLOAT_SUM_MAX else 0)
+    totals, i = [], 0
+    while i < len(keys):
+        bits, small = roots[i].bit_length(), i < split
+        j = min(i + max(1, KERNEL_CHUNK >> bits), bisect_left(roots, 1 << bits),
+                split if small else len(keys))
+        # the float floor of the float quotient, or int64 floor division; its
+        # scalars are cast to dtype once, not by each ufunc call
+        dtype, div = (np.float64, np.divide) if small else (np.int64, np.floor_divide)
+        if j - i == 1:
+            m, acc, exact = dtype(keys[i]), 0, int
+        else:
             m = np.array(keys[i:j], dtype=dtype)[:, None]
-            width = min(KERNEL_CHUNK // (j - i), roots[j - 1])
-            tile = tile_buf.view(dtype)[:(j - i) * width].reshape(j - i, width)
-            for lo in range(0, roots[j - 1], width):
-                size = min(width, roots[j - 1] - lo)
-                n = cols[:size] + lo if lo else cols[:size]
-                quot = _floor_div(m, n, out=tile[:, :size])
-                # every row takes its first roots[i] columns (only a tile of
-                # several rows, and one column chunk, has rows with more)
-                cut = max(roots[i] - lo, 0)
-                if cut < size:
-                    tail = quot[:, cut:]
-                    tail *= n[cut:] <= np.array(roots[i:j], dtype=dtype)[:, None]
-                totals[i:j] += quot.sum(axis=1).astype(np.int64)
-    counts = [2 * s - r * r for s, r in zip(totals.tolist(), roots)]
-    return [counts[bisect_left(keys, m)] for m in ms]
+            acc = np.zeros(j - i, dtype=np.int64)
+            exact = partial(np.ndarray.astype, dtype=np.int64)
+        width = min(KERNEL_CHUNK // (j - i), roots[j - 1])
+        for lo in range(0, roots[j - 1], width):
+            n = _COLUMNS[dtype][:min(width, roots[j - 1] - lo)]
+            quot = div(m, n + lo if lo else n)
+            if small:
+                np.floor(quot, out=quot)
+            if roots[i] < n.size:  # a tile of several rows
+                tail = quot[:, roots[i]:]
+                tail *= n[roots[i]:] <= np.array(roots[i:j], dtype=dtype)[:, None]
+            if q == 1:
+                acc += exact(np.add.reduce(quot, -1))
+            for c, w in g if q > 1 else ():
+                t = np.add(quot, dtype(q - c))
+                div(t, dtype(q), out=t)
+                if small:
+                    np.floor(t, out=t)
+                a = (c - 1 - lo) % q
+                t[..., a::q] += quot[..., a::q]
+                acc += w * exact(np.add.reduce(t, -1))
+        totals += [acc] if j - i == 1 else acc.tolist()
+        i = j
+    if q == 1:
+        counts = [2 * s - r * r for s, r in zip(totals, roots)]
+    else:
+        counts = totals
+        for k, r in enumerate(roots):
+            for c, w in g:
+                counts[k] -= w * r * ((r - c) // q + 1)
+    return counts if ms == keys else [counts[bisect_left(keys, m)] for m in ms]
 
 
 def divisor_sums_hyperbola(xs) -> list[int]:
@@ -792,8 +771,8 @@ def divisor_sums_hyperbola(xs) -> list[int]:
 
     A grid's exact side is one call: the kernel batches the whole grid.
     """
-    return _divisor_counts([_bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
-                            for x in xs])
+    return _hyperbola_counts([_bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
+                              for x in xs])
 
 
 def divisor_sum_hyperbola(x) -> SummatoryResult:
@@ -891,7 +870,8 @@ def _table_gather(table: np.ndarray, m: int, lo: int, hi: int,
     for a in range(lo, hi + 1, KERNEL_CHUNK):
         d = np.arange(a, min(a + KERNEL_CHUNK, hi + 1), dtype=np.float64)
         np.multiply(d, d, out=d)
-        vals = table[_floor_div(m, d, out=d).astype(np.intp, copy=False)]
+        np.floor(np.divide(m, d, out=d), out=d)
+        vals = table[d.astype(np.intp, copy=False)]
         if mu is not None:
             vals *= mu[a:a + vals.size]
         total += int(vals.sum(dtype=np.int64))
@@ -925,7 +905,7 @@ def _squarefree_counts(ms) -> list[int]:
     if not ms:
         return []
     mu = _mobius_sieve(max(math.isqrt(max(ms, default=1)), 16))
-    return _square_splits(ms, _divisor_counts, _prefix_tables()[0], mu)
+    return _square_splits(ms, _hyperbola_counts, _prefix_tables()[0], mu)
 
 
 def squarefree_divisor_sums(xs) -> list[int]:
@@ -1002,7 +982,7 @@ def fractional_part_sum(x, ap: APSpec | None = None, *,
     xf = float(x)
     frac = math.fsum(_rounded_sum(xf / n) for n in _progression(m, ap))
     a, q = (1, 1) if ap is None else (ap.a, ap.q)
-    return frac - _hyperbola_count(m, q, ((a, 1),))
+    return frac - _hyperbola_counts([m], q, ((a, 1),))[0]
 
 
 def fractional_main_term(x, ap: APSpec | None = None) -> float:
@@ -1023,7 +1003,7 @@ def circle_lattice_sum(x) -> int:
     if x < 1:
         return 0
     m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
-    return 4 * _hyperbola_count(m, 4, ((1, 1), (3, -1)))
+    return 4 * _hyperbola_counts([m], 4, ((1, 1), (3, -1)))[0]
 
 
 def ap_divisor_sum(x, ap: APSpec) -> SummatoryResult:
@@ -1033,7 +1013,7 @@ def ap_divisor_sum(x, ap: APSpec) -> SummatoryResult:
     m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
     return SummatoryResult(x=float(x),
                            fn=FnSpec("d_restricted", q=ap.q, a=ap.a).label(),
-                           value=_hyperbola_count(m, ap.q, ((ap.a, 1),)),
+                           value=_hyperbola_counts([m], ap.q, ((ap.a, 1),))[0],
                            algorithm="hyperbola")
 
 

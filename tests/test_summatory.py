@@ -317,10 +317,14 @@ HYPERBOLA_ROWS = {"d": (1, ((1, 1),)), "ap_4_3": (4, ((3, 1),)),
 STEP_FACTORS = (5, 7, 1187, 19709623201)
 
 
+def hyperbola_row(m, q=1, g=((1, 1),)):
+    return summatory._hyperbola_counts([m], q, g)[0]
+
+
 def int64_hyperbola(monkeypatch, m, q, g):
     with monkeypatch.context() as patch:
         patch.setattr(summatory, "FLOAT_SUM_MAX", -1)
-        return summatory._hyperbola_count(m, q, g)
+        return hyperbola_row(m, q, g)
 
 
 def divisors_of(primes):
@@ -339,6 +343,19 @@ def test_float_switch_sits_where_the_exactness_arguments_end():
     # the worst chunk, the first, sums to less than 11 m
     harmonic = sum(Fraction(1, n) for n in range(1, summatory.KERNEL_CHUNK + 1))
     assert harmonic < 11
+    # a class of a periodic row (q = 2 and the first chunk are the worst)
+    # sums to at most m (H(K)/2 + 1 + H(K/2)/2) + K < 10.94 m + K
+    k = summatory.KERNEL_CHUNK
+    half = math.fsum(1 / n for n in range(1, k // 2 + 1))
+    assert float(harmonic) / 2 + 1 + half / 2 < 10.94 - 1e-6
+    assert 10.94 * sum_max + k < 2 ** 53
+    assert 10.94 * summatory.HYPERBOLA_MAX + k < 2 ** 63
+    m = sum_max
+    quot = np.floor_divide(m, np.arange(1, k + 1, dtype=np.int64))
+    for q, c in ((2, 1), (2, 2), (3, 1), (4, 3)):
+        t = (quot + q - c) // q
+        t[c - 1::q] += quot[c - 1::q]
+        assert int(t.sum()) < 10.94 * m + k
 
 
 @pytest.mark.parametrize("row", HYPERBOLA_ROWS)
@@ -347,26 +364,31 @@ def test_hyperbola_rows_across_the_float_switch(row, monkeypatch):
     # int64 count one above adds sum_{d | m} g(d)
     q, g = HYPERBOLA_ROWS[row]
     m = summatory.FLOAT_SUM_MAX
-    below = summatory._hyperbola_count(m, q, g)
+    below = hyperbola_row(m, q, g)
     assert below == int64_hyperbola(monkeypatch, m, q, g)
     weight = dict(g)
     step = sum(weight.get((d - 1) % q + 1, 0) for d in divisors_of(STEP_FACTORS))
-    assert summatory._hyperbola_count(m + 1, q, g) - below == step
+    assert hyperbola_row(m + 1, q, g) - below == step
 
 
 @pytest.mark.parametrize("m", (19_999, 20_000, 20_001))
 def test_hyperbola_rows_on_both_sides_of_a_moved_switch(m, monkeypatch):
     # the switch moved down to where the literal counts are quick
     monkeypatch.setattr(summatory, "FLOAT_SUM_MAX", 20_000)
-    count = summatory._hyperbola_count
+    count = hyperbola_row
     assert count(m) == literal_hyperbola(m)
     assert count(m, *HYPERBOLA_ROWS["ap_4_3"]) == loop_ap_divisor(m, APSpec(4, 3))
     assert 4 * count(m, *HYPERBOLA_ROWS["chi4"]) == column_lattice_count(m)
 
 
 def per_point_divisor_count(m):
-    # g = 1 written with period 2 runs the periodic loop, not the D batch
-    return summatory._hyperbola_count(m, 2, ((1, 1), (2, 1)))
+    # 2 sum_{n<=r} floor(m/n) - r^2 in int64 chunks, apart from the tiles
+    # and the float path
+    r = math.isqrt(m)
+    total = sum(int(np.floor_divide(m, np.arange(lo, min(lo + 2 ** 16, r + 1),
+                                                 dtype=np.int64)).sum())
+                for lo in range(1, r + 1, 2 ** 16))
+    return 2 * total - r * r
 
 
 # roots r = isqrt(m) at the tile edges of the D batch: the steps of r's bit
@@ -396,7 +418,7 @@ def test_batched_divisor_counts_match_the_per_point_route(ms, sum_max):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(summatory, "FLOAT_SUM_MAX", sum_max)
         want = [per_point_divisor_count(m) for m in ms]
-        assert summatory._divisor_counts(ms) == want
+        assert summatory._hyperbola_counts(ms) == want
 
 
 def test_batched_divisor_counts_across_the_float_switch_and_2_53():
@@ -405,12 +427,49 @@ def test_batched_divisor_counts_across_the_float_switch_and_2_53():
     # round
     ms = [2 ** 53 + 1, summatory.FLOAT_SUM_MAX - 1, 2 ** 53 - 1,
           summatory.FLOAT_SUM_MAX + 1]
-    got = summatory._divisor_counts(ms)
+    got = summatory._hyperbola_counts(ms)
     assert got == [per_point_divisor_count(m) for m in ms]
     assert min(got) > 2 ** 53
     # each int64 total sum_{n<=r} floor(m/n) <= m (1 + ln r) fits to the limit
     m = summatory.HYPERBOLA_MAX
     assert m * (1 + math.log(math.isqrt(m))) < 2 ** 63
+
+
+# the periodic rows against their per-m oracles: the per-n AP loop (so its
+# batches stay below ~3e5 and r = 129) and the column count of the disk
+PERIODIC_ORACLES = {"ap_4_3": lambda m: loop_ap_divisor(m, APSpec(4, 3)),
+                    "chi4": lambda m: column_lattice_count(m) // 4}
+PERIODIC_VALUES = {
+    "ap_4_3": st.one_of(
+        st.integers(1, 3 * 10 ** 5),
+        st.builds(lambda r, e: max(1, r * r - e),
+                  st.sampled_from([r for r in TILE_ROOTS if r < 500]), st.integers(0, 1))),
+    "chi4": BATCH_VALUES}
+
+
+@pytest.mark.parametrize("sum_max", (summatory.FLOAT_SUM_MAX, 20_000, -1))
+@pytest.mark.parametrize("row", PERIODIC_ORACLES)
+def test_batched_periodic_rows_match_their_oracles(row, sum_max):
+    q, g = HYPERBOLA_ROWS[row]
+    oracle = PERIODIC_ORACLES[row]
+    edges = [m for m in TILE_EDGES if row == "chi4" or m < 3 * 10 ** 5]
+
+    # unsorted with repeats, tile edges, q above some m, q above every m
+    # (ap_4_3's class 3 then leaves no class at [1, 2])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(PERIODIC_VALUES[row], max_size=12))
+    @example([])
+    @example([5, 1, 3, 1, 5, 2, 4, 4])
+    @example(edges)
+    @example([2, 1, 2])
+    @example([3, 1, 2])
+    @example([1])
+    def check(ms):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(summatory, "FLOAT_SUM_MAX", sum_max)
+            assert summatory._hyperbola_counts(ms, q, g) == [oracle(m) for m in ms]
+
+    check()
 
 
 def test_square_splits_batch_every_point_of_a_grid(monkeypatch):
@@ -419,13 +478,13 @@ def test_square_splits_batch_every_point_of_a_grid(monkeypatch):
     xs = [123_456_789, 10, L, 123_456_789, L + 1, 4 * (L + 1), 99_999_999.5]
     want = [literal_squarefree_sum(math.floor(x)) for x in xs]
     calls = []
-    real = summatory._divisor_counts
+    real = summatory._hyperbola_counts
 
     def spy(ms):
         calls.append(len(ms))
         return real(ms)
 
-    monkeypatch.setattr(summatory, "_divisor_counts", spy)
+    monkeypatch.setattr(summatory, "_hyperbola_counts", spy)
     assert summatory.squarefree_divisor_sums(xs) == want
     assert len(calls) == 1 and calls[0] > len(xs)
 
