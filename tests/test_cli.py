@@ -682,6 +682,11 @@ SIZE_REFUSALS = {
     ("sieve", "--fn", "sigma_40", "--limit", "1e7"):
         "sieve of sigma_40 to 10000000 may write 281-digit values, "
         "2810000000 digits in all, past the 190000000 of int64s",
+    # one k past README's edge of d_k tables to 1e7 rows, read through
+    # Mertens' B
+    ("sieve", "--fn", "d_51750", "--limit", "1e7"):
+        "sieve of d_51750 to 10000000 may write 190000150 digits in all, "
+        "past the 190000000 of int64s",
 }
 
 
@@ -722,6 +727,8 @@ def test_d_k_table_refusal_bounds_the_total_digits():
     # well under 50 ms
     for spec, limit, refused in [(FnSpec("d_k", k=22), 6333334, False),
                                  (FnSpec("d_k", k=22), cli.SIEVE_ROWS_MAX, False),
+                                 # README's stated edge at 1e7 rows
+                                 (FnSpec("d_k", k=51749), 10 ** 7, False),
                                  (FnSpec("d_k", k=10 ** 30), cli.SIEVE_ROWS_MAX, True)]:
         gc.collect()
         t0 = time.perf_counter()
