@@ -43,7 +43,8 @@ from .summatory import (
     squarefree_main_term,
     two_omega_over_n_main_term,
 )
-from .zeta import ZeroTable, zeta, zeta_derivative, zeta_negative_special
+from .zeta import (_CONSTANTS, ZeroTable, zeta, zeta_derivative,
+                   zeta_negative_special)
 
 TAIL_VARIANTS = ("residue", "printed")
 
@@ -79,13 +80,16 @@ class _TargetSpec:
     aliases: tuple[str, ...]
 
 
+# D's pi^2/3, pi^2/6 and -pi^2/12: the zeta(2) row's float, scaled exactly
+_ZETA_2 = float(_CONSTANTS["zeta_2"])
+
 # The exact routes name their oracle at call time rather than holding the
 # function object, so a rebound module attribute (a tracing wrapper, say)
 # is the one that runs.
 _TARGET_SPECS = {
     "divisor_sum": _TargetSpec(
-        math.pi ** 2 / 3, 0, math.pi ** 2 / 6,
-        constant=-math.pi ** 2 / 12.0, main=divisor_main_term,
+        2.0 * _ZETA_2, 0, _ZETA_2,
+        constant=-_ZETA_2 / 2.0, main=divisor_main_term,
         exact=lambda ys, bound: [float(v) for v in divisor_sums_hyperbola(ys)],
         aliases=("d", "divisor")),
     "two_omega_sum": _TargetSpec(

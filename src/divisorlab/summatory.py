@@ -58,7 +58,8 @@ import numpy as np
 
 from .arith import APSpec, FnSpec, primes_up_to
 from .errors import ResourceLimitError
-from .zeta import EULER_GAMMA, ZETA_PRIME_2, generalized_euler_constant
+from .zeta import (_CONSTANTS, EULER_GAMMA, ZETA_PRIME_2,
+                   generalized_euler_constant)
 
 # Default ceiling for the linear oracle; a cold d scan at this size takes
 # ~2.4 s in one process and ~1.4 s with two walkers on 2 CPUs.  Callers can
@@ -1011,10 +1012,15 @@ def ap_divisor_sum(x, ap: APSpec) -> SummatoryResult:
     if not isinstance(ap, APSpec):
         raise TypeError("ap must be an APSpec")
     m = _bounded_floor(x, HYPERBOLA_MAX, "hyperbola limit")
-    return SummatoryResult(x=float(x),
-                           fn=FnSpec("d_restricted", q=ap.q, a=ap.a).label(),
+    return SummatoryResult(x=float(x), fn=_ap_label(ap.q, ap.a),
                            value=_hyperbola_counts([m], ap.q, ((ap.a, 1),))[0],
                            algorithm="hyperbola")
+
+
+@lru_cache(maxsize=64)
+def _ap_label(q: int, a: int) -> str:
+    """FnSpec's label of the AP divisor row of class (q, a), formed once."""
+    return FnSpec("d_restricted", q=q, a=a).label()
 
 
 def ap_main_term(x, ap: APSpec) -> float:
@@ -1089,18 +1095,22 @@ def divisor_main_term(x) -> float:
     return (math.log(xf) + 2.0 * EULER_GAMMA - 1.0) * xf
 
 
+_ZETA_2 = float(_CONSTANTS["zeta_2"])
+_SIX_OVER_PI_SQUARED = float(_CONSTANTS["six_over_pi_squared"])
+
+
 def squarefree_main_term(x) -> float:
     """(6/pi^2)(log x + 2 gamma - 1 - 2 zeta'(2)/zeta(2)) x, smooth part of S_2w."""
     xf = float(x)
-    return 6.0 / math.pi ** 2 * (math.log(xf) + 2.0 * EULER_GAMMA - 1.0
-                                 - 12.0 * ZETA_PRIME_2 / math.pi ** 2) * xf
+    return _SIX_OVER_PI_SQUARED * (math.log(xf) + 2.0 * EULER_GAMMA - 1.0
+                                   - 2.0 * ZETA_PRIME_2 / _ZETA_2) * xf
 
 
 def two_omega_over_n_main_term(x) -> float:
     """(6/pi^2)((log x)^2/2 + (2 gamma - 2 zeta'(2)/zeta(2)) log x), T(x) less its constant."""
     lx = math.log(float(x))
-    return 6.0 / math.pi ** 2 * (
-        lx * lx / 2.0 + (2.0 * EULER_GAMMA - 12.0 * ZETA_PRIME_2 / math.pi ** 2) * lx)
+    return _SIX_OVER_PI_SQUARED * (
+        lx * lx / 2.0 + (2.0 * EULER_GAMMA - 2.0 * ZETA_PRIME_2 / _ZETA_2) * lx)
 
 
 TWO_OMEGA_OVER_N_CONSTANT = 2.0 * EULER_GAMMA - 1.0

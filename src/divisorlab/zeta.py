@@ -11,11 +11,11 @@ Arguments with Re s < 0 go through the functional equation, assembled in
 log space so nothing overflows at large imaginary parts.
 
 Special values at negative integers come from exact rational Bernoulli
-numbers, each built on first use.  Stieltjes constants gamma_0..gamma_2
-come from an Euler-Maclaurin limit with symbolically differentiated tail
-terms.  Nontrivial-zero ordinates are external data loaded from text
-files; this module never computes a zero, it only validates that
-|zeta(1/2 + i t)| is small.
+numbers, each built on first use.  The constants the package reads, the
+Stieltjes constants gamma_0..gamma_2 among them, are rows of one table of
+decimal strings; no zeta is evaluated at import.  Nontrivial-zero
+ordinates are external data loaded from text files; this module never
+computes a zero, it only validates that |zeta(1/2 + i t)| is small.
 """
 
 from __future__ import annotations
@@ -34,10 +34,24 @@ import numpy as np
 
 from .errors import AccuracyError, PoleError, TableFormatError
 
-# Euler's constant to full double precision and the package's one source of
-# gamma (the main terms in summatory read it).
-# stieltjes(0) recomputes it only as a check the test suite pins.
-EULER_GAMMA = 0.5772156649015329
+# The package's one table of constants: each row is a decimal string of at
+# least 40 significant digits, pinned against mpmath by the test suite, and
+# its float is float(s), which Python rounds correctly.
+_CONSTANTS = {
+    "euler_gamma": "0.577215664901532860606512090082402431042159",
+    "stieltjes_1": "-0.0728158454836767248605863758749013191377363",
+    "stieltjes_2": "-0.00969036319287231848453038603521252935906581",
+    "zeta_2": "1.64493406684822643647241516664602518921895",
+    "six_over_pi_squared": "0.607927101854026628663276779258365833426153",
+    "zeta_3": "1.20205690315959428539973816151144999076499",
+    "zeta_prime_2": "-0.93754825431584375370257409456786497789786",
+    "zeta_prime_minus_2": "-0.0304484570583932707802515304711547766470005",
+    "mertens_b": "0.261497212847642783755426838608695859051567",
+}
+
+# gamma and zeta'(2), which the main terms of D, S_2w and T read
+EULER_GAMMA = float(_CONSTANTS["euler_gamma"])
+ZETA_PRIME_2 = float(_CONSTANTS["zeta_prime_2"])
 
 IM_ENVELOPE = 1.0e5
 _EM_BERNOULLI_TERMS = 10
@@ -267,10 +281,6 @@ def zeta_derivative(s) -> complex:
     return (coef * a_sin + (math.pi / 2) * a_cos) * zw - a_sin * zwp
 
 
-# zeta'(2), the one value of zeta' the main terms of S_2w and T read
-ZETA_PRIME_2 = zeta_derivative(2.0).real
-
-
 # ---------------------------------------------------------------------------
 # special values
 # ---------------------------------------------------------------------------
@@ -320,45 +330,12 @@ def generalized_euler_constant(a: int, q: int) -> float:
     return -(digamma(a / q) + math.log(q)) / q
 
 
-def _poly_terms_derivative(terms: dict[tuple[int, int], float]):
-    """One d/dx step on sum c * (log x)^a * x^(-b) represented as a dict."""
-    out: dict[tuple[int, int], float] = {}
-    for (a, b), c in terms.items():
-        if a > 0:
-            key = (a - 1, b + 1)
-            out[key] = out.get(key, 0.0) + c * a
-        key = (a, b + 1)
-        out[key] = out.get(key, 0.0) - c * b
-    return out
-
-
-@lru_cache(maxsize=8)
 def stieltjes(k: int) -> float:
-    """Stieltjes constant gamma_k for k in {0, 1, 2}, error <= 1e-9.
-
-    Euler-Maclaurin limit of sum (log n)^k / n - (log m)^{k+1}/(k+1) at
-    m = 1e4, with tail derivatives of f(x) = (log x)^k / x generated
-    symbolically.
-    """
+    """Stieltjes constant gamma_k for k in {0, 1, 2}, the table's row."""
     if k not in (0, 1, 2):
-        raise ValueError("stieltjes constants implemented for k <= 2")
-    m = 10 ** 4
-    ns = np.arange(1, m + 1, dtype=np.float64)
-    logs = np.log(ns)
-    main = math.fsum((logs ** k) / ns)
-    lm = math.log(m)
-    total = main - lm ** (k + 1) / (k + 1) - (lm ** k) / (2 * m)
-    # tail: - sum B_2j/(2j)! f^(2j-1)(m)
-    terms = {(k, 1): 1.0}  # f = (log x)^k x^-1
-    order = 0
-    for j in range(1, 9):
-        while order < 2 * j - 1:
-            terms = _poly_terms_derivative(terms)
-            order += 1
-        fval = math.fsum(c * lm ** a / m ** b for (a, b), c in terms.items())
-        b2j = _bernoulli(2 * j)
-        total -= (b2j.numerator / b2j.denominator) / math.factorial(2 * j) * fval
-    return total
+        raise ValueError("stieltjes constants are tabulated for k <= 2")
+    row = ("euler_gamma", "stieltjes_1", "stieltjes_2")[int(k)]
+    return float(_CONSTANTS[row])
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,13 @@ def test_bare_import_loads_no_numpy():
     assert python(code).strip() == "['divisorlab']"
 
 
+def test_importing_zeta_evaluates_no_zeta():
+    # the constants are table rows: no Bernoulli number is built at import
+    code = ("import sys, divisorlab.zeta; "
+            "print(sys.modules['divisorlab.zeta']._bernoulli.cache_info().currsize)")
+    assert python(code).strip() == "0"
+
+
 @pytest.mark.parametrize("first", [None, "zeta", "summatory", "cli"])
 def test_zeta_is_the_function_whichever_submodule_loaded_first(first):
     code = f"""

@@ -974,6 +974,16 @@ def test_ap_divisor_sum_with_a_modulus_past_x():
                 loop_ap_divisor(x, APSpec(q, a))
 
 
+def test_ap_divisor_sum_labels_its_row_as_fnspec_does():
+    # the label is formed once per class; repeated calls, interleaved over
+    # classes, keep FnSpec's text
+    classes = [(3, 1), (3, 2), (4, 3), (7, 3), (1000003, 2), (10 ** 20 + 1, 7)]
+    for x in (1, 10, 5000, 1, 10):
+        for q, a in classes:
+            res = ap_divisor_sum(x, APSpec(q=q, a=a))
+            assert res.fn == FnSpec("d_restricted", q=q, a=a).label()
+
+
 def test_ap_main_term_tracks_sum():
     ap = APSpec(q=3, a=2)
     x = 10 ** 6

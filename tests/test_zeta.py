@@ -27,7 +27,8 @@ from divisorlab import (TruncationConfig, bernoulli_number,
                         zeta_exact_negative_odd, zeta_negative_special)
 from divisorlab.explicit import _pair_weights
 from divisorlab.zeta import EULER_GAMMA as PACKAGE_GAMMA
-from divisorlab.zeta import ZETA_PRIME_2, _zeta_check, _zeta_em_pair
+from divisorlab.zeta import (_CONSTANTS, ZETA_PRIME_2, _zeta_check,
+                             _zeta_em_pair)
 from divisorlab.errors import AccuracyError, PoleError, TableFormatError
 
 mpmath.mp.dps = 30
@@ -221,18 +222,53 @@ def test_generalized_euler_constant_oracle():
         assert generalized_euler_constant(a, q) == pytest.approx(approx, abs=1e-5)
 
 
+# mpmath's value of each row of the constants table
+MPMATH_CONSTANTS = {
+    "euler_gamma": lambda: mpmath.euler,
+    "stieltjes_1": lambda: mpmath.stieltjes(1),
+    "stieltjes_2": lambda: mpmath.stieltjes(2),
+    "zeta_2": lambda: mpmath.zeta(2),
+    "six_over_pi_squared": lambda: 6 / mpmath.pi ** 2,
+    "zeta_3": lambda: mpmath.zeta(3),
+    "zeta_prime_2": lambda: mpmath.zeta(2, derivative=1),
+    "zeta_prime_minus_2": lambda: mpmath.zeta(-2, derivative=1),
+    "mertens_b": lambda: mpmath.mertens,
+}
+
+
+def test_constants_table_pinned_against_mpmath():
+    # each string is mpmath's 60-digit value rounded to the string's own
+    # last digit, with at least 40 significant digits, and its float is
+    # the correctly rounded float of that value, bit for bit
+    assert set(_CONSTANTS) == set(MPMATH_CONSTANTS)
+    with mpmath.workdps(60):
+        for name, digits in _CONSTANTS.items():
+            want = MPMATH_CONSTANTS[name]()
+            whole, fraction = digits.lstrip("-").split(".")
+            assert len((whole + fraction).lstrip("0")) >= 40, name
+            half_unit = mpmath.mpf(10) ** -len(fraction) / 2
+            assert abs(mpmath.mpf(digits) - want) <= half_unit, name
+            assert float(digits) == float(want), name
+    # the floats the main terms read are the rows' floats
+    assert PACKAGE_GAMMA == float(_CONSTANTS["euler_gamma"])
+    assert ZETA_PRIME_2 == float(_CONSTANTS["zeta_prime_2"])
+
+
 def test_stieltjes_against_mpmath():
-    for k in (0, 1, 2):
-        assert stieltjes(k) == pytest.approx(float(mpmath.stieltjes(k)), abs=1e-9)
+    with mpmath.workdps(60):
+        for k in (0, 1, 2):
+            assert stieltjes(k) == float(mpmath.stieltjes(k))
     with pytest.raises(ValueError):
         stieltjes(3)
 
 
 def test_zeta_constants_bundle():
     assert PACKAGE_GAMMA == EULER_GAMMA  # one source of gamma
-    # zeta'(2) as the main terms read it, taken once at import
-    assert ZETA_PRIME_2 == zeta_derivative(2.0).real
-    assert ZETA_PRIME_2 == pytest.approx(-0.9375482543158438, abs=1e-10)
+    # zeta'(2) as the main terms read it: the table's row, correctly
+    # rounded, and the engine's zeta'(2) within 2 ulp of it
+    with mpmath.workdps(60):
+        assert ZETA_PRIME_2 == float(mpmath.zeta(2, derivative=1))
+    assert abs(zeta_derivative(2.0).real - ZETA_PRIME_2) <= 2 * math.ulp(ZETA_PRIME_2)
 
 
 # ---------------------------------------------------------------------------
