@@ -36,6 +36,7 @@ from .errors import AccuracyError, ResourceLimitError
 from .summatory import (
     ORACLE_BOUND_DEFAULT,
     TWO_OMEGA_OVER_N_CONSTANT,
+    _ZETA_2,
     auxiliary_sums,
     divisor_main_term,
     divisor_sums_hyperbola,
@@ -43,8 +44,7 @@ from .summatory import (
     squarefree_main_term,
     two_omega_over_n_main_term,
 )
-from .zeta import (_CONSTANTS, ZeroTable, zeta, zeta_derivative,
-                   zeta_negative_special)
+from .zeta import ZeroTable, zeta, zeta_derivative, zeta_negative_special
 
 TAIL_VARIANTS = ("residue", "printed")
 
@@ -80,13 +80,11 @@ class _TargetSpec:
     aliases: tuple[str, ...]
 
 
-# D's pi^2/3, pi^2/6 and -pi^2/12: the zeta(2) row's float, scaled exactly
-_ZETA_2 = float(_CONSTANTS["zeta_2"])
-
 # The exact routes name their oracle at call time rather than holding the
 # function object, so a rebound module attribute (a tracing wrapper, say)
 # is the one that runs.
 _TARGET_SPECS = {
+    # pi^2/3, pi^2/6 and -pi^2/12: the zeta(2) row's float, scaled exactly
     "divisor_sum": _TargetSpec(
         2.0 * _ZETA_2, 0, _ZETA_2,
         constant=-_ZETA_2 / 2.0, main=divisor_main_term,
