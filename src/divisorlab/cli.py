@@ -334,8 +334,8 @@ def _refuse_unwritable(spec: FnSpec, m: int, summed: bool) -> float:
 
 # Rosser and Schoenfeld (1962): sum_{p<=x} 1/p < ln ln x + B + 1/ln^2 x for
 # x > 1, with Mertens' constant B; and sum_p 1/(p(p-1)) = 0.77315... < 0.7732.
-# The float of B's row is below B by less than an ulp, which the 4e-5 that
-# 0.7732 leaves over covers, so the bound still holds.
+# B's float is below B by under an ulp, far less than the 4e-5 by which
+# 0.7732 exceeds that sum, so the bound still holds.
 MERTENS_B = float(_CONSTANTS["mertens_b"])
 
 
