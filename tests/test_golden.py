@@ -162,6 +162,8 @@ COMMANDS = (
     # the zeta and explicit self-checks print the engine's values and
     # errors to three digits and more
     + [("verify", "--suite", suite) for suite in ("zeta", "explicit")]
+    # the last two suites, so that every verify check's line is held
+    + [("verify", "--suite", suite) for suite in ("bessel", "reports")]
 )
 
 
