@@ -11,9 +11,7 @@ Eight subcommands cover the library surface:
   verify    self-check suites over the library invariants
   fit       log-log exponent fit of |delta| over a geometric grid
 
-Flags use long names only.  A config file (plain key=value lines, '#'
-comments) may supply a default for any flag of any subcommand; values
-given on the command line win.  Reports go to --output as CSV or JSON
+Flags use long names only.  Reports go to --output as CSV or JSON
 (stdout with --output -), and identical inputs produce byte-identical
 output regardless of --workers.
 
@@ -73,57 +71,6 @@ SIEVE_ROWS_MAX = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
-# config file handling
-# ---------------------------------------------------------------------------
-
-def _read_config_file(path: str) -> dict[str, str]:
-    """Parse a key=value defaults file into flag-name -> raw string."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"config file {path!r}: {exc}") from None
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        key, sep, value = body.partition("=")
-        key = key.strip().lstrip("-")
-        if not sep or not key:
-            raise TableFormatError("expected key=value", line=lineno)
-        out[key] = value.strip()
-    return out
-
-
-def _seed_config(parsers, config: dict[str, str]) -> None:
-    """Install config values as parser defaults so the command line wins.
-
-    A key must name a long flag of at least one subcommand; each subparser
-    only receives the keys it understands.  Every such flag takes a value
-    (--help, the one flag without one, is no key), and the string goes
-    through the flag's type converter at parse time, so bad values still
-    surface as usage errors.
-    """
-    known: set[str] = set()
-    for sub in parsers:
-        dests = {action.dest: action for action in sub._actions
-                 if action.option_strings and action.nargs != 0}
-        known.update(dests)
-        seed = {}
-        for key, raw in config.items():
-            action = dests.get(key.replace("-", "_"))
-            if action is not None:
-                seed[action.dest] = raw
-                # a required flag is satisfied by its configured value
-                action.required = False
-        sub.set_defaults(**seed)
-    for key in config:
-        if key.replace("-", "_") not in known:
-            raise ValueError(f"config key {key!r} is not a known flag")
-
-
-# ---------------------------------------------------------------------------
 # parser construction
 # ---------------------------------------------------------------------------
 
@@ -170,8 +117,6 @@ def _worker_count(text: str) -> int:
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="key=value defaults file; command line wins")
     common.add_argument("--output", default="-", metavar="PATH",
                         help="report destination, - for stdout (default -)")
     common.add_argument("--format", choices=FORMATS, default=None,
@@ -210,7 +155,7 @@ def _build_parser():
                    help=f"target name or alias: {', '.join(_LABELS)}")
     p.add_argument("--x", type=_real, required=True, help="evaluation point x > 1")
     p.add_argument("--zeros", metavar="PATH",
-                   help="zero-ordinate file; default is ZD_ZEROS or the packaged table")
+                   help="zero-ordinate file; default is the packaged table")
     p.add_argument("--pairs", type=_whole, default=100,
                    help="number of zero pairs in the oscillating sum (default 100)")
     p.add_argument("--tail", type=_whole, default=10,
@@ -271,7 +216,7 @@ def _build_parser():
                    dest="samples_output",
                    help="also write the underlying delta samples as CSV")
 
-    return parser, subs.choices.values()
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -792,29 +737,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
     try:
-        probe, _ = pre.parse_known_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or EXIT_USAGE)
-
-    parser, subparsers = _build_parser()
-    try:
-        if probe.config:
-            config = _read_config_file(probe.config)
-            _seed_config(subparsers, config)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except TableFormatError as exc:
-        return _fail(EXIT_INPUT, f"config file: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

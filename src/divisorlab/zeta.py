@@ -57,8 +57,6 @@ IM_ENVELOPE = 1.0e5
 _EM_BERNOULLI_TERMS = 10
 ZERO_RESIDUAL_TOL = 1.0e-6
 
-ZEROS_ENV_VAR = "ZD_ZEROS"
-
 
 # ---------------------------------------------------------------------------
 # exact Bernoulli numbers
@@ -465,10 +463,7 @@ def load_zero_table(path: str | os.PathLike) -> ZeroTable:
 
 @lru_cache(maxsize=1)
 def default_zero_table() -> ZeroTable:
-    """The packaged 1000-zero table, or the file named by ZD_ZEROS."""
-    env = os.environ.get(ZEROS_ENV_VAR)
-    if env:
-        return load_zero_table(env)
+    """The packaged 1000-zero table; other tables come from load_zero_table."""
     ref = resources.files("divisorlab").joinpath("data/zeros1000.txt")
     with resources.as_file(ref) as path:
         return load_zero_table(path)

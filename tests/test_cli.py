@@ -11,7 +11,6 @@ import json
 import math
 import os
 import pathlib
-import string
 import subprocess
 import sys
 import tempfile
@@ -24,8 +23,8 @@ from hypothesis import strategies as st
 import divisorlab
 from divisorlab import brute_force_sum, cli, FnSpec
 from divisorlab.arith import build_factor_table, eval_arithmetic, sigma
-from divisorlab.cli import SUITES, _read_config_file, main
-from divisorlab.errors import ResourceLimitError, TableFormatError
+from divisorlab.cli import SUITES, main
+from divisorlab.errors import ResourceLimitError
 from divisorlab.explicit import DeltaSample
 from divisorlab.reports import emit_report, read_delta_csv
 from divisorlab.zeta import default_zero_table
@@ -333,100 +332,6 @@ def _no_work(*args, **kwargs):
     raise AssertionError("the command started its work before refusing")
 
 
-# ---------------------------------------------------------------------------
-# config file and environment
-# ---------------------------------------------------------------------------
-
-def test_config_seeds_defaults(capsys, tmp_path):
-    cfg = tmp_path / "divlab.cfg"
-    cfg.write_text("# report tuning\npairs=2\nformat=json\n")
-    rc, out, _ = run(capsys, "explicit", "--config", str(cfg),
-                     "--x", "100.5", "--tail", "2")
-    assert rc == 0
-    (row,) = json.loads(out)
-    assert len(row["zero_sum_partials"]) == 3
-
-
-def test_command_line_beats_config(capsys, tmp_path):
-    cfg = tmp_path / "divlab.cfg"
-    cfg.write_text("pairs=2\n")
-    rc, out, _ = run(capsys, "explicit", "--config", str(cfg),
-                     "--x", "100.5", "--tail", "2", "--pairs", "4")
-    assert rc == 0
-    (row,) = json.loads(out)
-    assert len(row["zero_sum_partials"]) == 5
-
-
-def test_config_unknown_key(capsys, tmp_path):
-    cfg = tmp_path / "divlab.cfg"
-    cfg.write_text("pears=2\n")
-    rc, _, err = run(capsys, "explicit", "--config", str(cfg), "--x", "100.5")
-    assert rc == 2
-    assert "pears" in err
-
-
-def test_config_missing_file(capsys, tmp_path):
-    rc, _, err = run(capsys, "explicit", "--config",
-                     str(tmp_path / "nope.cfg"), "--x", "100.5")
-    assert rc == 3
-    assert "nope.cfg" in err
-
-
-_KEY = st.builds("{}{}{}".format, st.sampled_from(["", "-", "--"]),
-                 st.sampled_from(string.ascii_letters + "_"),
-                 st.text(alphabet=string.ascii_letters + string.digits + "_.-",
-                         max_size=12))
-_VALUE = st.text(alphabet=string.ascii_letters + string.digits + " =#.,:+-_",
-                 max_size=16)
-_PAD = st.sampled_from(["", " ", "  ", "\t"])
-_CONFIG_LINE = st.one_of(
-    st.tuples(st.just("pair"), _PAD, _KEY, _PAD, _VALUE, _PAD),
-    st.tuples(st.just("comment"), _PAD, _VALUE),
-    st.tuples(st.just("blank"), _PAD))
-
-
-def _config_text(lines):
-    out = []
-    for kind, *parts in lines:
-        if kind == "pair":
-            lead, key, gap, value, tail = parts
-            out.append(f"{lead}{key}{gap}={value}{tail}")
-        elif kind == "comment":
-            out.append(f"{parts[0]}#{parts[1]}")
-        else:
-            out.append(parts[0])
-    return "".join(line + "\n" for line in out)
-
-
-def _read_config_text(text):
-    fd, path = tempfile.mkstemp(suffix=".cfg")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return _read_config_file(path)
-    finally:
-        os.unlink(path)
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.lists(_CONFIG_LINE, max_size=12))
-def test_config_file_parses_every_key_value_line(lines):
-    want = {}
-    for kind, *parts in lines:
-        if kind == "pair":
-            want[parts[1].lstrip("-")] = parts[3].strip()
-    assert _read_config_text(_config_text(lines)) == want
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.lists(_CONFIG_LINE, max_size=6), _KEY, st.lists(_CONFIG_LINE, max_size=6))
-def test_config_file_names_the_line_without_equals(before, key, after):
-    text = _config_text(before) + key + "\n" + _config_text(after)
-    with pytest.raises(TableFormatError) as info:
-        _read_config_text(text)
-    assert info.value.line == len(before) + 1
-
-
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -456,31 +361,47 @@ def test_delta_csv_round_trip_keeps_every_byte(rows):
                                   s.delta_over_x14, s.delta_over_x12)]
 
 
-def test_zeros_env_fallback(capsys, tmp_path, monkeypatch):
+def test_zeros_env_fallback(capsys, tmp_path):
+    """--zeros names the table; without it the packaged one is read."""
+    def table(n):
+        path = tmp_path / f"zeros{n}.txt"
+        path.write_text("".join(
+            f"{t!r}\n" for t in default_zero_table().ordinates[:n]))
+        return str(path)
+
+    rc, _, err = run(capsys, "explicit", "--x", "100.5", "--pairs", "10",
+                     "--zeros", table(3))
+    assert rc == 2
+    assert "table holds 3" in err
+    rc, out, _ = run(capsys, "explicit", "--x", "100.5", "--pairs", "10",
+                     "--zeros", table(20))
+    assert rc == 0
+    assert len(json.loads(out)[0]["zero_sum_partials"]) == 11
+
+
+def test_zeros_env_is_not_read(capsys, tmp_path, monkeypatch):
     small = tmp_path / "three.txt"
     small.write_text("".join(
         f"{t!r}\n" for t in default_zero_table().ordinates[:3]))
+    argv = ("explicit", "--x", "100.5", "--pairs", "10")
+    _, packaged, _ = run(capsys, *argv)
     monkeypatch.setenv("ZD_ZEROS", str(small))
     default_zero_table.cache_clear()
     try:
-        rc, _, err = run(capsys, "explicit", "--x", "100.5", "--pairs", "10")
-        assert rc == 2
-        assert "table holds 3" in err
-        # an explicit --zeros flag overrides the environment
-        big = tmp_path / "big.txt"
+        rc, out, _ = run(capsys, *argv)
+    finally:
         monkeypatch.delenv("ZD_ZEROS")
         default_zero_table.cache_clear()
-        big.write_text("".join(
-            f"{t!r}\n" for t in default_zero_table().ordinates[:20]))
-        monkeypatch.setenv("ZD_ZEROS", str(small))
-        default_zero_table.cache_clear()
-        rc, out, _ = run(capsys, "explicit", "--x", "100.5", "--pairs", "10",
-                         "--zeros", str(big))
-        assert rc == 0
-        assert len(json.loads(out)[0]["zero_sum_partials"]) == 11
-    finally:
-        monkeypatch.delenv("ZD_ZEROS", raising=False)
-        default_zero_table.cache_clear()
+    assert rc == 0
+    assert len(json.loads(out)[0]["zero_sum_partials"]) == 11
+    assert out == packaged
+
+
+def test_config_flag_is_unrecognised(capsys):
+    rc, out, err = run(capsys, "sum", "--x", "10", "--config", "lab.cfg")
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --config" in err
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +498,13 @@ def test_exit_resource_linear_loops_refuse_quickly(capsys, argv):
     assert "exceeds" in err or "past" in err
 
 
-def test_oracle_bound_takes_exponent_form(capsys, tmp_path):
+def test_oracle_bound_takes_exponent_form(capsys):
     argv = ("delta", "--target", "two_omega_over_n", "--grid-lo", "10",
             "--grid-hi", "3000")
     rc, plain, _ = run(capsys, *argv, "--oracle-bound", "1000000000")
     assert rc == 0
     rc, expo, _ = run(capsys, *argv, "--oracle-bound", "1e9")
     assert (rc, expo) == (0, plain)
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("oracle-bound=1e9\n")
-    rc, seeded, _ = run(capsys, *argv, "--config", str(cfg))
-    assert (rc, seeded) == (0, plain)
     rc, _, err = run(capsys, *argv, "--oracle-bound", "1e3")
     assert rc == 4
     # the first grid point past the bound: ..., 794.5, 953.5, 1144.5
@@ -600,15 +517,11 @@ def test_oracle_bound_takes_exponent_form(capsys, tmp_path):
     ("pairs", ("explicit", "--target", "d", "--x", "100.5")),
     ("tail", ("explicit", "--target", "d", "--x", "100.5", "--pairs", "3")),
 ])
-def test_count_flags_take_exponent_form(capsys, tmp_path, flag, argv):
+def test_count_flags_take_exponent_form(capsys, flag, argv):
     rc, plain, _ = run(capsys, *argv, f"--{flag}", "20")
     assert rc == 0
     rc, expo, _ = run(capsys, *argv, f"--{flag}", "2e1")
     assert (rc, expo) == (0, plain)
-    cfg = tmp_path / "count.cfg"
-    cfg.write_text(f"{flag}=2e1\n")
-    rc, seeded, _ = run(capsys, *argv, "--config", str(cfg))
-    assert (rc, seeded) == (0, plain)
     rc, _, err = run(capsys, *argv, f"--{flag}", "20.5")
     assert rc == 2
     assert "'20.5' is not a whole number" in err
