@@ -362,7 +362,7 @@ def test_delta_csv_round_trip_keeps_every_byte(rows):
 
 
 def test_zeros_env_fallback(capsys, tmp_path):
-    """--zeros names the table; without it the packaged one is read."""
+    """--zeros names the table: 3 ordinates refuse 10 pairs, 20 serve them."""
     def table(n):
         path = tmp_path / f"zeros{n}.txt"
         path.write_text("".join(
@@ -390,7 +390,6 @@ def test_zeros_env_is_not_read(capsys, tmp_path, monkeypatch):
     try:
         rc, out, _ = run(capsys, *argv)
     finally:
-        monkeypatch.delenv("ZD_ZEROS")
         default_zero_table.cache_clear()
     assert rc == 0
     assert len(json.loads(out)[0]["zero_sum_partials"]) == 11
