@@ -109,47 +109,49 @@ def _whole(text: str) -> int:
 
 
 def _worker_count(text: str) -> int:
-    workers = int(text)
+    workers = _whole(text)
     if workers < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
     return workers
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default="-", metavar="PATH",
+    # option groups; each subcommand takes the ones its handler reads
+    report, bound, workers = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    report.add_argument("--output", default="-", metavar="PATH",
                         help="report destination, - for stdout (default -)")
-    common.add_argument("--format", choices=FORMATS, default=None,
+    report.add_argument("--format", choices=FORMATS, default=None,
                         help="report format, default first: " + ", ".join(
                             f"{name} {'|'.join(formats)}"
                             for name, (_, formats) in _HANDLERS.items()))
-    common.add_argument("--workers", type=_worker_count, default=1,
-                        help="forked walkers of a brute-force scan's 2^18-long blocks, "
-                             "at most one per block and per CPU (default 1)")
-    common.add_argument("--oracle-bound", type=_whole, default=ORACLE_BOUND_DEFAULT,
-                        dest="oracle_bound",
-                        help=f"ceiling for linear-time exact scans (default {ORACLE_BOUND_DEFAULT})")
+    bound.add_argument("--oracle-bound", type=_whole, default=ORACLE_BOUND_DEFAULT,
+                       dest="oracle_bound",
+                       help=f"ceiling for linear-time exact scans (default {ORACLE_BOUND_DEFAULT})")
+    workers.add_argument("--workers", type=_worker_count, default=1,
+                         help="forked walkers of sum's brute-force scan, at most one "
+                              "per 2^18-long block and per CPU; no delta or fit route "
+                              "forks (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="divlab",
         description="exact and analytic summation lab for divisor-type functions")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = subs.add_parser("sieve", parents=[common],
+    p = subs.add_parser("sieve", parents=[report],
                         help="tabulate one arithmetic function pointwise")
     p.add_argument("--limit", type=_whole, required=True,
                    help=f"tabulate n = 1..limit (at most {SIEVE_ROWS_MAX} rows)")
     p.add_argument("--fn", default="d",
                    help=f"function label: {', '.join(LABEL_FORMS)}")
 
-    p = subs.add_parser("sum", parents=[common],
+    p = subs.add_parser("sum", parents=[report, workers, bound],
                         help="one summatory value sum_{n<=x} f(n)")
     p.add_argument("--fn", default="d", help="function label as for sieve")
     p.add_argument("--x", type=_real, required=True, help="upper limit x >= 1")
     p.add_argument("--algorithm", default="auto", choices=("auto", *ALGORITHMS),
                    help="auto picks the sublinear route when one exists")
 
-    p = subs.add_parser("explicit", parents=[common],
+    p = subs.add_parser("explicit", parents=[report, bound],
                         help="truncated explicit-formula evaluation")
     p.add_argument("--target", default="d",
                    help=f"target name or alias: {', '.join(_LABELS)}")
@@ -164,7 +166,7 @@ def _build_parser():
                    dest="tail_variant",
                    help="tail coefficient convention (default residue)")
 
-    p = subs.add_parser("voronoi", parents=[common],
+    p = subs.add_parser("voronoi", parents=[report],
                         help="Bessel/cosine summation formulas vs exact references")
     p.add_argument("--x", type=_real, required=True, help="non-integer x > 1")
     p.add_argument("--kind", default="full", choices=tuple(_SERIES),
@@ -174,7 +176,7 @@ def _build_parser():
                    help="series length (default: the most, up to 10000, that keep "
                         "Bessel arguments within 1e5; truncated: up to 1000, below x)")
 
-    p = subs.add_parser("delta", parents=[common],
+    p = subs.add_parser("delta", parents=[report, workers, bound],
                         help="error-term samples delta(x) = exact - main term")
     p.add_argument("--target", default="d", help="target as for explicit")
     p.add_argument("--x", type=_real, default=None,
@@ -186,7 +188,7 @@ def _build_parser():
     p.add_argument("--ratio", type=float, default=1.2,
                    help="geometric grid ratio (default 1.2)")
 
-    p = subs.add_parser("ap", parents=[common],
+    p = subs.add_parser("ap", parents=[report, bound],
                         help="divisor, harmonic, or fractional-part sums on a progression")
     p.add_argument("--x", type=_real, required=True, help="upper limit x >= 1")
     p.add_argument("--kind", default="divisor",
@@ -196,14 +198,11 @@ def _build_parser():
     p.add_argument("--a", type=int, default=None,
                    help="residue a with 1 <= a < q and gcd(a, q) = 1")
 
-    p = subs.add_parser("verify", parents=[common],
-                        help="run self-check suites; exit 5 on any failure")
+    p = subs.add_parser("verify", help="run self-check suites; exit 5 on any failure")
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"),
                    help="which suite to run (default all)")
-    p.add_argument("--zeros", metavar="PATH",
-                   help="zero-ordinate file for the explicit suite")
 
-    p = subs.add_parser("fit", parents=[common],
+    p = subs.add_parser("fit", parents=[report, workers, bound],
                         help="log-log exponent fit of |delta| over a geometric grid")
     p.add_argument("--target", default="d", help="target as for explicit")
     p.add_argument("--grid-lo", type=_real, required=True, dest="grid_lo",
@@ -529,8 +528,7 @@ def _suite_summatory(args) -> list[tuple[str, bool, str]]:
 
     # each route against the brute profile of the fn it computes
     m = 1500
-    oracle = {tag: brute_force_profile(FnSpec(tag), range(1, m + 1),
-                                       workers=args.workers)
+    oracle = {tag: brute_force_profile(FnSpec(tag), range(1, m + 1))
               for tag in dict.fromkeys(tag for tag, _ in ROUTES.values())}
     bad = sum(any(route(x).value != oracle[tag][x - 1].value
                   for tag, route in ROUTES.values())
@@ -629,7 +627,7 @@ def _suite_bessel(args) -> list[tuple[str, bool, str]]:
 
 def _suite_explicit(args) -> list[tuple[str, bool, str]]:
     checks = []
-    zeros = _load_zeros(args.zeros)
+    zeros = default_zero_table()
 
     got = nontrivial_zero_sum("two_omega_sum", 100.5, zeros, 1)[0][1]
     want = 1.368549735280956

@@ -515,15 +515,18 @@ def test_oracle_bound_takes_exponent_form(capsys):
     ("terms", ("voronoi", "--x", "100.5")),
     ("pairs", ("explicit", "--target", "d", "--x", "100.5")),
     ("tail", ("explicit", "--target", "d", "--x", "100.5", "--pairs", "3")),
+    # two 2^18-long blocks, so 20 walkers fork two
+    ("workers", ("sum", "--algorithm", "brute", "--fn", "mu", "--x", "300000")),
 ])
 def test_count_flags_take_exponent_form(capsys, flag, argv):
     rc, plain, _ = run(capsys, *argv, f"--{flag}", "20")
     assert rc == 0
     rc, expo, _ = run(capsys, *argv, f"--{flag}", "2e1")
     assert (rc, expo) == (0, plain)
-    rc, _, err = run(capsys, *argv, f"--{flag}", "20.5")
-    assert rc == 2
-    assert "'20.5' is not a whole number" in err
+    for text in ("20.5", "abc"):
+        rc, _, err = run(capsys, *argv, f"--{flag}", text)
+        assert rc == 2
+        assert f"argument --{flag}: {text!r} is not a whole number" in err
 
 
 def test_exit_usage_oracle_bound_not_whole(capsys):
@@ -856,6 +859,65 @@ def test_exit_verify_failure(capsys, monkeypatch):
     assert rc == 5
     assert "FAIL identities.always_red" in out
     assert "0/1 checks passed" in out
+
+
+# ---------------------------------------------------------------------------
+# each subcommand takes only the flags it reads
+# ---------------------------------------------------------------------------
+
+LONG_OPTIONS = {
+    "sieve": "--output --format --limit --fn",
+    "sum": "--output --format --workers --oracle-bound --fn --x --algorithm",
+    "explicit": "--output --format --oracle-bound --target --x --zeros --pairs "
+                "--tail --tail-variant",
+    "voronoi": "--output --format --x --kind --terms",
+    "delta": "--output --format --workers --oracle-bound --target --x --grid-lo "
+             "--grid-hi --ratio",
+    "ap": "--output --format --oracle-bound --x --kind --q --a",
+    "verify": "--suite",
+    "fit": "--output --format --workers --oracle-bound --target --grid-lo "
+           "--grid-hi --ratio --samples-output",
+}
+
+
+def test_subcommand_long_options():
+    (subs,) = [action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    got = {name: " ".join(option for action in sub._actions
+                          for option in action.option_strings
+                          if option.startswith("--") and option != "--help")
+           for name, sub in subs.choices.items()}
+    assert got == LONG_OPTIONS
+    assert sum(len(options.split()) for options in got.values()) == 51
+
+
+# a cheap run of a command, and a flag the command does not read
+UNREAD_FLAGS = [
+    (("sieve", "--limit", "10"), ("--workers", "2")),
+    (("sieve", "--limit", "10"), ("--oracle-bound", "1000")),
+    (("voronoi", "--kind", "full", "--x", "10.5", "--terms", "1"), ("--workers", "2")),
+    (("voronoi", "--kind", "full", "--x", "10.5", "--terms", "1"),
+     ("--oracle-bound", "1000")),
+    (("explicit", "--x", "10.5", "--pairs", "1"), ("--workers", "2")),
+    (("ap", "--kind", "divisor", "--q", "4", "--a", "3", "--x", "100"),
+     ("--workers", "2")),
+    (("verify", "--suite", "reports"), ("--output", "v.txt")),
+    (("verify", "--suite", "reports"), ("--format", "json")),
+    (("verify", "--suite", "reports"), ("--workers", "2")),
+    (("verify", "--suite", "reports"), ("--oracle-bound", "1000")),
+    (("verify", "--suite", "explicit"),
+     ("--zeros", str(pathlib.Path(divisorlab.__file__).parent / "data/zeros1000.txt"))),
+]
+
+
+@pytest.mark.parametrize("argv, flag", UNREAD_FLAGS,
+                         ids=[f"{argv[0]}{flag[0]}" for argv, flag in UNREAD_FLAGS])
+def test_unread_flag_exits_usage(capsys, monkeypatch, tmp_path, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv, *flag)
+    assert (rc, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
